@@ -51,6 +51,16 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _config_bool(conf: dict[str, str], key: str) -> bool:
+    value = conf[key]
+    try:
+        return _BOOL_WORDS[value.lower()]
+    except KeyError:
+        raise ValueError(
+            f"config key {key}: {value!r} is not one of {', '.join(_BOOL_WORDS)}"
+        ) from None
+
+
 def build_config(args: argparse.Namespace) -> EngineConfig:
     fuel = 10000
     ext_depth = 4
@@ -64,11 +74,11 @@ def build_config(args: argparse.Namespace) -> EngineConfig:
         if "ext-depth" in conf:
             ext_depth = int(conf["ext-depth"])
         if "printed-axioms" in conf:
-            corrected = not _BOOL_WORDS[conf["printed-axioms"].lower()]
+            corrected = not _config_bool(conf, "printed-axioms")
         if "surjective-pairing" in conf:
-            surjective = _BOOL_WORDS[conf["surjective-pairing"].lower()]
+            surjective = _config_bool(conf, "surjective-pairing")
         if "eq-reflexivity" in conf:
-            eq_refl = _BOOL_WORDS[conf["eq-reflexivity"].lower()]
+            eq_refl = _config_bool(conf, "eq-reflexivity")
     if args.fuel is not None:
         fuel = args.fuel
     if args.ext_depth is not None:

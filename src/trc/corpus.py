@@ -224,8 +224,9 @@ class CorpusReport:
             out.append(f"COVERAGE {item} {' '.join(ids)} {'OK' if ok else 'INCOMPLETE'}")
         if not self.config.corrected_axioms:
             out.append(
-                "NOTE uncorrected-axiom run: failures of 2.2a/2.3b/2.3c reproduce the"
-                " documented misprint in the pair-application and abstraction rules"
+                "NOTE uncorrected-axiom run: failures of I-is-identity/2.1a/2.1b/2.1d/2.2a/2.2c/2.3a"
+                " reproduce the documented misprint in the pair-application and abstraction"
+                " rules; the entries depending on them are blocked"
             )
         out.append(f"CORPUS {'PASS' if self.ok else 'FAIL'} ({len(self.results)} entries)")
         return out
@@ -236,7 +237,6 @@ def _check_entry(
     corpus: Corpus,
     registry: Registry,
     ruleset: RuleSet,
-    config: EngineConfig,
 ) -> EntryResult:
     if entry.source.startswith("spec:"):
         spec = corpus.specs[entry.source[5:]]
@@ -309,11 +309,11 @@ def run_corpus(
                 contexts[e.ident] = (registry.snapshot(), ruleset)
         if jobs > 1 and len(wave) > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = {e.ident: pool.submit(_check_entry, e, corpus, registry, ruleset, config)
+                futures = {e.ident: pool.submit(_check_entry, e, corpus, registry, ruleset)
                            for e in wave}
                 wave_results = {ident: fut.result() for ident, fut in futures.items()}
         else:
-            wave_results = {e.ident: _check_entry(e, corpus, registry, ruleset, config) for e in wave}
+            wave_results = {e.ident: _check_entry(e, corpus, registry, ruleset) for e in wave}
         # registration is single-writer, in index order within the wave
         for e in wave:
             result = wave_results[e.ident]

@@ -6,6 +6,14 @@ position where any rule applies is rewritten with the first matching rule in
 rule-set order.  Nontermination is a normal, reportable outcome (the fuel
 bound), never a hang.
 
+Redexes are found through a per-rule-set index keyed by a term's root shape
+(its constructor and, for an application, the head of its function side), so
+only rules whose left-hand side can match are tried at a position.  After a
+rewrite at position p the search resumes there instead of at the root: the
+ancestors of p are re-checked top-down, then p's subtree and the subtrees to
+the right of the path are scanned.  The subtrees to the left of the path are
+unchanged and were already found redex-free.
+
 Two of the core rules exist in a corrected and an uncorrected variant (see
 ``EngineConfig.corrected_axioms``): the pair-application rule
 ``<x,y> z -> <x z, y z>`` and the abstraction rule
@@ -17,15 +25,15 @@ they are inconsistent with the corrected theory's own derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Protocol
 
 from .terms import (
-    ABST, EQ, P1, P2,
+    ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
     App, KWrap, Pair, PatVar, Term, TrcError, Var,
     expand_defined, format_position, free_vars, fresh_var, match_pattern,
-    navigate, pattern_vars, render, replace_at, substitute, subterms, to_pattern,
-    Position,
+    navigate, pattern_vars, render, replace_at, substitute, to_pattern,
+    with_child, Position,
 )
 
 
@@ -68,10 +76,31 @@ class Rule:
             raise RuleError(f"rule {self.name}: rhs pattern variables {sorted(extra)} not bound by lhs")
 
 
+def root_shape(t: Term) -> object:
+    """Index key of ``t``: its constructor, or for an application the
+    constructor (and name, for an atom) of its function side."""
+    if type(t) is not App:
+        return type(t)
+    head = t.fn
+    return type(head), getattr(head, "name", None)
+
+
+def lhs_fits(lhs: Term, key: object) -> bool:
+    """Whether a left-hand side can match some term whose shape is ``key``."""
+    if type(lhs) is PatVar:
+        return True
+    if type(lhs) is not App:
+        return key is type(lhs)
+    return type(key) is tuple and (type(lhs.fn) is PatVar or key == root_shape(lhs))
+
+
 @dataclass(frozen=True)
 class RuleSet:
     rules: tuple[Rule, ...]
     config: EngineConfig
+    # shape key -> the rules that can match a term of that shape, filled on use
+    _index: dict[object, tuple[Rule, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [r.name for r in self.rules]
@@ -80,6 +109,14 @@ class RuleSet:
 
     def extended(self, more: Iterable[Rule]) -> "RuleSet":
         return RuleSet(self.rules + tuple(more), self.config)
+
+    def candidates(self, t: Term) -> tuple[Rule, ...]:
+        """The rules that can match at the root of ``t``, in rule-set order."""
+        key = root_shape(t)
+        found = self._index.get(key)
+        if found is None:
+            found = self._index[key] = tuple(r for r in self.rules if lhs_fits(r.lhs, key))
+        return found
 
 
 def _pv(name: str) -> PatVar:
@@ -150,30 +187,101 @@ def rewrite_at(t: Term, pos: Position, rule: Rule) -> Optional[Term]:
     return replace_at(t, pos, substitute(rule.rhs, subst))
 
 
-def rewrite_step(t: Term, rs: RuleSet) -> Optional[TraceStep]:
-    """One step: first rule (in rule-set order) at the leftmost-outermost position."""
-    for pos, sub in subterms(t):
-        for rule in rs.rules:
+# A path leads from the root to a position: the (ancestor, selector) pairs
+# passed on the way down.
+Path = list[tuple[Term, str]]
+Redex = tuple[Path, Rule, dict[str, Term]]
+
+_RIGHT_OF = {FN: ARG, LEFT: RIGHT}
+
+
+def _scan(rs: RuleSet, t: Term, path: Path) -> Optional[Redex]:
+    """First redex in preorder within ``t``, the subterm at the end of ``path``."""
+    stack: list[tuple[Term, object]] = [(t, None)]
+    while stack:
+        sub, up = stack.pop()  # up: (parent, selector, parent's up), or None at t
+        for rule in rs.candidates(sub):
             subst = rule_match(rule, sub)
             if subst is not None:
-                after = replace_at(t, pos, substitute(rule.rhs, subst))
-                return TraceStep(pos, rule.name, t, after)
+                below: Path = []
+                while up is not None:
+                    parent, sel, up = up
+                    below.append((parent, sel))
+                below.reverse()
+                return path + below, rule, subst
+        if type(sub) is App:
+            stack.append((sub.arg, (sub, ARG, up)))
+            stack.append((sub.fn, (sub, FN, up)))
+        elif type(sub) is Pair:
+            stack.append((sub.right, (sub, RIGHT, up)))
+            stack.append((sub.left, (sub, LEFT, up)))
+        elif type(sub) is KWrap:
+            stack.append((sub.body, (sub, KBODY, up)))
     return None
+
+
+def _find(rs: RuleSet, path: Path, t: Term) -> Optional[Redex]:
+    """Leftmost-outermost redex after a rewrite at the end of ``path``.
+
+    ``path`` holds the rebuilt ancestors and ``t`` is the new subterm at the
+    rewritten position.  Everything left of the path is unchanged and known
+    to be redex-free, so it is skipped.  An empty path scans ``t`` whole.
+    """
+    for depth, (node, _) in enumerate(path):
+        for rule in rs.candidates(node):
+            subst = rule_match(rule, node)
+            if subst is not None:
+                return path[:depth], rule, subst
+    found = _scan(rs, t, path)
+    depth = len(path)
+    while found is None and depth:
+        depth -= 1
+        node, sel = path[depth]
+        if sel in _RIGHT_OF:
+            sel = _RIGHT_OF[sel]
+            found = _scan(rs, navigate(node, (sel,)), path[:depth] + [(node, sel)])
+    return found
+
+
+def _contract(redex: Redex) -> tuple[Term, Path, Term]:
+    """Rewrite at ``redex``: the new root, the rebuilt path and the contractum."""
+    path, rule, subst = redex
+    new = cur = substitute(rule.rhs, subst)
+    rebuilt: Path = []
+    for node, sel in reversed(path):
+        cur = with_child(node, sel, cur)
+        rebuilt.append((cur, sel))
+    rebuilt.reverse()
+    return cur, rebuilt, new
+
+
+def _position(path: Path) -> Position:
+    return tuple(sel for _, sel in path)
+
+
+def rewrite_step(t: Term, rs: RuleSet) -> Optional[TraceStep]:
+    """One step: first rule (in rule-set order) at the leftmost-outermost position."""
+    redex = _find(rs, [], t)
+    if redex is None:
+        return None
+    after, _, _ = _contract(redex)
+    return TraceStep(_position(redex[0]), redex[1].name, t, after)
 
 
 def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
     limit = rs.config.fuel if fuel is None else fuel
     trace: list[TraceStep] = []
     cur = t
+    redex = _find(rs, [], t)
     for _ in range(limit):
-        step = rewrite_step(cur, rs)
-        if step is None:
+        if redex is None:
             return NormalizeResult(cur, tuple(trace), False)
-        trace.append(step)
-        cur = step.after
+        after, path, new = _contract(redex)
+        trace.append(TraceStep(_position(path), redex[1].name, cur, after))
+        cur = after
+        redex = _find(rs, path, new)
     # fuel consumed: exhausted only when a redex actually remains
-    exhausted = rewrite_step(cur, rs) is not None
-    return NormalizeResult(cur, tuple(trace), exhausted)
+    return NormalizeResult(cur, tuple(trace), redex is not None)
 
 
 # ---------------------------------------------------------------------------

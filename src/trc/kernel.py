@@ -11,7 +11,9 @@ Step repertoire:
 * ``chain``: adjacent terms must be related by one rule instance (core rule,
   registered derived rule, hypothesis equation, definition, or an in-scope
   equality) applied at one position, in either direction.  Expansion steps
-  (right-to-left rule use) are allowed.
+  (right-to-left rule use) are allowed.  Rules are tried only on the root
+  path down to the lowest position covering every difference between the
+  two terms.
 * ``normalize``: both sides reach one normal form within fuel.
 * ``ext K``: both sides applied to K fresh variables reach one normal form.
 * ``cases Eq <a,b>``: classical dichotomy; branch one assumes a = b and
@@ -42,13 +44,13 @@ from typing import Iterator, Mapping, Optional, Union
 
 from .engine import (
     Rule, RuleSet, RuleError,
-    normalize, register_derived_rule, rule_match,
+    lhs_fits, normalize, register_derived_rule, root_shape, rule_match,
 )
 from .terms import (
     EQ, P1, P2,
     App, Defined, KWrap, Pair, PatVar, Term, TrcError, Var,
-    defined_names, expand_defined, free_vars, fresh_var,
-    pattern_vars, render, replace_at, replace_defined, substitute, subterms,
+    children, defined_names, expand_defined, free_vars, fresh_var,
+    pattern_vars, render, replace_defined, substitute, subterms,
     to_pattern,
 )
 
@@ -327,10 +329,8 @@ class Registry:
 
     def __init__(self) -> None:
         self._records: dict[str, TheoremRecord] = {}
-        self._reports: dict[str, CheckReport] = {}
         seed = TheoremRecord(AXIOM_NEQ_ID, NotEqual(P1, P2), None, (), source="builtin")
         self._records[AXIOM_NEQ_ID] = seed
-        self._reports[AXIOM_NEQ_ID] = CheckReport(AXIOM_NEQ_ID, True, reason="builtin axiom")
 
     def __contains__(self, theorem_id: str) -> bool:
         return theorem_id in self._records
@@ -344,9 +344,6 @@ class Registry:
         except KeyError:
             raise RegistryError(f"unknown theorem {theorem_id!r}") from None
 
-    def report_for(self, theorem_id: str) -> CheckReport:
-        return self._reports[theorem_id]
-
     def register(self, record: TheoremRecord, report: CheckReport) -> None:
         if not report.ok or report.theorem_id != record.theorem_id:
             raise RegistryError(f"refusing to register {record.theorem_id}: report is not a pass for it")
@@ -359,12 +356,10 @@ class Registry:
                 raise RegistryError(f"id-conflict: {record.theorem_id} already registered with a different statement")
             return
         self._records[record.theorem_id] = record
-        self._reports[record.theorem_id] = report
 
     def snapshot(self) -> "Registry":
         copy = Registry()
         copy._records = dict(self._records)
-        copy._reports = dict(self._reports)
         return copy
 
     def instantiate(self, theorem_id: str, subst: Mapping[str, Term]) -> Judgment:
@@ -394,6 +389,7 @@ class Registry:
 class _Fact:
     judgment: Judgment
     fixed: frozenset[str]  # variables not generalizable (fixed by an assumption)
+    rule: Optional[Rule] = None  # an equality as a chain-link rule, built on first use
 
 
 class _Scope:
@@ -429,6 +425,28 @@ class _Scope:
             scope = scope.parent
 
 
+def _link_sites(a: Term, b: Term) -> list[tuple[Term, Term]]:
+    """The (a, b) subterm pairs at every position where rewriting ``a`` once
+    can give ``b``.
+
+    A rewrite at one position leaves everything outside it unchanged, so it
+    must sit on the root path down to the lowest position covering every
+    difference between ``a`` and ``b``; there the rewritten subterm of ``a``
+    has to equal that of ``b``.  When ``a`` and ``b`` are identical, every
+    position qualifies.
+    """
+    if a == b:
+        return [(sub, sub) for _, sub in subterms(a)]
+    sites = [(a, b)]
+    while type(a) is type(b):
+        differing = [(s, t) for (_, s), (_, t) in zip(children(a), children(b)) if s != t]
+        if len(differing) != 1:
+            break
+        a, b = differing[0]
+        sites.append((a, b))
+    return sites
+
+
 class _StepFailure(Exception):
     def __init__(self, reason: str):
         self.reason = reason
@@ -456,7 +474,10 @@ class _Checker:
         if script.hypothesis:
             for i, eq in enumerate(script.hypothesis.equations):
                 hyp_rules.append(eq.rule(i))
-        self.rules = rs.extended(hyp_rules)
+        self.rules = rs.extended(hyp_rules) if hyp_rules else rs
+        self.definition_rules = tuple(
+            Rule(f"definition:{name}", Defined(name), body, "fact") for name, body in self.defs.items()
+        )
         self.step_counter = 0
         self.traces: list[str] = []
 
@@ -503,33 +524,36 @@ class _Checker:
     def _link_rules(self, scope: _Scope) -> Iterator[Rule]:
         """All candidate link justifications, as (possibly ground) rules."""
         yield from self.rules.rules
-        for name, body in self.defs.items():
-            yield Rule(f"definition:{name}", Defined(name), body, "fact")
+        yield from self.definition_rules
         for label, fact in scope.iter_equalities():
-            eq = fact.judgment
-            assert isinstance(eq, Equal)
-            yield Rule(f"fact:{label}", eq.lhs, eq.rhs, "fact")
+            if fact.rule is None:
+                eq = fact.judgment
+                assert isinstance(eq, Equal)
+                fact.rule = Rule(f"fact:{label}", eq.lhs, eq.rhs, "fact")
+            yield fact.rule
 
-    def _one_step(self, source: Term, target: Term, scope: _Scope,
+    def _one_step(self, sites: list[tuple[Term, Term]], scope: _Scope,
                   citation: Optional[str]) -> Optional[str]:
-        """Name of a justification rewriting source -> target at one position."""
+        """Name of a justification rewriting one source site into its target."""
+        shaped = [(root_shape(sub), sub, want) for sub, want in sites]
         for rule in self._link_rules(scope):
             name = rule.name
             if citation is not None and name != citation and name.split(":", 1)[-1] != citation:
                 continue
-            for pos, sub in subterms(source):
-                got = rule_match(rule, sub)
-                if got is None:
+            for shape, sub, want in shaped:
+                if not lhs_fits(rule.lhs, shape):
                     continue
-                if replace_at(source, pos, substitute(rule.rhs, got)) == target:
+                got = rule_match(rule, sub)
+                if got is not None and substitute(rule.rhs, got) == want:
                     return name
         return None
 
     def justify_link(self, a: Term, b: Term, scope: _Scope, citation: Optional[str]) -> str:
-        found = self._one_step(a, b, scope, citation)
+        sites = _link_sites(a, b)
+        found = self._one_step(sites, scope, citation)
         if found is not None:
             return found
-        found = self._one_step(b, a, scope, citation)
+        found = self._one_step([(t, s) for s, t in sites], scope, citation)
         if found is not None:
             return found + " (reversed)"
         raise _StepFailure(f"no single rule instance relates {render(a)} and {render(b)}")

@@ -148,9 +148,6 @@ class _OffsetUnionFind:
         self.offset[ra] = db + delta - da
         return True
 
-    def value(self, key: str) -> tuple[str, int]:
-        return self.find(key)
-
 
 def _conflict_cycle(constraints: list[Constraint], bad: Constraint) -> tuple[Constraint, ...]:
     """A walk from bad.a to bad.b through earlier constraints, closed by ``bad``.
@@ -220,7 +217,7 @@ def stratify(t: Term) -> StratifyResult:
     assignment: dict[str, int] = {}
     anchors: dict[str, int] = {}
     for name in sorted(free_vars(t)):
-        root, off = uf.value("var:" + name)
+        root, off = uf.find("var:" + name)
         # variables in separate components are anchored independently at 0
         base = anchors.setdefault(root, -off)
         assignment[name] = base + off

@@ -156,22 +156,34 @@ def navigate(t: Term, pos: Position) -> Term:
     return cur
 
 
+def with_child(t: Term, sel: str, child: Term) -> Term:
+    """``t`` with its child under selector ``sel`` replaced by ``child``."""
+    cls = type(t)
+    if cls is App and sel == FN:
+        return App(child, t.arg)
+    if cls is App and sel == ARG:
+        return App(t.fn, child)
+    if cls is KWrap and sel == KBODY:
+        return KWrap(child)
+    if cls is Pair and sel == LEFT:
+        return Pair(child, t.right)
+    if cls is Pair and sel == RIGHT:
+        return Pair(t.left, child)
+    raise PositionError(sel, ())
+
+
 def replace_at(t: Term, pos: Position, s: Term) -> Term:
     """``t`` with exactly the subterm at ``pos`` replaced by ``s``."""
-    if not pos:
-        return s
-    sel = pos[0]
-    if isinstance(t, App) and sel == FN:
-        return App(replace_at(t.fn, pos[1:], s), t.arg)
-    if isinstance(t, App) and sel == ARG:
-        return App(t.fn, replace_at(t.arg, pos[1:], s))
-    if isinstance(t, KWrap) and sel == KBODY:
-        return KWrap(replace_at(t.body, pos[1:], s))
-    if isinstance(t, Pair) and sel == LEFT:
-        return Pair(replace_at(t.left, pos[1:], s), t.right)
-    if isinstance(t, Pair) and sel == RIGHT:
-        return Pair(t.left, replace_at(t.right, pos[1:], s))
-    raise PositionError(sel, ())
+    ancestors = []
+    for i, sel in enumerate(pos):
+        ancestors.append(t)
+        try:
+            t = navigate(t, (sel,))
+        except PositionError:
+            raise PositionError(sel, pos[:i]) from None
+    for node, sel in zip(reversed(ancestors), reversed(pos)):
+        s = with_child(node, sel, s)
+    return s
 
 
 def format_position(pos: Position) -> str:
@@ -243,25 +255,27 @@ def match_pattern(pattern: Term, t: Term) -> Optional[dict[str, Term]]:
     stack = [(pattern, t)]
     while stack:
         p, s = stack.pop()
-        if isinstance(p, PatVar):
-            seen = bindings.get(p.name)
+        cls = type(p)
+        if cls is PatVar:
+            seen = bindings.get(p.name)  # type: ignore[union-attr]
             if seen is None:
-                bindings[p.name] = s
+                bindings[p.name] = s  # type: ignore[union-attr]
             elif seen != s:
                 return None
-        elif type(p) is not type(s):
+        elif cls is not type(s):
             return None
-        elif isinstance(p, (Var, Const, Defined)):
-            if p.name != s.name:  # type: ignore[union-attr]
-                return None
-        elif isinstance(p, App):
-            stack.append((p.fn, s.fn))  # type: ignore[union-attr]
+        # children are pushed right to left, so a mismatched head fails first
+        elif cls is App:
             stack.append((p.arg, s.arg))  # type: ignore[union-attr]
-        elif isinstance(p, KWrap):
-            stack.append((p.body, s.body))  # type: ignore[union-attr]
-        elif isinstance(p, Pair):
-            stack.append((p.left, s.left))  # type: ignore[union-attr]
+            stack.append((p.fn, s.fn))  # type: ignore[union-attr]
+        elif cls is Pair:
             stack.append((p.right, s.right))  # type: ignore[union-attr]
+            stack.append((p.left, s.left))  # type: ignore[union-attr]
+        elif cls is KWrap:
+            stack.append((p.body, s.body))  # type: ignore[union-attr]
+        # an atom (variable, constant or declared name) matches by name
+        elif p.name != s.name:  # type: ignore[union-attr]
+            return None
     return bindings
 
 
@@ -327,10 +341,6 @@ def render(t: Term) -> str:
             arg = f"({arg})"
         return f"{fn} {arg}"
     raise TypeError(f"not a term: {t!r}")
-
-
-def render_judgement_side(t: Term) -> str:
-    return render(t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+from pathlib import Path
+
+import pytest
+
 from trc.cli import main
+
+GOLDEN_TRACE = Path(__file__).parent / "data" / "corpus_trace.txt"
 
 
 def run(capsys, *argv):
@@ -131,6 +137,13 @@ def test_corpus_trace_deterministic(capsys):
     assert out1 == out2
 
 
+def test_corpus_trace_matches_golden(capsys):
+    # the committed output pins the traced corpus run across changes, byte for byte
+    code, out, _ = run(capsys, "corpus", "--trace")
+    assert code == 0
+    assert out.encode("utf-8") == GOLDEN_TRACE.read_bytes()
+
+
 def test_corpus_printed_axioms_fails(capsys):
     code, out, _ = run(capsys, "corpus", "--printed-axioms")
     assert code == 1
@@ -175,3 +188,13 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", ["printed-axioms", "surjective-pairing", "eq-reflexivity"])
+def test_bad_boolean_config_value_is_usage_error(tmp_path, capsys, key):
+    conf = tmp_path / "engine.conf"
+    conf.write_text(f"{key} = maybe\n")
+    code, out, err = run(capsys, "normalize", "--config", str(conf), "k(x) y")
+    assert code == 2
+    assert not out
+    assert key in err and "'maybe'" in err

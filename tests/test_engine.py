@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trc.corpus import BASE_DEFINITIONS
+from trc.corpus import BASE_DEFINITIONS, standard_context
 from trc.engine import (
-    EngineConfig, Rule, RuleError, core_rules, ext_equal, normalize,
-    register_derived_rule, rewrite_at, rewrite_step,
+    EngineConfig, NormalizeResult, Rule, RuleError, TraceStep, core_rules,
+    ext_equal, normalize, register_derived_rule, rewrite_at, rewrite_step,
+    rule_match,
 )
 from trc.terms import (
-    P1, P2, App, Pair, Var, free_vars, parse, parse_pattern, render, substitute,
+    ABST, EQ, P1, P2, App, KWrap, Pair, PatVar, Var, free_vars, parse,
+    parse_pattern, render, replace_at, substitute, subterms,
 )
 
 from test_terms import closed_terms, terms
@@ -159,6 +161,110 @@ def test_stability_under_substitution(t, s):
     rule = next(r for r in rs.rules if r.name == step.rule_name)
     got = rewrite_at(substitute(t, sigma), step.position, rule)
     assert got == substitute(step.after, sigma)
+
+
+# ---------------------------------------------------------------------------
+# the indexed, resuming redex finder against a naive full scan
+# ---------------------------------------------------------------------------
+
+def reference_step(t, rs):
+    """Try every rule in order at every preorder position, from the root."""
+    for pos, sub in subterms(t):
+        for rule in rs.rules:
+            subst = rule_match(rule, sub)
+            if subst is not None:
+                return TraceStep(pos, rule.name, t, replace_at(t, pos, substitute(rule.rhs, subst)))
+    return None
+
+
+def reference_normalize(t, rs, fuel):
+    trace = []
+    for _ in range(fuel):
+        step = reference_step(t, rs)
+        if step is None:
+            return NormalizeResult(t, tuple(trace), False)
+        trace.append(step)
+        t = step.after
+    return NormalizeResult(t, tuple(trace), reference_step(t, rs) is not None)
+
+
+def _surjective(t):
+    return Pair(App(P1, t), App(P2, t))
+
+
+def _eq_same(t):
+    return App(EQ, Pair(t, t))
+
+
+def _projection(p, t, u):
+    return App(p, Pair(t, u))
+
+
+# terms dense in redexes, including the nonlinear surjective-pairing and Eq ones
+redex_rich = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(["x", "y", "z"])), st.sampled_from([ABST, EQ, P1, P2])),
+    lambda sub: st.one_of(
+        st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub),
+        st.builds(_surjective, sub), st.builds(_eq_same, sub),
+        st.builds(_projection, st.sampled_from([P1, P2]), sub, sub),
+        st.builds(App, st.builds(KWrap, sub), sub),
+    ),
+    max_leaves=20,
+)
+
+
+@pytest.fixture(scope="module")
+def rule_sets():
+    return {"core": core_rules(), "standard": standard_context()[1]}
+
+
+@pytest.mark.parametrize("which", ["core", "standard"])
+@settings(max_examples=150, deadline=None)
+@given(t=st.one_of(terms, closed_terms, redex_rich), fuel=st.integers(1, 40))
+def test_normalize_matches_reference_finder(rule_sets, which, t, fuel):
+    rs = rule_sets[which]
+    got = normalize(t, rs, fuel)
+    assert got == reference_normalize(t, rs, fuel)
+    assert rewrite_step(t, rs) == reference_step(t, rs)
+    by_name = {r.name: r for r in rs.rules}
+    current = t
+    for step in got.trace:
+        assert step.before == current
+        assert rewrite_at(step.before, step.position, by_name[step.rule_name]) == step.after
+        current = step.after
+    assert current == got.result
+
+
+@pytest.mark.parametrize("text, first, root_rule, result", [
+    # the rewrite sits 3 levels below a root whose nonlinear left-hand side is 2 deep
+    ("Eq <k(P1 <a,b>), k(a)>", (("argument", "pair-left", "k-body"), "P1-proj"), "Eq-refl", "P1"),
+    ("<P1 k(k(x) y), P2 k(x)>", (("pair-left", "argument", "k-body"), "K"), "surjective-pairing",
+     "k(x)"),
+])
+def test_deep_rewrite_makes_far_ancestor_a_redex(core, text, first, root_rule, result):
+    got = normalize(parse(text), core)
+    assert [(s.position, s.rule_name) for s in got.trace] == [first, ((), root_rule)]
+    assert got.result == parse(result)
+    assert got == reference_normalize(parse(text), core, core.config.fuel)
+
+
+def test_candidates_keep_rule_order_and_wildcards(core):
+    rs = core.extended([
+        Rule("any", PatVar("$w"), PatVar("$w"), "fact"),
+        Rule("any-app", parse_pattern("$f $x"), parse_pattern("$x"), "fact"),
+    ])
+
+    def names(text):
+        return [r.name for r in rs.candidates(parse(text))]
+
+    assert names("k(a) b") == ["K", "any", "any-app"]
+    assert names("P1 <a,b>") == ["P1-proj", "any", "any-app"]
+    assert names("Eq <a,b>") == ["Eq-refl", "any", "any-app"]
+    assert names("<a,b> c") == ["pair-application", "any", "any-app"]
+    assert names("Abst a b c") == ["Abst", "any", "any-app"]
+    assert names("<a,b>") == ["surjective-pairing", "any"]
+    assert names("a b") == ["any", "any-app"]
+    assert names("k(a)") == ["any"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trc.corpus import BASE_DEFINITIONS
+from trc.engine import core_rules, rewrite_at
 from trc.kernel import (
     ApplicationStep, CheckReport, Equal, NormalizeStep, NotEqual, ProofScript,
     Registry, RegistryError, TheoremStep, check_script, record_for,
 )
 from trc.scriptfile import parse_scripts
-from trc.terms import P1, P2, ParseError, Var, parse, render
+from trc.terms import P1, P2, ParseError, Var, parse, render, subterms
+
+from test_engine import redex_rich
 
 
 def check_text(text, registry, rules):
@@ -91,6 +96,80 @@ def test_chain_endpoints_must_match(core, registry):
         }
     ''', registry, core)
     assert not report.ok
+
+
+def test_chain_link_rewriting_above_the_differing_position(core, registry):
+    # the terms differ only under the argument, but P1-proj fires at the root
+    # (used right to left here, an expansion step)
+    report = check_text('''
+        theorem up "expansion above the lowest differing position" {
+          prove P1 c = P1 <P1 c, d>
+          qed by chain [P1 c, P1 <P1 c, d>]
+        }
+    ''', registry, core)
+    assert report.ok
+    report = check_text('''
+        theorem bad "no projection gives P1 c" {
+          prove P1 c = P1 <P1 d, d>
+          qed by chain [P1 c, P1 <P1 d, d>]
+        }
+    ''', registry, core)
+    assert not report.ok
+
+
+def test_chain_link_from_a_term_to_itself(core, registry):
+    # the fact u = u rewrites u to itself inside k(u) w
+    report = check_text('''
+        theorem same "a link from a term to itself" {
+          prove k(u) w = k(u) w
+          have h : u = u by normalize
+          qed by chain [k(u) w, k(u) w]
+        }
+    ''', registry, core)
+    assert report.ok
+    # no rule rewrites k(u) w to itself without that fact
+    report = check_text('''
+        theorem bare "no rule instance is the identity here" {
+          prove k(u) w = k(u) w
+          qed by chain [k(u) w, k(u) w]
+        }
+    ''', registry, core)
+    assert not report.ok
+    assert "no single rule" in report.reason
+
+
+def reference_link(a, b, rules):
+    """Whether one rule rewrites a to b, or b to a, at any one position."""
+    return any(
+        rewrite_at(x, pos, rule) == y
+        for x, y in ((a, b), (b, a))
+        for rule in rules.rules
+        for pos, _ in subterms(x)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), a=redex_rich)
+def test_chain_link_verdict_matches_reference(registry, data, a):
+    rules = core_rules()
+    rewrites = [
+        got for pos, _ in subterms(a) for rule in rules.rules
+        if (got := rewrite_at(a, pos, rule)) is not None
+    ]
+    b = data.draw(st.one_of(
+        st.sampled_from(rewrites) if rewrites else st.nothing(),
+        st.just(a),
+        redex_rich,
+    ))
+    if data.draw(st.booleans()):
+        a, b = b, a
+    report = check_text(f'''
+        theorem link "one chain link" {{
+          prove {render(a)} = {render(b)}
+          qed by chain [{render(a)}, {render(b)}]
+        }}
+    ''', registry, rules)
+    assert report.ok == reference_link(a, b, rules)
 
 
 def test_normalize_step(core, registry):

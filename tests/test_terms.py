@@ -186,6 +186,9 @@ def test_invalid_position_names_selector():
     with pytest.raises(PositionError) as err:
         navigate(parse("x y"), ("k-body",))
     assert err.value.selector == "k-body"
+    with pytest.raises(PositionError) as err:
+        replace_at(parse("x (y z)"), ("argument", "k-body"), Var("s"))
+    assert (err.value.selector, err.value.at) == ("k-body", ("argument",))
 
 
 @settings(max_examples=200)
