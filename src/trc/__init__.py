@@ -30,8 +30,8 @@ from .stratify import (
 from .terms import (
     ABST, App, Const, Defined, EQ, KWrap, P1, P2, Pair, ParseError, PatVar,
     PositionError, Term, TrcError, Var, expand_defined, free_vars, fresh_var,
-    match_pattern, navigate, parse, parse_pattern, render, replace_at,
-    substitute, subterms, term_size,
+    match_pattern, navigate, nodes, parse, parse_pattern, rebuild, render,
+    replace_at, substitute, subterms, term_size,
 )
 
 __version__ = "0.1.0"

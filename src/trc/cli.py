@@ -3,7 +3,8 @@
 Commands: ``parse``, ``normalize``, ``eq``, ``stratify``, ``abstract``,
 ``compile``, ``check``, ``corpus``.  Exit codes: 0 on success or a passing
 check, 1 on a mathematical failure (failed or unknown verdicts, rejected
-abstraction, exhausted normalization), 2 on usage or syntax errors.
+abstraction, exhausted normalization), 2 on usage or syntax errors, including
+terms nested too deeply for the parser, term equality or abstraction.
 
 The engine configuration is settable with ``--fuel``, ``--ext-depth``,
 ``--printed-axioms``, ``--no-surjective-pairing``, ``--no-eq-refl``, or a
@@ -186,7 +187,7 @@ def cmd_compile(args) -> int:
 
 def cmd_check(args) -> int:
     config = build_config(args)
-    report = run_corpus(load_corpus(), config, jobs=args.jobs)
+    report = run_corpus(load_corpus(), config)
     registry, ruleset = report.registry, report.ruleset
     failures = 0
     for path in args.files:
@@ -200,14 +201,9 @@ def cmd_check(args) -> int:
 
 def cmd_corpus(args) -> int:
     config = build_config(args)
-    if args.list:
-        corpus = load_corpus()
-        report = run_corpus(corpus, config, jobs=args.jobs)
-        for line in list_theorems(corpus, report):
-            print(line)
-        return 0 if report.ok else MATH_FAILURE
-    report = run_corpus(load_corpus(), config, jobs=args.jobs)
-    for line in report.lines(trace=args.trace):
+    corpus = load_corpus()
+    report = run_corpus(corpus, config)
+    for line in list_theorems(corpus, report) if args.list else report.lines(trace=args.trace):
         print(line)
     return 0 if report.ok else MATH_FAILURE
 
@@ -270,13 +266,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check proof script files against the corpus registry")
     p.add_argument("files", nargs="+")
-    p.add_argument("--jobs", type=int, default=1)
     _add_engine_flags(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("corpus", help="check the bundled theorem corpus")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--list", action="store_true", help="list theorems with statements and status")
     _add_engine_flags(p)
     p.set_defaults(fn=cmd_corpus)
@@ -298,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     except TrcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MATH_FAILURE
+    except RecursionError:
+        print("error: term is nested too deeply", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

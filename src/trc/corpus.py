@@ -14,7 +14,6 @@ defined here, bound to ``<P1,P2>``.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable
@@ -266,14 +265,16 @@ def _check_entry(
 def run_corpus(
     corpus: Corpus | None = None,
     config: EngineConfig | None = None,
-    jobs: int = 1,
     keep_contexts: bool = False,
 ) -> CorpusReport:
-    """Check all entries in dependency order, registering as it goes.
+    """Check all entries in dependency order, registering the theorems that pass.
 
-    Entries whose dependencies did not pass are reported blocked; any entry
-    failure is reported and the run continues.  The report lists results in
-    index order regardless of scheduling.
+    Entries are checked in waves: each wave holds the entries whose
+    dependencies have all been checked, and is checked against the registry
+    and rule set as they stood before it; its passing theorems are
+    registered after the whole wave, in index order.  Entries whose
+    dependencies did not pass are reported blocked; any entry failure is
+    reported and the run continues.  The report lists results in index order.
     """
     corpus = corpus or load_corpus()
     config = config or EngineConfig()
@@ -307,16 +308,8 @@ def run_corpus(
         if keep_contexts:
             for e in wave:
                 contexts[e.ident] = (registry.snapshot(), ruleset)
-        if jobs > 1 and len(wave) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = {e.ident: pool.submit(_check_entry, e, corpus, registry, ruleset)
-                           for e in wave}
-                wave_results = {ident: fut.result() for ident, fut in futures.items()}
-        else:
-            wave_results = {e.ident: _check_entry(e, corpus, registry, ruleset) for e in wave}
-        # registration is single-writer, in index order within the wave
-        for e in wave:
-            result = wave_results[e.ident]
+        wave_results = [_check_entry(e, corpus, registry, ruleset) for e in wave]
+        for e, result in zip(wave, wave_results):
             results[e.ident] = result
             if not result.ok or e.source.startswith("spec:"):
                 continue

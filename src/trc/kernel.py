@@ -49,9 +49,8 @@ from .engine import (
 from .terms import (
     EQ, P1, P2,
     App, Defined, KWrap, Pair, PatVar, Term, TrcError, Var,
-    children, defined_names, expand_defined, free_vars, fresh_var,
-    pattern_vars, render, replace_defined, substitute, subterms,
-    to_pattern,
+    children, defined_names, expand_defined, free_vars, fresh_var, nodes,
+    pattern_vars, render, replace_defined, substitute, to_pattern,
 )
 
 
@@ -102,11 +101,7 @@ def judgment_vars(j: Judgment) -> set[str]:
 
 
 def substitute_judgment(j: Judgment, subst: Mapping[str, Term]) -> Judgment:
-    if isinstance(j, Equal):
-        return Equal(substitute(j.lhs, subst), substitute(j.rhs, subst))
-    if isinstance(j, NotEqual):
-        return NotEqual(substitute(j.lhs, subst), substitute(j.rhs, subst))
-    return j
+    return map_judgment(j, lambda t: substitute(t, subst))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +431,7 @@ def _link_sites(a: Term, b: Term) -> list[tuple[Term, Term]]:
     position qualifies.
     """
     if a == b:
-        return [(sub, sub) for _, sub in subterms(a)]
+        return [(sub, sub) for sub in nodes(a)]
     sites = [(a, b)]
     while type(a) is type(b):
         differing = [(s, t) for (_, s), (_, t) in zip(children(a), children(b)) if s != t]
@@ -502,16 +497,13 @@ class _Checker:
         lhs = self.expand(j.lhs)
         rhs = self.expand(j.rhs)
         mapping: dict[str, Term] = {}
-        order: list[str] = []
         for t in (lhs, rhs):
-            for _, sub in subterms(t):
+            for sub in nodes(t):
                 if isinstance(sub, (Var, PatVar)) and sub.name not in mapping:
                     if isinstance(sub, Var) and sub.name in fixed:
                         continue
-                    mapping[sub.name] = Var(f"_m{len(order)}")
-                    order.append(sub.name)
-        lhs, rhs = substitute(lhs, mapping), substitute(rhs, mapping)
-        return Equal(lhs, rhs) if isinstance(j, Equal) else NotEqual(lhs, rhs)
+                    mapping[sub.name] = Var(f"_m{len(mapping)}")
+        return type(j)(substitute(lhs, mapping), substitute(rhs, mapping))
 
     def fact(self, scope: _Scope, label: str) -> _Fact:
         fact = scope.lookup(label)
@@ -736,15 +728,10 @@ class _Checker:
         branch1.add(step.case_label, Equal(eq_term, P1), branch1.fixed)
         branch1.add(step.dicho_label, Equal(a, b), branch1.fixed)
         self.run_block(step.branch_equal, branch1, step.goal)
-        if a == b:
-            if step.branch_not_equal is not None:
-                branch2 = scope.child()
-                branch2.add(step.case_label, Equal(eq_term, P2), branch2.fixed)
-                branch2.add(step.dicho_label, NotEqual(a, b), branch2.fixed)
-                self.run_block(step.branch_not_equal, branch2, step.goal)
-            return step.goal
         if step.branch_not_equal is None:
-            raise _StepFailure("cases over distinct terms needs both branches")
+            if a != b:
+                raise _StepFailure("cases over distinct terms needs both branches")
+            return step.goal
         branch2 = scope.child()
         branch2.add(step.case_label, Equal(eq_term, P2), branch2.fixed)
         branch2.add(step.dicho_label, NotEqual(a, b), branch2.fixed)

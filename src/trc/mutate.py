@@ -20,41 +20,26 @@ from .kernel import (
     CasesStep, ChainStep, ContradictionStep, Falsum, Judgment, ProofScript,
     Step, TheoremStep,
 )
-from .terms import App, Const, KWrap, P1, P2, Pair, Term
+from .terms import App, Const, P1, P2, Term, nodes, rebuild
 
 
 def _count_projections(t: Term) -> int:
-    if isinstance(t, Const):
-        return 1 if t.name in ("P1", "P2") else 0
-    if isinstance(t, App):
-        return _count_projections(t.fn) + _count_projections(t.arg)
-    if isinstance(t, KWrap):
-        return _count_projections(t.body)
-    if isinstance(t, Pair):
-        return _count_projections(t.left) + _count_projections(t.right)
-    return 0
+    return sum(1 for sub in nodes(t) if type(sub) is Const and sub.name in ("P1", "P2"))
 
 
 def _swap_projection(t: Term, index: int) -> Term:
     """Copy of ``t`` with the index-th projection occurrence flipped."""
-    counter = [0]
+    seen = -1
 
-    def go(u: Term) -> Term:
-        if isinstance(u, Const) and u.name in ("P1", "P2"):
-            i = counter[0]
-            counter[0] += 1
-            if i == index:
-                return P2 if u.name == "P1" else P1
-            return u
-        if isinstance(u, App):
-            return App(go(u.fn), go(u.arg))
-        if isinstance(u, KWrap):
-            return KWrap(go(u.body))
-        if isinstance(u, Pair):
-            return Pair(go(u.left), go(u.right))
-        return u
+    def leaf(a: Term) -> Term:
+        nonlocal seen
+        if type(a) is Const and a.name in ("P1", "P2"):
+            seen += 1
+            if seen == index:
+                return P2 if a.name == "P1" else P1
+        return a
 
-    return go(t)
+    return rebuild(t, leaf)
 
 
 def _term_mutants(t: Term) -> Iterator[tuple[str, Term]]:

@@ -18,13 +18,20 @@ identifiers are variables; identifiers starting with an uppercase letter are
 declared names.  In rule and hypothesis syntax, ``$name`` is a pattern
 variable, lexically distinct from object variables.  ``--`` starts a comment
 running to the end of the line.
+
+Term traversal goes through ``subterms`` (preorder, with positions),
+``nodes`` (preorder, without positions) and ``rebuild`` (a bottom-up copy
+mapping each atom); substitution, definition unfolding, pattern conversion
+and the size and variable queries are built on them.  These three and
+``render`` keep their own stacks, so they handle terms of any depth.  Term
+``==`` and ``hash`` are the generated dataclass methods, which recurse.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 class TrcError(Exception):
@@ -190,37 +197,72 @@ def format_position(pos: Position) -> str:
     return ".".join(pos) if pos else "root"
 
 
+def nodes(t: Term) -> Iterator[Term]:
+    """Every subterm occurrence of ``t`` in preorder, without positions."""
+    stack = [t]
+    while stack:
+        sub = stack.pop()
+        yield sub
+        cls = type(sub)
+        if cls is App:
+            stack += (sub.arg, sub.fn)
+        elif cls is Pair:
+            stack += (sub.right, sub.left)
+        elif cls is KWrap:
+            stack.append(sub.body)
+
+
+def rebuild(t: Term, leaf: Callable[[Term], Term]) -> Term:
+    """Bottom-up copy of ``t`` with every atom ``a`` replaced by ``leaf(a)``.
+
+    Atoms are visited left to right, which is their preorder.  A compound
+    subterm whose children all come back unchanged is returned as the same
+    object.
+    """
+    done: list[Term] = []  # copies of the finished subterms, left to right
+    # a term still to visit, or (node,) once the copies of its children are on ``done``
+    todo: list[Union[Term, tuple[Term]]] = [t]
+    while todo:
+        sub = todo.pop()
+        cls = type(sub)
+        if cls is tuple:
+            node = sub[0]
+            if type(node) is KWrap:
+                body = done.pop()
+                done.append(node if body is node.body else KWrap(body))
+                continue
+            b = done.pop()
+            a = done.pop()
+            if type(node) is App:
+                done.append(node if a is node.fn and b is node.arg else App(a, b))
+            else:
+                done.append(node if a is node.left and b is node.right else Pair(a, b))
+        elif cls is App:
+            todo += ((sub,), sub.arg, sub.fn)
+        elif cls is Pair:
+            todo += ((sub,), sub.right, sub.left)
+        elif cls is KWrap:
+            todo += ((sub,), sub.body)
+        else:
+            done.append(leaf(sub))
+    return done[0]
+
+
 def term_size(t: Term) -> int:
-    return 1 + sum(term_size(c) for _, c in children(t))
+    return sum(1 for _ in nodes(t))
 
 
 def free_vars(t: Term) -> set[str]:
     """Names of object variables occurring in ``t``."""
-    out: set[str] = set()
-    for _, sub in subterms(t):
-        if isinstance(sub, Var):
-            out.add(sub.name)
-    return out
+    return {sub.name for sub in nodes(t) if type(sub) is Var}
 
 
 def pattern_vars(t: Term) -> set[str]:
-    out: set[str] = set()
-    for _, sub in subterms(t):
-        if isinstance(sub, PatVar):
-            out.add(sub.name)
-    return out
+    return {sub.name for sub in nodes(t) if type(sub) is PatVar}
 
 
 def defined_names(t: Term) -> set[str]:
-    out: set[str] = set()
-    for _, sub in subterms(t):
-        if isinstance(sub, Defined):
-            out.add(sub.name)
-    return out
-
-
-def is_closed(t: Term) -> bool:
-    return not free_vars(t) and not pattern_vars(t)
+    return {sub.name for sub in nodes(t) if type(sub) is Defined}
 
 
 def fresh_var(avoid: set[str], scheme: str = "v") -> str:
@@ -233,15 +275,11 @@ def fresh_var(avoid: set[str], scheme: str = "v") -> str:
 
 def substitute(t: Term, subst: Subst) -> Term:
     """Simultaneous replacement of bound variable / pattern-variable names."""
-    if isinstance(t, Var) or isinstance(t, PatVar):
-        return subst.get(t.name, t)
-    if isinstance(t, App):
-        return App(substitute(t.fn, subst), substitute(t.arg, subst))
-    if isinstance(t, KWrap):
-        return KWrap(substitute(t.body, subst))
-    if isinstance(t, Pair):
-        return Pair(substitute(t.left, subst), substitute(t.right, subst))
-    return t
+    def leaf(a: Term) -> Term:
+        cls = type(a)
+        return subst.get(a.name, a) if cls is Var or cls is PatVar else a
+
+    return rebuild(t, leaf)
 
 
 def match_pattern(pattern: Term, t: Term) -> Optional[dict[str, Term]]:
@@ -281,43 +319,28 @@ def match_pattern(pattern: Term, t: Term) -> Optional[dict[str, Term]]:
 
 def to_pattern(t: Term) -> Term:
     """Copy of ``t`` with every object variable turned into a pattern variable."""
-    if isinstance(t, Var):
-        return PatVar("$" + t.name)
-    if isinstance(t, App):
-        return App(to_pattern(t.fn), to_pattern(t.arg))
-    if isinstance(t, KWrap):
-        return KWrap(to_pattern(t.body))
-    if isinstance(t, Pair):
-        return Pair(to_pattern(t.left), to_pattern(t.right))
-    return t
+    return rebuild(t, lambda a: PatVar("$" + a.name) if type(a) is Var else a)
 
 
 def replace_defined(t: Term, mapping: Mapping[str, Term]) -> Term:
     """Replace declared-name occurrences by terms (one level, no recursion)."""
-    if isinstance(t, Defined):
-        return mapping.get(t.name, t)
-    if isinstance(t, App):
-        return App(replace_defined(t.fn, mapping), replace_defined(t.arg, mapping))
-    if isinstance(t, KWrap):
-        return KWrap(replace_defined(t.body, mapping))
-    if isinstance(t, Pair):
-        return Pair(replace_defined(t.left, mapping), replace_defined(t.right, mapping))
-    return t
+    return rebuild(t, lambda a: mapping.get(a.name, a) if type(a) is Defined else a)
 
 
 def expand_defined(t: Term, defs: Mapping[str, Term], _active: frozenset[str] = frozenset()) -> Term:
-    """Recursively unfold every defined name bound in ``defs``."""
-    if isinstance(t, Defined) and t.name in defs:
-        if t.name in _active:
-            raise TrcError(f"cyclic definition of {t.name}")
-        return expand_defined(defs[t.name], defs, _active | {t.name})
-    if isinstance(t, App):
-        return App(expand_defined(t.fn, defs, _active), expand_defined(t.arg, defs, _active))
-    if isinstance(t, KWrap):
-        return KWrap(expand_defined(t.body, defs, _active))
-    if isinstance(t, Pair):
-        return Pair(expand_defined(t.left, defs, _active), expand_defined(t.right, defs, _active))
-    return t
+    """Recursively unfold every defined name bound in ``defs``.
+
+    Only the unfolding of a definition body recurses, so the depth is bounded
+    by the number of definitions, not by the size of ``t``.
+    """
+    def leaf(a: Term) -> Term:
+        if type(a) is not Defined or a.name not in defs:
+            return a
+        if a.name in _active:
+            raise TrcError(f"cyclic definition of {a.name}")
+        return expand_defined(defs[a.name], defs, _active | {a.name})
+
+    return rebuild(t, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +349,24 @@ def expand_defined(t: Term, defs: Mapping[str, Term], _active: frozenset[str] = 
 
 def render(t: Term) -> str:
     """Canonical text with minimal parentheses; parse(render(t)) == t."""
-    if isinstance(t, (Var, Const, Defined)):
-        return t.name
-    if isinstance(t, PatVar):
-        return t.name
-    if isinstance(t, KWrap):
-        return f"k({render(t.body)})"
-    if isinstance(t, Pair):
-        return f"<{render(t.left)},{render(t.right)}>"
-    if isinstance(t, App):
-        fn = render(t.fn)  # left-associated: function side never needs parens
-        arg = render(t.arg)
-        if isinstance(t.arg, App):
-            arg = f"({arg})"
-        return f"{fn} {arg}"
-    raise TypeError(f"not a term: {t!r}")
+    out: list[str] = []
+    todo: list[Union[Term, str]] = [t]  # subterms and literal text, last one first
+    while todo:
+        item = todo.pop()
+        cls = type(item)
+        if cls is str:
+            out.append(item)
+        elif cls is App:  # left-associated: only an application argument needs parens
+            todo += (")", item.arg, " (", item.fn) if type(item.arg) is App else (item.arg, " ", item.fn)
+        elif cls is KWrap:
+            todo += (")", item.body, "k(")
+        elif cls is Pair:
+            todo += (">", item.right, ",", item.left, "<")
+        elif cls is Var or cls is Const or cls is Defined or cls is PatVar:
+            out.append(item.name)
+        else:
+            raise TypeError(f"not a term: {item!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

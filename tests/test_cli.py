@@ -3,6 +3,8 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trc.cli import main
 
@@ -198,3 +200,122 @@ def test_bad_boolean_config_value_is_usage_error(tmp_path, capsys, key):
     assert code == 2
     assert not out
     assert key in err and "'maybe'" in err
+
+
+# ---------------------------------------------------------------------------
+# deep input
+# ---------------------------------------------------------------------------
+
+def _spine_text(n):
+    return " ".join(f"x{i}" for i in range(n))
+
+
+def test_deep_parse_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "nest.trc"
+    f.write_text("k(" * 1200 + "x" + ")" * 1200)
+    code, out, err = run(capsys, "parse", "--file", str(f))
+    assert code == 2
+    assert not out
+    assert "nested too deeply" in err
+
+
+def test_deep_equality_is_usage_error(capsys):
+    spine = _spine_text(3000)
+    code, _, err = run(capsys, "eq", spine, spine)
+    assert code == 2
+    assert "nested too deeply" in err
+
+
+def test_normalize_deep_spine(tmp_path, capsys):
+    f = tmp_path / "spine.trc"
+    f.write_text(_spine_text(3000))
+    code, out, err = run(capsys, "normalize", "--file", str(f))
+    assert code == 0 and not err
+    assert out.strip() == _spine_text(3000)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any input ends in an exit code, never an escaped exception
+# ---------------------------------------------------------------------------
+
+_TERM_TOKENS = ["x", "y", "z", "P1", "P2", "Abst", "Eq", "I", "M", "k(", "k", "(", ")",
+                "<", ",", ">", "$x", "=", "!", "@"]
+_SCRIPT_TOKENS = ["theorem", "t1", '"title"', "{", "}", "prove", "=", "!=", "false", "qed",
+                  "by", "chain", "[", "]", ",", "normalize", "fuel", "ext", "0", "2", "let",
+                  ":=", "have", ":", "cases", "as", "(", ")", "p1", "p2", "=>", "hypothesis",
+                  "M", "$x", "2.4a", "VIII", "with", "contradiction", "k-injection",
+                  "application", "x", "P1", "P2", "Eq", "<x,y>"]
+_SCRIPTS = [
+    'theorem f "t" {{ prove {a} = {b} qed by chain [{a}, {b}] }}',
+    'theorem f "t" {{ prove {a} = {b} qed by normalize fuel 5 }}',
+    'theorem f "t" {{ prove {a} = {b} qed by ext 2 }}',
+    'theorem f "t" {{ prove {a} != {b} qed by theorem 2.4a with x := {a} }}',
+    'theorem f "t" {{ hypothesis M : M $x = {a} prove false qed by normalize }}',
+    'theorem f "t" {{ prove {a} = {b} qed by cases Eq <{a}, {b}> as (c, d) {{ '
+    'p1 => {{ qed by chain [{a}, {b}] }} p2 => {{ qed by chain [{a}, {b}] }} }} }}',
+    'theorem f "t" {{ prove {a} != {b} qed by contradiction as h {{ '
+    'have e : {a} = {b} by chain [{a}, {b}] qed by contradiction e h }} }}',
+]
+
+term_text = st.one_of(
+    st.recursive(
+        st.sampled_from(["x", "y", "P1", "P2", "Abst", "Eq", "I"]),
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda p: f"{p[0]} ({p[1]})"),
+            sub.map(lambda s: f"k({s})"),
+            st.tuples(sub, sub).map(lambda p: f"<{p[0]},{p[1]}>"),
+        ),
+        max_leaves=8,
+    ),
+    st.lists(st.sampled_from(_TERM_TOKENS), max_size=10).map(" ".join),
+)
+script_text = st.one_of(
+    st.builds(lambda tpl, a, b: tpl.format(a=a, b=b), st.sampled_from(_SCRIPTS), term_text, term_text),
+    st.lists(st.sampled_from(_SCRIPT_TOKENS), max_size=25).map(" ".join),
+)
+spec_text = st.one_of(
+    st.builds(lambda params, body: f"c {params} = {body}",
+              st.sampled_from(["x", "x y", "x y z", "x x", ""]), term_text),
+    st.lists(st.sampled_from(_TERM_TOKENS + ["c", "\n"]), max_size=12).map(" ".join),
+)
+engine_flags = st.lists(st.one_of(
+    st.integers(-1, 200).map(lambda n: ["--fuel", str(n)]),
+    st.integers(-1, 3).map(lambda n: ["--ext-depth", str(n)]),
+    st.sampled_from([["--printed-axioms"], ["--no-surjective-pairing"], ["--no-eq-refl"]]),
+), max_size=3).map(lambda groups: [arg for g in groups for arg in g])
+
+
+@st.composite
+def command_lines(draw, tmp_path):
+    """An argv for one of the eight commands, writing any input file it names."""
+    command = draw(st.sampled_from(
+        ["parse", "normalize", "eq", "stratify", "abstract", "compile", "check", "corpus"]))
+    argv = [command]
+    if command in ("parse", "normalize", "stratify", "abstract"):
+        if command == "abstract":
+            argv.append(draw(st.sampled_from(["x", "y", "I"])))
+        text = draw(term_text)
+        if draw(st.booleans()):
+            f = tmp_path / "term.trc"
+            f.write_text(text)
+            argv += ["--file", str(f)]
+        else:
+            argv.append(text)
+    elif command == "eq":
+        argv += [draw(term_text), draw(term_text)]
+    elif command in ("compile", "check"):
+        f = tmp_path / "input.trc"
+        f.write_text(draw(spec_text if command == "compile" else script_text))
+        argv.append(str(f))
+    switches = {"normalize": ["--trace"], "eq": ["--trace"], "abstract": ["--optimize"],
+                "compile": ["--optimize"], "corpus": ["--trace", "--list"]}
+    argv += draw(st.lists(st.sampled_from(switches.get(command, ["--trace"])), max_size=1))
+    return argv + draw(engine_flags)
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys, data):
+    argv = data.draw(command_lines(tmp_path))
+    assert main(argv) in (0, 1, 2)
+    capsys.readouterr()

@@ -124,12 +124,6 @@ def test_printed_axioms_break_the_documented_entries(corpus):
     assert "I-is-identity/2.1a/2.1b/2.1d/2.2a/2.2c/2.3a" in note[0]
 
 
-def test_jobs_scheduling_matches_sequential(corpus):
-    seq = run_corpus(corpus, jobs=1)
-    par = run_corpus(corpus, jobs=4)
-    assert seq.lines(trace=True) == par.lines(trace=True)
-
-
 def test_standard_context_registers_rules():
     registry, ruleset = standard_context()
     names = {r.name for r in ruleset.rules}

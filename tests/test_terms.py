@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trc.mutate import _count_projections, _swap_projection
 from trc.terms import (
     ABST, EQ, P1, P2,
-    App, Defined, KWrap, Pair, ParseError, PatVar, PositionError, Var,
-    expand_defined, free_vars, fresh_var, match_pattern, navigate, parse,
-    parse_pattern, render, replace_at, substitute, subterms, term_size,
-    to_pattern,
+    App, Const, Defined, KWrap, Pair, ParseError, PatVar, PositionError,
+    TrcError, Var,
+    app, expand_defined, free_vars, fresh_var, match_pattern, navigate, nodes,
+    parse, parse_pattern, rebuild, render, replace_at, replace_defined,
+    substitute, subterms, term_size, to_pattern,
 )
 
 # ---------------------------------------------------------------------------
@@ -223,3 +225,232 @@ def test_expand_defined_recurses():
 
 def test_term_size():
     assert term_size(parse("k(x) y")) == 4
+
+
+# ---------------------------------------------------------------------------
+# traversal: the walkers against plain recursive definitions
+# ---------------------------------------------------------------------------
+# Each oracle is the structural recursion the walker used to be; the walkers
+# now run on ``nodes`` and ``rebuild`` and must agree with it exactly.
+
+def oracle_substitute(t, subst):
+    if isinstance(t, Var) or isinstance(t, PatVar):
+        return subst.get(t.name, t)
+    if isinstance(t, App):
+        return App(oracle_substitute(t.fn, subst), oracle_substitute(t.arg, subst))
+    if isinstance(t, KWrap):
+        return KWrap(oracle_substitute(t.body, subst))
+    if isinstance(t, Pair):
+        return Pair(oracle_substitute(t.left, subst), oracle_substitute(t.right, subst))
+    return t
+
+
+def oracle_to_pattern(t):
+    if isinstance(t, Var):
+        return PatVar("$" + t.name)
+    if isinstance(t, App):
+        return App(oracle_to_pattern(t.fn), oracle_to_pattern(t.arg))
+    if isinstance(t, KWrap):
+        return KWrap(oracle_to_pattern(t.body))
+    if isinstance(t, Pair):
+        return Pair(oracle_to_pattern(t.left), oracle_to_pattern(t.right))
+    return t
+
+
+def oracle_replace_defined(t, mapping):
+    if isinstance(t, Defined):
+        return mapping.get(t.name, t)
+    if isinstance(t, App):
+        return App(oracle_replace_defined(t.fn, mapping), oracle_replace_defined(t.arg, mapping))
+    if isinstance(t, KWrap):
+        return KWrap(oracle_replace_defined(t.body, mapping))
+    if isinstance(t, Pair):
+        return Pair(oracle_replace_defined(t.left, mapping), oracle_replace_defined(t.right, mapping))
+    return t
+
+
+def oracle_expand_defined(t, defs, active=frozenset()):
+    if isinstance(t, Defined) and t.name in defs:
+        if t.name in active:
+            raise TrcError(f"cyclic definition of {t.name}")
+        return oracle_expand_defined(defs[t.name], defs, active | {t.name})
+    if isinstance(t, App):
+        return App(oracle_expand_defined(t.fn, defs, active), oracle_expand_defined(t.arg, defs, active))
+    if isinstance(t, KWrap):
+        return KWrap(oracle_expand_defined(t.body, defs, active))
+    if isinstance(t, Pair):
+        return Pair(oracle_expand_defined(t.left, defs, active), oracle_expand_defined(t.right, defs, active))
+    return t
+
+
+def oracle_render(t):
+    if isinstance(t, (Var, Const, Defined, PatVar)):
+        return t.name
+    if isinstance(t, KWrap):
+        return f"k({oracle_render(t.body)})"
+    if isinstance(t, Pair):
+        return f"<{oracle_render(t.left)},{oracle_render(t.right)}>"
+    arg = oracle_render(t.arg)
+    if isinstance(t.arg, App):
+        arg = f"({arg})"
+    return f"{oracle_render(t.fn)} {arg}"
+
+
+def oracle_term_size(t):
+    return 1 + sum(oracle_term_size(c) for c in oracle_children(t))
+
+
+def oracle_free_vars(t):
+    if isinstance(t, Var):
+        return {t.name}
+    return set().union(*(oracle_free_vars(c) for c in oracle_children(t)))
+
+
+def oracle_children(t):
+    if isinstance(t, App):
+        return (t.fn, t.arg)
+    if isinstance(t, KWrap):
+        return (t.body,)
+    if isinstance(t, Pair):
+        return (t.left, t.right)
+    return ()
+
+
+def oracle_count_projections(t):
+    if isinstance(t, Const):
+        return 1 if t.name in ("P1", "P2") else 0
+    return sum(oracle_count_projections(c) for c in oracle_children(t))
+
+
+def oracle_swap_projection(t, index):
+    counter = [0]
+
+    def go(u):
+        if isinstance(u, Const) and u.name in ("P1", "P2"):
+            i = counter[0]
+            counter[0] += 1
+            if i == index:
+                return P2 if u.name == "P1" else P1
+            return u
+        if isinstance(u, App):
+            return App(go(u.fn), go(u.arg))
+        if isinstance(u, KWrap):
+            return KWrap(go(u.body))
+        if isinstance(u, Pair):
+            return Pair(go(u.left), go(u.right))
+        return u
+
+    return go(t)
+
+
+# variables, pattern variables and declared names share spellings, so a walker
+# that replaces the wrong kind of atom is caught
+def_names = st.sampled_from(["I", "M", "Zed"])
+walker_terms = st.recursive(
+    st.one_of(
+        st.builds(Var, st.sampled_from(["x", "y", "I"])),
+        st.builds(PatVar, st.sampled_from(["$x", "$y"])),
+        st.sampled_from([ABST, EQ, P1, P2]),
+        st.builds(Defined, def_names),
+    ),
+    lambda sub: st.one_of(
+        st.builds(App, sub, sub),
+        st.builds(KWrap, sub),
+        st.builds(Pair, sub, sub),
+    ),
+    max_leaves=25,
+)
+small_terms = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(["x", "y"])), st.sampled_from([P1, P2]),
+              st.builds(Defined, def_names)),
+    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub)),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100)
+@given(walker_terms, st.dictionaries(st.sampled_from(["x", "$x", "y", "I"]), small_terms))
+def test_substitute_matches_recursive_definition(t, subst):
+    assert substitute(t, subst) == oracle_substitute(t, subst)
+
+
+@settings(max_examples=100)
+@given(walker_terms, st.dictionaries(def_names, small_terms))
+def test_definition_walkers_match_recursive_definitions(t, defs):
+    assert to_pattern(t) == oracle_to_pattern(t)
+    assert replace_defined(t, defs) == oracle_replace_defined(t, defs)
+    try:
+        want = oracle_expand_defined(t, defs)
+    except TrcError as exc:  # a cyclic definition: the same name is reported
+        with pytest.raises(TrcError) as err:
+            expand_defined(t, defs)
+        assert str(err.value) == str(exc)
+    else:
+        assert expand_defined(t, defs) == want
+
+
+@settings(max_examples=100)
+@given(walker_terms)
+def test_queries_and_render_match_recursive_definitions(t):
+    assert render(t) == oracle_render(t)
+    assert term_size(t) == oracle_term_size(t)
+    assert free_vars(t) == oracle_free_vars(t)
+    assert list(nodes(t)) == [sub for _, sub in subterms(t)]
+    assert rebuild(t, lambda a: a) is t
+    count = _count_projections(t)
+    assert count == oracle_count_projections(t)
+    for i in range(count + 1):
+        assert _swap_projection(t, i) == oracle_swap_projection(t, i)
+
+
+def test_rebuild_shares_unchanged_subterms():
+    t = parse("<k(P1 P2), x>")
+    got = rebuild(t, lambda a: Var("y") if a == Var("x") else a)
+    assert render(got) == "<k(P1 P2),y>"
+    assert got.left is t.left
+
+
+DEPTH = 10_000
+
+
+def _spine():
+    """``P1 x I x I ...``: a left-leaning application spine of DEPTH atoms."""
+    args = [Var("x") if i % 2 == 0 else Defined("I") for i in range(DEPTH - 1)]
+    text = " ".join(["P1"] + [render(a) for a in args])
+    return app(P1, *args), text, 2 * DEPTH - 1
+
+
+def _nest():
+    """``k(k(...k(P1 <x,I>)...))``, DEPTH k-wrappers deep."""
+    t = App(P1, Pair(Var("x"), Defined("I")))
+    for _ in range(DEPTH):
+        t = KWrap(t)
+    return t, "k(" * DEPTH + "P1 <x,I>" + ")" * DEPTH, DEPTH + 5
+
+
+# walker -> (what it computes, the expected value from the input's rendering
+# and size); terms are compared by rendering, because term == recurses
+DEEP_CASES = {
+    "render": (render, lambda text, size: text),
+    "substitute": (lambda t: render(substitute(t, {"x": Var("y")})),
+                   lambda text, size: text.replace("x", "y")),
+    "to_pattern": (lambda t: render(to_pattern(t)), lambda text, size: text.replace("x", "$x")),
+    "replace_defined": (lambda t: render(replace_defined(t, {"I": P2})),
+                        lambda text, size: text.replace("I", "P2")),
+    "expand_defined": (lambda t: render(expand_defined(t, {"I": Pair(P1, P2)})),
+                       lambda text, size: text.replace("I", "<P1,P2>")),
+    "swap_projection": (lambda t: render(_swap_projection(t, 0)),
+                        lambda text, size: text.replace("P1", "P2", 1)),
+    "count_projections": (_count_projections, lambda text, size: text.count("P1")),
+    "free_vars": (free_vars, lambda text, size: {"x"}),
+    "term_size": (term_size, lambda text, size: size),
+    "nodes": (lambda t: sum(1 for _ in nodes(t)), lambda text, size: size),
+}
+
+
+@pytest.mark.parametrize("shape", [_spine, _nest], ids=["spine", "k-nest"])
+@pytest.mark.parametrize("walker", sorted(DEEP_CASES))
+def test_walkers_handle_deep_terms(shape, walker):
+    t, text, size = shape()
+    fn, expected = DEEP_CASES[walker]
+    assert fn(t) == expected(text, size)
