@@ -25,7 +25,7 @@ from .scriptfile import parse_combinator_specs, parse_scripts
 from .stratify import (
     CombinatorSpec, CompileError, Constraint, NotAbstractable, StratifyResult,
     abstract, abstraction_levels, compile_combinator, optimize, replay_conflict,
-    stratify, term_constraints,
+    term_constraints,
 )
 from .terms import (
     ABST, App, Const, Defined, EQ, KWrap, P1, P2, Pair, ParseError, PatVar,

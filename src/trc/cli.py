@@ -4,7 +4,7 @@ Commands: ``parse``, ``normalize``, ``eq``, ``stratify``, ``abstract``,
 ``compile``, ``check``, ``corpus``.  Exit codes: 0 on success or a passing
 check, 1 on a mathematical failure (failed or unknown verdicts, rejected
 abstraction, exhausted normalization), 2 on usage or syntax errors, including
-terms nested too deeply for the parser, term equality or abstraction.
+terms nested too deeply for the parser, term equality or ``--optimize``.
 
 The engine configuration is settable with ``--fuel``, ``--ext-depth``,
 ``--printed-axioms``, ``--no-surjective-pairing``, ``--no-eq-refl``, or a
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .corpus import (
@@ -63,35 +64,30 @@ def _config_bool(conf: dict[str, str], key: str) -> bool:
 
 
 def build_config(args: argparse.Namespace) -> EngineConfig:
-    fuel = 10000
-    ext_depth = 4
-    corrected = True
-    surjective = True
-    eq_refl = True
+    changes: dict[str, object] = {}
     if getattr(args, "config", None):
         conf = _read_config_file(args.config)
         if "fuel" in conf:
-            fuel = int(conf["fuel"])
+            changes["fuel"] = int(conf["fuel"])
         if "ext-depth" in conf:
-            ext_depth = int(conf["ext-depth"])
+            changes["ext_depth"] = int(conf["ext-depth"])
         if "printed-axioms" in conf:
-            corrected = not _config_bool(conf, "printed-axioms")
+            changes["corrected_axioms"] = not _config_bool(conf, "printed-axioms")
         if "surjective-pairing" in conf:
-            surjective = _config_bool(conf, "surjective-pairing")
+            changes["surjective_pairing"] = _config_bool(conf, "surjective-pairing")
         if "eq-reflexivity" in conf:
-            eq_refl = _config_bool(conf, "eq-reflexivity")
+            changes["eq_reflexivity"] = _config_bool(conf, "eq-reflexivity")
     if args.fuel is not None:
-        fuel = args.fuel
+        changes["fuel"] = args.fuel
     if args.ext_depth is not None:
-        ext_depth = args.ext_depth
+        changes["ext_depth"] = args.ext_depth
     if args.printed_axioms:
-        corrected = False
+        changes["corrected_axioms"] = False
     if args.no_surjective_pairing:
-        surjective = False
+        changes["surjective_pairing"] = False
     if args.no_eq_refl:
-        eq_refl = False
-    return EngineConfig(fuel=fuel, ext_depth=ext_depth, corrected_axioms=corrected,
-                        surjective_pairing=surjective, eq_reflexivity=eq_refl)
+        changes["eq_reflexivity"] = False
+    return replace(EngineConfig(), **changes)
 
 
 def _term_text(args: argparse.Namespace, attr: str) -> str:
@@ -209,9 +205,10 @@ def cmd_corpus(args) -> int:
 
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fuel", type=int, default=None, help="rewrite step bound (default 10000)")
+    p.add_argument("--fuel", type=int, default=None,
+                   help=f"rewrite step bound (default {EngineConfig.fuel})")
     p.add_argument("--ext-depth", type=int, default=None,
-                   help="fresh-variable applications for equality (default 4)")
+                   help=f"fresh-variable applications for equality (default {EngineConfig.ext_depth})")
     p.add_argument("--printed-axioms", action="store_true",
                    help="use the uncorrected rule variants (documented misprint)")
     p.add_argument("--no-surjective-pairing", action="store_true")

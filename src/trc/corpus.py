@@ -84,12 +84,6 @@ class Corpus:
     scripts: dict[str, tuple[ProofScript, ...]]  # entry id -> theorem blocks
     specs: dict[str, CombinatorSpec]
 
-    def entry(self, ident: str) -> CorpusEntry:
-        for e in self.entries:
-            if e.ident == ident:
-                return e
-        raise CorpusError(f"no corpus entry {ident!r}")
-
     def without(self, *idents: str) -> "Corpus":
         keep = tuple(e for e in self.entries if e.ident not in idents)
         return Corpus(keep, self.scripts, self.specs)

@@ -278,9 +278,6 @@ class ProofScript:
     body: Block
     source: str = ""
 
-    def is_refutation(self) -> bool:
-        return self.hypothesis is not None
-
 
 # ---------------------------------------------------------------------------
 # Registry

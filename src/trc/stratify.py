@@ -12,7 +12,10 @@ reported assignment is shifted so its minimum is 0.
 discipline of ``abstraction_levels``: walking from the root at level 0,
 levels rise by one into function position, stay put into argument and pair
 positions, and drop by one into k-bodies; every occurrence of ``x`` must sit
-at level exactly 0 and no subterm containing ``x`` may go negative.
+at level exactly 0 and no subterm containing ``x`` may go negative.  Both
+functions share one explicit-stack walk that reports the first violation it
+meets (root first, right child before left); ``abstract`` then folds the
+images of the subterms holding ``x`` bottom-up.
 
 ``compile_combinator`` iterates ``abstract`` over a parameter list (last
 parameter first) and self-tests the output by applying it to its parameters
@@ -24,13 +27,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .engine import RuleSet, ext_equal
 from .terms import (
-    ABST, P1, P2,
+    ABST, ARG, FN, KBODY, LEFT, P1, P2, RIGHT,
     App, Defined, KWrap, Pair, Term, TrcError, Var,
-    Position, app, children, format_position, free_vars, render, subterms,
+    Position, app, children, format_position, free_vars, nodes, render, subterms,
     term_size,
 )
 
@@ -46,10 +49,6 @@ class NotAbstractable(TrcError):
         self.parameter = parameter
         where = format_position(position)
         super().__init__(f"not abstractable over {variable or '?'}: {reason} at {where}")
-
-
-class InternalLevelError(TrcError):
-    """The abstraction recursion visited a case its precondition excludes."""
 
 
 class CompileError(TrcError):
@@ -95,16 +94,16 @@ def term_constraints(t: Term) -> list[Constraint]:
         if isinstance(sub, Var):
             out.append(Constraint(key, "var:" + sub.name, 0, pos))
         elif isinstance(sub, App):
-            fk = _node_key(pos + ("function",))
-            ak = _node_key(pos + ("argument",))
+            fk = _node_key(pos + (FN,))
+            ak = _node_key(pos + (ARG,))
             out.append(Constraint(fk, ak, 1, pos))
             out.append(Constraint(key, ak, 0, pos))
         elif isinstance(sub, KWrap):
-            bk = _node_key(pos + ("k-body",))
+            bk = _node_key(pos + (KBODY,))
             out.append(Constraint(key, bk, 1, pos))
         elif isinstance(sub, Pair):
-            lk = _node_key(pos + ("pair-left",))
-            rk = _node_key(pos + ("pair-right",))
+            lk = _node_key(pos + (LEFT,))
+            rk = _node_key(pos + (RIGHT,))
             out.append(Constraint(key, lk, 0, pos))
             out.append(Constraint(key, rk, 0, pos))
         # constants and defined names: fresh unconstrained unknown per occurrence
@@ -228,75 +227,86 @@ def stratify(t: Term) -> StratifyResult:
 
 
 # ---------------------------------------------------------------------------
-# Abstraction levels and the bracket-abstraction recursion
+# Abstraction levels and bracket abstraction
 # ---------------------------------------------------------------------------
 
-def _contains_var(t: Term, x: str) -> bool:
-    return x in free_vars(t)
+_LEVEL_STEP = {FN: 1, KBODY: -1}  # argument and pair positions keep the level
+
+
+def _position(link: tuple) -> Position:
+    sels: list[str] = []
+    while link:
+        sel, link = link
+        sels.append(sel)
+    return tuple(reversed(sels))
+
+
+def _level_walk(x: str, t: Term, every: bool) -> Iterator[tuple[Term, int, tuple]]:
+    """``(subterm, level, link)`` from the root at level 0, right child first,
+    over every subterm or (``every`` unset) only those holding ``x``.
+
+    ``link`` is ``(selector, parent's link)``, or ``()`` at the root.  Raises
+    NotAbstractable at the first subterm holding ``x`` at a negative level or
+    occurrence of ``x`` at a nonzero level.
+    """
+    held: set[int] = set()  # ids of the subterms holding x, marked children first
+    for sub in reversed(list(nodes(t))):
+        cls = type(sub)
+        if (cls is Var and sub.name == x
+                or cls is App and (id(sub.fn) in held or id(sub.arg) in held)
+                or cls is Pair and (id(sub.left) in held or id(sub.right) in held)
+                or cls is KWrap and id(sub.body) in held):
+            held.add(id(sub))
+    stack: list[tuple[Term, int, tuple]] = [(t, 0, ())] if every or id(t) in held else []
+    while stack:
+        sub, level, link = stack.pop()
+        if id(sub) in held and (level < 0 or type(sub) is Var and level != 0):
+            reason = "negative-level" if level < 0 else "x-at-nonzero-level"
+            raise NotAbstractable(_position(link), reason, x)
+        yield sub, level, link
+        for sel, child in children(sub):
+            if every or id(child) in held:
+                stack.append((child, level + _LEVEL_STEP.get(sel, 0), (sel, link)))
 
 
 def abstraction_levels(x: str, t: Term) -> dict[Position, int]:
-    """Level of every subterm position, walking from the root at level 0.
-
-    Succeeds iff every occurrence of ``x`` sits at level exactly 0 and no
-    subterm containing ``x`` has a negative level; raises NotAbstractable
-    otherwise.
-    """
-    levels: dict[Position, int] = {}
-    stack: list[tuple[Position, Term, int]] = [((), t, 0)]
-    while stack:
-        pos, sub, level = stack.pop()
-        levels[pos] = level
-        contains = _contains_var(sub, x)
-        if contains and level < 0:
-            raise NotAbstractable(pos, "negative-level", x)
-        if isinstance(sub, Var) and sub.name == x and level != 0:
-            raise NotAbstractable(pos, "x-at-nonzero-level", x)
-        for sel, child in children(sub):
-            if sel == "function":
-                delta = 1
-            elif sel == "k-body":
-                delta = -1
-            else:
-                delta = 0
-            stack.append((pos + (sel,), child, level + delta))
-    return levels
+    """Level of every subterm position, walking from the root at level 0;
+    raises NotAbstractable unless every occurrence of ``x`` sits at level
+    exactly 0 and no subterm containing ``x`` has a negative level."""
+    return {_position(link): level for _, level, link in _level_walk(x, t, True)}
 
 
 def abstract(x: str, t: Term) -> Term:
-    """Bracket abstraction of ``x`` from ``t`` (precondition: levels admit it).
+    """Bracket abstraction of ``x`` from ``t``; NotAbstractable unless the levels admit it.
 
-    The recursion is indexed by the current level n (starting at 0):
+    Once admitted, the image F(t) of ``t`` and of each subterm follows its shape:
 
       (i)   x not in t          -> k(t)
-      (ii)  n = 0 and t = x     -> I
-      (iii) t = <a, b>          -> <F_n(a), F_n(b)>
-      (iv)  t = k(c)            -> Abst k(F_{n-1}(c))
-      (v)   t = u v             -> Abst F_{n+1}(u) F_n(v)
+      (ii)  t = x               -> I
+      (iii) t = <a, b>          -> <F(a), F(b)>
+      (iv)  t = k(c)            -> Abst k(F(c))
+      (v)   t = u v             -> Abst F(u) F(v)
 
     The result contains no occurrence of ``x``; applying it to any s is
     extensionally equal to t[s/x].
     """
-    abstraction_levels(x, t)  # raises when inadmissible
-    return _abstract_level(x, t, 0)
+    image: dict[int, Term] = {}  # id of a subterm holding x -> its image
 
+    def f(u: Term) -> Term:
+        return image[id(u)] if id(u) in image else KWrap(u)  # rule (i)
 
-def _abstract_level(x: str, t: Term, n: int) -> Term:
-    if not _contains_var(t, x):
-        return KWrap(t)
-    if isinstance(t, Var) and t.name == x:
-        if n != 0:
-            raise InternalLevelError(f"variable {x} reached at level {n}")
-        return IDENTITY
-    if isinstance(t, Pair):
-        return Pair(_abstract_level(x, t.left, n), _abstract_level(x, t.right, n))
-    if isinstance(t, KWrap):
-        if n < 1:
-            raise InternalLevelError(f"k-body containing {x} reached at level {n}")
-        return App(ABST, KWrap(_abstract_level(x, t.body, n - 1)))
-    if isinstance(t, App):
-        return App(App(ABST, _abstract_level(x, t.fn, n + 1)), _abstract_level(x, t.arg, n))
-    raise InternalLevelError(f"unexpected node {t!r} at level {n}")
+    # every subterm holding x after its children
+    for sub, _, _ in reversed(list(_level_walk(x, t, False))):
+        cls = type(sub)
+        if cls is Var:
+            image[id(sub)] = IDENTITY
+        elif cls is Pair:
+            image[id(sub)] = Pair(f(sub.left), f(sub.right))
+        elif cls is KWrap:
+            image[id(sub)] = App(ABST, KWrap(f(sub.body)))
+        else:
+            image[id(sub)] = App(App(ABST, f(sub.fn)), f(sub.arg))
+    return f(t)
 
 
 # ---------------------------------------------------------------------------

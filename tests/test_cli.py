@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trc.cli import main
+from trc.cli import build_config, main, make_parser
+from trc.engine import EngineConfig
 
 GOLDEN_TRACE = Path(__file__).parent / "data" / "corpus_trace.txt"
 
@@ -82,6 +83,14 @@ def test_abstract_rejects(capsys):
     code, _, err = run(capsys, "abstract", "x", "x y")
     assert code == 1
     assert "x-at-nonzero-level" in err
+
+
+def test_abstract_reports_the_first_violation_in_walk_order(capsys):
+    # x at level 2 (function.function) and k(x)'s body at level -1 both
+    # violate; the level walk visits the right child first
+    code, out, err = run(capsys, "abstract", "x", "(x y) k(x)")
+    assert code == 1 and not out
+    assert err == "not abstractable over x: negative-level at argument.k-body\n"
 
 
 def test_compile_failure_exits_one(tmp_path, capsys):
@@ -174,6 +183,11 @@ def test_fuel_exactly_sufficient_is_not_exhaustion(tmp_path, capsys):
     code, out, err = run(capsys, "normalize", "--config", str(conf),
                          "Abst Abst x y z")
     assert code == 0 and out.strip() == "y (x y z)" and not err
+
+
+@pytest.mark.parametrize("argv", [["normalize", "x"], ["corpus"], ["compile", "specs.trc"]])
+def test_no_engine_flags_build_the_default_config(argv):
+    assert build_config(make_parser().parse_args(argv)) == EngineConfig()
 
 
 def test_flag_overrides_config(tmp_path, capsys):

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import random
+import types
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trc.corpus import BASE_DEFINITIONS
 from trc.engine import ext_equal
 from trc.stratify import (
-    CombinatorSpec, NotAbstractable, abstract, abstraction_levels,
+    IDENTITY, CombinatorSpec, NotAbstractable, abstract, abstraction_levels,
     compile_combinator, optimize, replay_conflict, stratify, term_constraints,
 )
 from trc.terms import (
-    ABST, EQ, P1, P2, App, Defined, KWrap, Pair, Var, app, free_vars,
+    ABST, EQ, P1, P2, App, Defined, KWrap, Pair, Var, app, children, free_vars,
     parse, render, substitute, term_size,
 )
 
@@ -161,6 +164,141 @@ def test_abstract_contract_on_fixed_cases(full_rules):
         lhs = App(lam, s)
         rhs = substitute(t, {var: s})
         assert ext_equal(lhs, rhs, full_rules, defs=BASE_DEFINITIONS).equal, text
+
+
+def test_package_attribute_is_the_module():
+    import trc.stratify as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.abstract is abstract and m.stratify is stratify
+
+
+# The level check and bracket abstraction as two recursive passes that call
+# free_vars at every node, kept as the reference for the single level walk.
+
+def oracle_contains_var(t, x):
+    return x in free_vars(t)
+
+
+def oracle_abstraction_levels(x, t):
+    levels = {}
+    stack = [((), t, 0)]
+    while stack:
+        pos, sub, level = stack.pop()
+        levels[pos] = level
+        contains = oracle_contains_var(sub, x)
+        if contains and level < 0:
+            raise NotAbstractable(pos, "negative-level", x)
+        if isinstance(sub, Var) and sub.name == x and level != 0:
+            raise NotAbstractable(pos, "x-at-nonzero-level", x)
+        for sel, child in children(sub):
+            if sel == "function":
+                delta = 1
+            elif sel == "k-body":
+                delta = -1
+            else:
+                delta = 0
+            stack.append((pos + (sel,), child, level + delta))
+    return levels
+
+
+def oracle_abstract_level(x, t, n):
+    if not oracle_contains_var(t, x):
+        return KWrap(t)
+    if isinstance(t, Var) and t.name == x:
+        assert n == 0, f"variable {x} reached at level {n}"
+        return IDENTITY
+    if isinstance(t, Pair):
+        return Pair(oracle_abstract_level(x, t.left, n), oracle_abstract_level(x, t.right, n))
+    if isinstance(t, KWrap):
+        assert n >= 1, f"k-body containing {x} reached at level {n}"
+        return App(ABST, KWrap(oracle_abstract_level(x, t.body, n - 1)))
+    if isinstance(t, App):
+        return App(App(ABST, oracle_abstract_level(x, t.fn, n + 1)),
+                   oracle_abstract_level(x, t.arg, n))
+    raise AssertionError(f"unexpected node {t!r} at level {n}")
+
+
+def oracle_abstract(x, t):
+    oracle_abstraction_levels(x, t)
+    return oracle_abstract_level(x, t, 0)
+
+
+def outcome(fn, *args):
+    """The result, or the position, reason and message of the NotAbstractable."""
+    try:
+        return fn(*args)
+    except NotAbstractable as exc:
+        return exc.position, exc.reason, str(exc)
+
+
+open_terms = st.recursive(
+    st.one_of(
+        st.builds(Var, st.sampled_from(["x", "y"])),
+        st.sampled_from([ABST, EQ, P1, P2]),
+        st.just(IDENTITY),
+    ),
+    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub)),
+    max_leaves=20,
+)
+# x in function position (level 1) or under k(...) at level 0 (body at -1)
+violations = st.one_of(
+    st.builds(App, st.just(Var("x")), open_terms),
+    st.builds(KWrap, st.builds(App, open_terms, st.just(Var("x")))),
+)
+several_violations = st.builds(
+    App, open_terms, st.builds(Pair, violations, st.builds(App, open_terms, violations)))
+_shared = parse("y x")
+
+
+@settings(max_examples=300)
+@given(st.one_of(open_terms, several_violations), st.sampled_from(["x", "y"]))
+@example(parse("(x y) k(x)"), "x")
+@example(parse("<x y, k(x y)>"), "x")
+@example(parse("k(x) (x (y k(x)))"), "x")
+@example(Pair(_shared, KWrap(_shared)), "x")
+@example(App(_shared, _shared), "x")
+def test_level_walk_matches_two_pass_definition(t, x):
+    assert outcome(abstraction_levels, x, t) == outcome(oracle_abstraction_levels, x, t)
+    assert outcome(abstract, x, t) == outcome(oracle_abstract, x, t)
+
+
+DEPTH = 10_000
+
+
+def _chain(n):
+    """``y (y (... (y x)))`` with n applications."""
+    t = Var("x")
+    for _ in range(n):
+        t = App(Var("y"), t)
+    return t
+
+
+def test_abstract_deep_chain():
+    want = IDENTITY
+    for _ in range(DEPTH):
+        want = App(App(ABST, KWrap(Var("y"))), want)
+    got = abstract("x", _chain(DEPTH))
+    assert free_vars(got) == {"y"}
+    assert render(got) == render(want)
+
+
+def test_abstract_deep_pair_nest():
+    t, want = Var("x"), IDENTITY
+    for _ in range(DEPTH):
+        t, want = Pair(t, Var("y")), Pair(want, KWrap(Var("y")))
+    got = abstract("x", t)
+    assert free_vars(got) == {"y"}
+    assert render(got) == render(want)
+
+
+def test_abstraction_levels_deep_chain():
+    depth = 2_000
+    levels = abstraction_levels("x", _chain(depth))
+    assert len(levels) == 2 * depth + 1
+    assert levels[("argument",) * depth] == 0
+    assert levels[("argument",) * (depth - 1) + ("function",)] == 1
+    assert set(levels.values()) == {0, 1}
 
 
 # ---------------------------------------------------------------------------
