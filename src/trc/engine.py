@@ -14,6 +14,17 @@ ancestors of p are re-checked top-down, then p's subtree and the subtrees to
 the right of the path are scanned.  The subtrees to the left of the path are
 unchanged and were already found redex-free.
 
+Each rule is compiled, on first use, into one generated Python function that
+takes a term and returns the contractum at its root (the instantiated
+right-hand side), or None: a straight-line check per left-hand-side node, the
+repeated-pattern-variable and ``identical`` comparisons in the same preorder as
+``terms.match_pattern``, and one assignment per right-hand-side node, with the
+rule's ground subterms passed in as constants.  Compiled functions are shared
+through one bounded cache keyed by the rule's two sides and ``identical``, so
+the rules the kernel rebuilds for every script are not compiled again for
+every script.
+``rule_match`` is the one call point.
+
 Two of the core rules exist in a corrected and an uncorrected variant (see
 ``EngineConfig.corrected_axioms``): the pair-application rule
 ``<x,y> z -> <x z, y z>`` and the abstraction rule
@@ -26,15 +37,18 @@ they are inconsistent with the corrected theory's own derivations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Protocol
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Mapping, Optional, Protocol
 
 from .terms import (
     ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
-    App, KWrap, Pair, PatVar, Term, TrcError, Var,
-    expand_defined, format_position, free_vars, fresh_var, match_pattern,
-    navigate, pattern_vars, render, replace_at, substitute, to_pattern,
-    with_child, Position,
+    App, Const, Defined, KWrap, Pair, PatVar, Term, TrcError, Var,
+    expand_defined, format_position, free_vars, fresh_var, navigate, nodes,
+    pattern_vars, render, replace_at, to_pattern, with_child, Position,
 )
+# Not called here: the reference path that compiled rules reproduce, and a
+# name bench/tracer.py patches to count first-order matches.
+from .terms import match_pattern  # noqa: F401
 
 
 class RuleError(TrcError):
@@ -74,6 +88,114 @@ class Rule:
         extra = pattern_vars(self.rhs) - pattern_vars(self.lhs)
         if extra:
             raise RuleError(f"rule {self.name}: rhs pattern variables {sorted(extra)} not bound by lhs")
+
+    @cached_property
+    def _fire(self) -> Callable[[Term], Optional[Term]]:
+        return _compiled(_RuleKey(self))
+
+
+# child fields of each compound constructor, in preorder
+_FIELDS = {App: ("fn", "arg"), Pair: ("left", "right"), KWrap: ("body",)}
+
+
+def _spelling(t: Term) -> tuple:
+    """Constructors and atom names of ``t`` in preorder.  Unlike ``render``
+    this is injective: ``Var("m")`` and ``Defined("m")`` both print ``m``."""
+    out: list = []
+    for sub in nodes(t):
+        cls = type(sub)
+        out.append(cls)
+        if cls not in _FIELDS:
+            out.append(sub.name)
+    return tuple(out)
+
+
+class _RuleKey:
+    """A rule's sides and ``identical`` pair, compared by their spelling."""
+
+    __slots__ = ("lhs", "rhs", "identical", "_spelled", "_hash")
+
+    def __init__(self, rule: Rule) -> None:
+        self.lhs, self.rhs, self.identical = rule.lhs, rule.rhs, rule.identical
+        self._spelled = (_spelling(rule.lhs), _spelling(rule.rhs), rule.identical)
+        self._hash = hash(self._spelled)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _RuleKey) and self._spelled == other._spelled
+
+
+@lru_cache(maxsize=1024)
+def _compiled(key: _RuleKey) -> Callable[[Term], Optional[Term]]:
+    """The generated match-and-instantiate function of a rule, shared by
+    every rule with the same key."""
+    lines = ["def fire(t):"]
+    namespace: dict[str, object] = {c.__name__: c for c in (App, Pair, KWrap, Var, Const, Defined)}
+    bound: dict[str, str] = {}  # pattern variable -> local holding its binding
+    # The left-hand side in the preorder of ``match_pattern``, so repeated
+    # pattern variables are compared at the same points in the same order.
+    todo: list[tuple[Term, str]] = [(key.lhs, "t")]  # (pattern node, expression of its subject)
+    while todo:
+        pattern, subject = todo.pop()
+        if subject != "t":  # load a child into a local of its own
+            local = f"s{len(lines)}"
+            lines.append(f"    {local} = {subject}")
+            subject = local
+        cls = type(pattern)
+        if cls is PatVar:
+            seen = bound.get(pattern.name)
+            if seen is None:
+                bound[pattern.name] = subject
+            else:
+                lines.append(f"    if {seen} != {subject}: return None")
+        elif cls in _FIELDS:
+            lines.append(f"    if type({subject}) is not {cls.__name__}: return None")
+            todo.extend((getattr(pattern, f), f"{subject}.{f}") for f in reversed(_FIELDS[cls]))
+        else:
+            lines.append(f"    if type({subject}) is not {cls.__name__} or {subject}.name != {pattern.name!r}: return None")
+    if key.identical is not None:
+        p, q = key.identical
+        lines.append(f"    if {bound.get(p, 'None')} != {bound.get(q, 'None')}: return None")
+    # The right-hand side bottom-up: one assignment per node above a bound
+    # variable, ground subterms as constants.  Nested expressions would hit
+    # the parser's nesting limit on deep rules.
+    done: list[tuple[Optional[str], Term]] = []  # finished subterms: (expression or None when ground, node)
+    pending: list = [key.rhs]  # subterms to visit, or (node,) once its children are done
+    while pending:
+        sub = pending.pop()
+        cls = type(sub)
+        if cls is tuple:
+            node = sub[0]
+            arity = len(_FIELDS[type(node)])
+            kids = done[-arity:]
+            del done[-arity:]
+            if all(expr is None for expr, _ in kids):
+                done.append((None, node))
+                continue
+            args = []
+            for expr, kid in kids:
+                if expr is None:
+                    expr = f"c{len(namespace)}"
+                    namespace[expr] = kid
+                args.append(expr)
+            local = f"r{len(lines)}"
+            lines.append(f"    {local} = {type(node).__name__}({', '.join(args)})")
+            done.append((local, node))
+        elif cls in _FIELDS:
+            pending.append((sub,))
+            pending.extend(getattr(sub, f) for f in reversed(_FIELDS[cls]))
+        else:
+            # as in ``substitute``, a variable named like a bound pattern variable is replaced too
+            done.append((bound.get(sub.name) if cls is Var or cls is PatVar else None, sub))
+    expr, _ = done[0]
+    if expr is None:
+        expr = "rhs"
+        namespace[expr] = key.rhs
+    lines.append(f"    return {expr}")
+    exec(compile("\n".join(lines), "<rule>", "exec"), namespace)
+    return namespace["fire"]  # type: ignore[return-value]
 
 
 def root_shape(t: Term) -> object:
@@ -146,15 +268,9 @@ def core_rules(config: EngineConfig | None = None) -> RuleSet:
     return RuleSet(tuple(rules), cfg)
 
 
-def rule_match(rule: Rule, t: Term) -> Optional[dict[str, Term]]:
-    subst = match_pattern(rule.lhs, t)
-    if subst is None:
-        return None
-    if rule.identical is not None:
-        p, q = rule.identical
-        if subst.get(p) != subst.get(q):
-            return None
-    return subst
+def rule_match(rule: Rule, t: Term) -> Optional[Term]:
+    """The contractum of ``rule`` at the root of ``t``, or None when it does not match there."""
+    return rule._fire(t)
 
 
 @dataclass(frozen=True)
@@ -180,17 +296,14 @@ class NormalizeResult:
 
 def rewrite_at(t: Term, pos: Position, rule: Rule) -> Optional[Term]:
     """Apply ``rule`` at exactly ``pos``; None when the rule does not match there."""
-    sub = navigate(t, pos)
-    subst = rule_match(rule, sub)
-    if subst is None:
-        return None
-    return replace_at(t, pos, substitute(rule.rhs, subst))
+    new = rule_match(rule, navigate(t, pos))
+    return None if new is None else replace_at(t, pos, new)
 
 
 # A path leads from the root to a position: the (ancestor, selector) pairs
 # passed on the way down.
 Path = list[tuple[Term, str]]
-Redex = tuple[Path, Rule, dict[str, Term]]
+Redex = tuple[Path, Rule, Term]  # path to the redex, the rule, the contractum
 
 _RIGHT_OF = {FN: ARG, LEFT: RIGHT}
 
@@ -201,14 +314,14 @@ def _scan(rs: RuleSet, t: Term, path: Path) -> Optional[Redex]:
     while stack:
         sub, up = stack.pop()  # up: (parent, selector, parent's up), or None at t
         for rule in rs.candidates(sub):
-            subst = rule_match(rule, sub)
-            if subst is not None:
+            new = rule_match(rule, sub)
+            if new is not None:
                 below: Path = []
                 while up is not None:
                     parent, sel, up = up
                     below.append((parent, sel))
                 below.reverse()
-                return path + below, rule, subst
+                return path + below, rule, new
         if type(sub) is App:
             stack.append((sub.arg, (sub, ARG, up)))
             stack.append((sub.fn, (sub, FN, up)))
@@ -229,9 +342,9 @@ def _find(rs: RuleSet, path: Path, t: Term) -> Optional[Redex]:
     """
     for depth, (node, _) in enumerate(path):
         for rule in rs.candidates(node):
-            subst = rule_match(rule, node)
-            if subst is not None:
-                return path[:depth], rule, subst
+            new = rule_match(rule, node)
+            if new is not None:
+                return path[:depth], rule, new
     found = _scan(rs, t, path)
     depth = len(path)
     while found is None and depth:
@@ -245,8 +358,8 @@ def _find(rs: RuleSet, path: Path, t: Term) -> Optional[Redex]:
 
 def _contract(redex: Redex) -> tuple[Term, Path, Term]:
     """Rewrite at ``redex``: the new root, the rebuilt path and the contractum."""
-    path, rule, subst = redex
-    new = cur = substitute(rule.rhs, subst)
+    path, _, new = redex
+    cur = new
     rebuilt: Path = []
     for node, sel in reversed(path):
         cur = with_child(node, sel, cur)

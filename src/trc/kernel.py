@@ -532,8 +532,7 @@ class _Checker:
             for shape, sub, want in shaped:
                 if not lhs_fits(rule.lhs, shape):
                     continue
-                got = rule_match(rule, sub)
-                if got is not None and substitute(rule.rhs, got) == want:
+                if rule_match(rule, sub) == want:
                     return name
         return None
 

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from trc.corpus import BASE_DEFINITIONS, standard_context
 from trc.engine import (
-    EngineConfig, NormalizeResult, Rule, RuleError, TraceStep, core_rules,
-    ext_equal, normalize, register_derived_rule, rewrite_at, rewrite_step,
-    rule_match,
+    EngineConfig, NormalizeResult, Rule, RuleError, RuleSet, TraceStep,
+    core_rules, ext_equal, normalize, register_derived_rule, rewrite_at,
+    rewrite_step, rule_match,
 )
 from trc.terms import (
-    ABST, EQ, P1, P2, App, KWrap, Pair, PatVar, Var, free_vars, parse,
-    parse_pattern, render, replace_at, substitute, subterms,
+    ABST, EQ, P1, P2, App, Defined, KWrap, Pair, PatVar, Var, free_vars,
+    match_pattern, navigate, parse, parse_pattern, pattern_vars, rebuild,
+    render, replace_at, substitute, subterms, term_size,
 )
 
 from test_terms import closed_terms, terms
@@ -62,6 +63,19 @@ def test_eq_reflexivity_toggle(core):
 def test_no_rule_rewrites_eq_to_p2(core):
     # distinct components stay put: syntactic distinctness is not inequality
     assert normalize(parse("Eq <x, y>"), core).result == parse("Eq <x, y>")
+
+
+@pytest.mark.parametrize("text, result", [
+    # the nonlinear rules fire only on identical components
+    ("<P1 a, P2 b>", "<P1 a, P2 b>"),
+    ("Eq <a,b>", "Eq <a,b>"),
+    ("<P1 (a b), P2 (a c)>", "<P1 (a b),P2 (a c)>"),
+    ("<P1 a, P2 a>", "a"),
+    ("Eq <a,a>", "P1"),
+    ("Eq <k(a b), k(a b)>", "P1"),
+])
+def test_nonlinear_rules_need_identical_components(core, text, result):
+    assert normalize(parse(text), core).result == parse(result)
 
 
 def test_rule_rejects_unbound_rhs_pattern_vars():
@@ -164,16 +178,34 @@ def test_stability_under_substitution(t, s):
 
 
 # ---------------------------------------------------------------------------
-# the indexed, resuming redex finder against a naive full scan
+# compiled rules and the indexed, resuming redex finder against interpreted references
 # ---------------------------------------------------------------------------
+
+def interpreted_match(rule, t):
+    """The contractum of ``rule`` at the root of ``t`` by interpretation:
+    ``match_pattern``, the ``identical`` check, then ``substitute``."""
+    subst = match_pattern(rule.lhs, t)
+    if subst is None:
+        return None
+    if rule.identical is not None:
+        p, q = rule.identical
+        if subst.get(p) != subst.get(q):
+            return None
+    return substitute(rule.rhs, subst)
+
+
+def interpreted_rewrite_at(t, pos, rule):
+    new = interpreted_match(rule, navigate(t, pos))
+    return None if new is None else replace_at(t, pos, new)
+
 
 def reference_step(t, rs):
     """Try every rule in order at every preorder position, from the root."""
     for pos, sub in subterms(t):
         for rule in rs.rules:
-            subst = rule_match(rule, sub)
-            if subst is not None:
-                return TraceStep(pos, rule.name, t, replace_at(t, pos, substitute(rule.rhs, subst)))
+            new = interpreted_match(rule, sub)
+            if new is not None:
+                return TraceStep(pos, rule.name, t, replace_at(t, pos, new))
     return None
 
 
@@ -215,7 +247,11 @@ redex_rich = st.recursive(
 
 @pytest.fixture(scope="module")
 def rule_sets():
-    return {"core": core_rules(), "standard": standard_context()[1]}
+    return {
+        "core": core_rules(),
+        "printed": core_rules(EngineConfig(corrected_axioms=False)),
+        "standard": standard_context()[1],
+    }
 
 
 @pytest.mark.parametrize("which", ["core", "standard"])
@@ -233,6 +269,133 @@ def test_normalize_matches_reference_finder(rule_sets, which, t, fuel):
         assert rewrite_at(step.before, step.position, by_name[step.rule_name]) == step.after
         current = step.after
     assert current == got.result
+
+
+pattern_names = st.sampled_from(["$x", "$y"])
+
+# patterns with repeated pattern variables, object variables, declared names
+# and constants; a draw without pattern variables is a ground pattern
+patterns = st.recursive(
+    st.one_of(
+        st.builds(PatVar, pattern_names),
+        st.builds(Var, st.sampled_from(["x", "y"])),
+        st.builds(Defined, st.sampled_from(["F", "G"])),
+        st.sampled_from([ABST, EQ, P1, P2]),
+    ),
+    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub)),
+    max_leaves=10,
+)
+
+
+@st.composite
+def random_rules(draw):
+    lhs = draw(patterns)
+    rhs = draw(patterns)
+    unbound = pattern_vars(rhs) - pattern_vars(lhs)
+    rhs = substitute(rhs, {name: Var("w") for name in unbound})
+    names = st.sampled_from(["$x", "$y", "$z"])  # "$z" is never bound
+    identical = draw(st.none() | st.tuples(names, names))
+    return Rule("random", lhs, rhs, "fact", identical)
+
+
+small_terms = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(["x", "y"])), st.builds(Defined, st.just("F")),
+              st.sampled_from([EQ, P1, P2])),
+    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub)),
+    max_leaves=4,
+)
+
+
+# two or three small terms that pattern variables are instantiated with
+instances = st.lists(small_terms, min_size=2, max_size=3)
+
+
+@st.composite
+def subjects(draw, rule, small):
+    """A term built from ``rule``'s left-hand side, so that it often matches:
+    each pattern variable occurrence becomes one of ``small``, mostly the one
+    an earlier occurrence became, and an atom is now and then replaced by one
+    of them."""
+    size = term_size(rule.lhs)
+    picks = iter(draw(st.lists(st.integers(0, 19), min_size=size, max_size=size)))
+    bindings = {}
+
+    def leaf(a):
+        pick = next(picks)
+        other = small[pick % len(small)]
+        if type(a) is PatVar:
+            return bindings.setdefault(a.name, other) if pick < 14 else other
+        return other if pick == 19 else a
+
+    return rebuild(rule.lhs, leaf)
+
+
+def assert_same_contractum(rule, t):
+    got, want = rule_match(rule, t), interpreted_match(rule, t)
+    assert got == want
+    if want is not None:
+        assert rewrite_at(t, (), rule) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rule=random_rules(), small=instances)
+def test_compiled_rule_matches_interpreter_on_random_rules(data, rule, small):
+    assert_same_contractum(rule, data.draw(subjects(rule, small)))
+    assert_same_contractum(rule, data.draw(terms))
+
+
+@pytest.mark.parametrize("which", ["core", "printed", "standard"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), small=instances)
+def test_compiled_rule_matches_interpreter_on_rule_sets(rule_sets, which, data, small):
+    for rule in rule_sets[which].rules:
+        assert_same_contractum(rule, data.draw(subjects(rule, small)))
+
+
+def test_compiled_rule_checks_identical_pair():
+    # the identical pair may name variables the left-hand side does not bind
+    rule = Rule("eq", parse_pattern("Eq <$a,$b>"), P1, "fact", identical=("$a", "$c"))
+    assert rule_match(rule, parse("Eq <x,x>")) is None
+    rule = Rule("eq", parse_pattern("Eq <$a,$b>"), P1, "fact", identical=("$c", "$d"))
+    assert rule_match(rule, parse("Eq <x,y>")) == P1
+
+
+def test_rules_with_equal_spelling_share_a_compiled_function():
+    lhs, rhs = parse_pattern("P1 $x"), parse_pattern("<$x, Zed>")
+    first, second = Rule("a", lhs, rhs, "fact"), Rule("b", parse_pattern("P1 $x"), rhs, "fact")
+    assert rule_match(first, parse("P1 y")) == rule_match(second, parse("P1 y"))
+    assert first._fire is second._fire
+    # a variable and a declared name print alike but must not share one
+    var_rule = Rule("v", App(Var("m"), PatVar("$x")), PatVar("$x"), "fact")
+    name_rule = Rule("n", App(Defined("m"), PatVar("$x")), PatVar("$x"), "fact")
+    assert render(var_rule.lhs) == render(name_rule.lhs)
+    assert rule_match(var_rule, App(Var("m"), P1)) == P1
+    assert rule_match(name_rule, App(Var("m"), P1)) is None
+    assert rule_match(name_rule, App(Defined("m"), P1)) == P1
+
+
+def test_compiled_rule_replaces_variables_as_substitute_does():
+    # ``substitute`` also replaces an object variable named like a bound pattern variable
+    rule = Rule("odd", PatVar("x"), App(Var("x"), PatVar("x")), "fact")
+    assert rule_match(rule, P1) == interpreted_match(rule, P1) == App(P1, P1)
+
+
+def _nest(depth, t):
+    for _ in range(depth):
+        t = KWrap(t)
+    return t
+
+
+def test_deep_rule_compiles_and_fires():
+    # ``==`` on these nests recurses, so they are compared by rendering
+    depth = 2000
+    rule = Rule("deep", _nest(depth, PatVar("$x")), _nest(depth, App(P1, PatVar("$x"))), "fact")
+    assert render(rule_match(rule, _nest(depth, Var("a")))) == render(_nest(depth, parse("P1 a")))
+    assert rule_match(rule, _nest(depth - 1, Var("a"))) is None
+    ground = Rule("ground", _nest(depth, Var("a")), _nest(depth, Var("b")), "fact")
+    assert rule_match(ground, _nest(depth, Var("a"))) is ground.rhs
+    got = normalize(_nest(depth, Var("a")), RuleSet((ground,), EngineConfig()))
+    assert render(got.result) == render(_nest(depth, Var("b"))) and len(got.trace) == 1
 
 
 @pytest.mark.parametrize("text, first, root_rule, result", [

@@ -13,7 +13,7 @@ from trc.kernel import (
 from trc.scriptfile import parse_scripts
 from trc.terms import P1, P2, ParseError, Var, parse, render, subterms
 
-from test_engine import redex_rich
+from test_engine import interpreted_rewrite_at, redex_rich
 
 
 def check_text(text, registry, rules):
@@ -138,10 +138,29 @@ def test_chain_link_from_a_term_to_itself(core, registry):
     assert "no single rule" in report.reason
 
 
+@pytest.mark.parametrize("left, right, ok", [
+    ("<P1 a, P2 a>", "a", True),
+    ("<P1 a, P2 b>", "a", False),
+    ("Eq <a,a>", "P1", True),
+    ("Eq <a,b>", "P1", False),
+])
+def test_chain_link_through_a_nonlinear_rule(core, registry, left, right, ok):
+    report = check_text(f'''
+        theorem nonlinear "one link through a nonlinear rule" {{
+          prove {left} = {right}
+          qed by chain [{left}, {right}]
+        }}
+    ''', registry, core)
+    assert report.ok == ok
+    if not ok:
+        assert "no single rule" in report.reason
+
+
 def reference_link(a, b, rules):
-    """Whether one rule rewrites a to b, or b to a, at any one position."""
+    """Whether one rule rewrites a to b, or b to a, at any one position,
+    found by interpreting every rule at every position."""
     return any(
-        rewrite_at(x, pos, rule) == y
+        interpreted_rewrite_at(x, pos, rule) == y
         for x, y in ((a, b), (b, a))
         for rule in rules.rules
         for pos, _ in subterms(x)
