@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Protocol
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Protocol
 
 from .terms import (
     ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
@@ -223,6 +223,9 @@ class RuleSet:
     # shape key -> the rules that can match a term of that shape, filled on use
     _index: dict[object, tuple[Rule, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # key -> this rule set extended by the rules it names, built on first use
+    _extensions: dict[Hashable, "RuleSet"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [r.name for r in self.rules]
@@ -231,6 +234,14 @@ class RuleSet:
 
     def extended(self, more: Iterable[Rule]) -> "RuleSet":
         return RuleSet(self.rules + tuple(more), self.config)
+
+    def extended_once(self, key: Hashable, more: Callable[[], Iterable[Rule]]) -> "RuleSet":
+        """``extended(more())``, built once per ``key`` and kept, with its
+        index, for as long as this rule set lives."""
+        found = self._extensions.get(key)
+        if found is None:
+            found = self._extensions[key] = self.extended(more())
+        return found
 
     def candidates(self, t: Term) -> tuple[Rule, ...]:
         """The rules that can match at the root of ``t``, in rule-set order."""

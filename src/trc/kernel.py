@@ -13,7 +13,11 @@ Step repertoire:
   equality) applied at one position, in either direction.  Expansion steps
   (right-to-left rule use) are allowed.  Rules are tried only on the root
   path down to the lowest position covering every difference between the
-  two terms.
+  two terms, and at each such site only the rules the rule set's index
+  offers for it.  A definition is looked up by the name at the site; an
+  in-scope equality, which is ground, justifies exactly the site it states.
+  A citation keeps the justifications it names (``K``, ``I`` or
+  ``definition:I``, ``H`` or ``fact:H``).
 * ``normalize``: both sides reach one normal form within fuel.
 * ``ext K``: both sides applied to K fresh variables reach one normal form.
 * ``cases Eq <a,b>``: classical dichotomy; branch one assumes a = b and
@@ -42,10 +46,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
 
-from .engine import (
-    Rule, RuleSet, RuleError,
-    lhs_fits, normalize, register_derived_rule, root_shape, rule_match,
-)
+from .engine import Rule, RuleSet, RuleError, normalize, register_derived_rule, rule_match
 from .terms import (
     EQ, P1, P2,
     App, Defined, KWrap, Pair, PatVar, Term, TrcError, Var,
@@ -125,14 +126,15 @@ class HypEquation:
         if pattern_vars(self.rhs) - pattern_vars(self.lhs):
             raise ScriptError(f"hypothesis for {self.constant}: rhs has unbound pattern variables")
 
-    def rule(self, index: int) -> Rule:
-        return Rule(f"hypothesis:{self.constant}.{index}", self.lhs, self.rhs, f"hypothesis:{self.constant}")
-
 
 @dataclass(frozen=True)
 class Hypothesis:
     constants: tuple[str, ...]
     equations: tuple[HypEquation, ...]
+
+    def rules(self) -> tuple[Rule, ...]:
+        return tuple(Rule(f"hypothesis:{eq.constant}.{i}", eq.lhs, eq.rhs, f"hypothesis:{eq.constant}")
+                     for i, eq in enumerate(self.equations))
 
 
 # Proof steps ---------------------------------------------------------------
@@ -381,7 +383,6 @@ class Registry:
 class _Fact:
     judgment: Judgment
     fixed: frozenset[str]  # variables not generalizable (fixed by an assumption)
-    rule: Optional[Rule] = None  # an equality as a chain-link rule, built on first use
 
 
 class _Scope:
@@ -439,6 +440,12 @@ def _link_sites(a: Term, b: Term) -> list[tuple[Term, Term]]:
     return sites
 
 
+def _cites(citation: Optional[str], name: str) -> bool:
+    """Whether ``citation`` (None cites anything) names the justification
+    ``name``, in full or by its part after the first colon."""
+    return citation is None or citation == name or name.split(":", 1)[-1] == citation
+
+
 class _StepFailure(Exception):
     def __init__(self, reason: str):
         self.reason = reason
@@ -462,14 +469,10 @@ class _Checker:
             self.defs[name] = body
             declared.add(name)
         self.declared = declared
-        hyp_rules: list[Rule] = []
-        if script.hypothesis:
-            for i, eq in enumerate(script.hypothesis.equations):
-                hyp_rules.append(eq.rule(i))
-        self.rules = rs.extended(hyp_rules) if hyp_rules else rs
-        self.definition_rules = tuple(
-            Rule(f"definition:{name}", Defined(name), body, "fact") for name, body in self.defs.items()
-        )
+        hyp = script.hypothesis
+        # every check under one hypothesis, each mutant of a refutation
+        # included, shares one extended rule set and its index
+        self.rules = rs.extended_once(hyp, hyp.rules) if hyp else rs
         self.step_counter = 0
         self.traces: list[str] = []
 
@@ -510,41 +513,27 @@ class _Checker:
 
     # -- chain link justification
 
-    def _link_rules(self, scope: _Scope) -> Iterator[Rule]:
-        """All candidate link justifications, as (possibly ground) rules."""
-        yield from self.rules.rules
-        yield from self.definition_rules
-        for label, fact in scope.iter_equalities():
-            if fact.rule is None:
-                eq = fact.judgment
-                assert isinstance(eq, Equal)
-                fact.rule = Rule(f"fact:{label}", eq.lhs, eq.rhs, "fact")
-            yield fact.rule
+    def _one_step(self, sites: list[tuple[Term, Term]], facts: list[Equal],
+                  citation: Optional[str]) -> bool:
+        """Whether one justification rewrites some source site into its target."""
+        for sub, want in sites:
+            for rule in self.rules.candidates(sub):
+                if _cites(citation, rule.name) and rule_match(rule, sub) == want:
+                    return True
+            if type(sub) is Defined and _cites(citation, "definition:" + sub.name) \
+                    and self.defs.get(sub.name) == want:
+                return True
+            # facts are ground: one rewrites exactly its left-hand side
+            if any(eq.lhs == sub and eq.rhs == want for eq in facts):
+                return True
+        return False
 
-    def _one_step(self, sites: list[tuple[Term, Term]], scope: _Scope,
-                  citation: Optional[str]) -> Optional[str]:
-        """Name of a justification rewriting one source site into its target."""
-        shaped = [(root_shape(sub), sub, want) for sub, want in sites]
-        for rule in self._link_rules(scope):
-            name = rule.name
-            if citation is not None and name != citation and name.split(":", 1)[-1] != citation:
-                continue
-            for shape, sub, want in shaped:
-                if not lhs_fits(rule.lhs, shape):
-                    continue
-                if rule_match(rule, sub) == want:
-                    return name
-        return None
-
-    def justify_link(self, a: Term, b: Term, scope: _Scope, citation: Optional[str]) -> str:
+    def justify_link(self, a: Term, b: Term, scope: _Scope, citation: Optional[str]) -> None:
+        facts = [fact.judgment for label, fact in scope.iter_equalities() if _cites(citation, "fact:" + label)]
         sites = _link_sites(a, b)
-        found = self._one_step(sites, scope, citation)
-        if found is not None:
-            return found
-        found = self._one_step([(t, s) for s, t in sites], scope, citation)
-        if found is not None:
-            return found + " (reversed)"
-        raise _StepFailure(f"no single rule instance relates {render(a)} and {render(b)}")
+        if not (self._one_step(sites, facts, citation)
+                or self._one_step([(t, s) for s, t in sites], facts, citation)):
+            raise _StepFailure(f"no single rule instance relates {render(a)} and {render(b)}")
 
     # -- step execution
 

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trc.corpus import BASE_DEFINITIONS
-from trc.engine import core_rules, rewrite_at
+from trc.engine import Rule, core_rules
 from trc.kernel import (
-    ApplicationStep, CheckReport, Equal, NormalizeStep, NotEqual, ProofScript,
-    Registry, RegistryError, TheoremStep, check_script, record_for,
+    FALSUM, ApplicationStep, CasesStep, ChainStep, CheckReport, ContradictionStep,
+    Equal, FalsumStep, HypEquation, Hypothesis, NormalizeStep, NotEqual,
+    ProofScript, Registry, RegistryError, TheoremStep, check_script, record_for,
 )
 from trc.scriptfile import parse_scripts
-from trc.terms import P1, P2, ParseError, Var, parse, render, subterms
+from trc.terms import (
+    ABST, EQ, P1, P2, App, Defined, KWrap, Pair, ParseError, PatVar, Var,
+    parse, parse_pattern, render, subterms,
+)
 
 from test_engine import interpreted_rewrite_at, redex_rich
 
@@ -156,39 +163,218 @@ def test_chain_link_through_a_nonlinear_rule(core, registry, left, right, ok):
         assert "no single rule" in report.reason
 
 
-def reference_link(a, b, rules):
-    """Whether one rule rewrites a to b, or b to a, at any one position,
-    found by interpreting every rule at every position."""
+def reference_link(a, b, rules, defs=None, facts=(), citation=None):
+    """Whether one justification rewrites a to b, or b to a, at any one
+    position, found by interpreting every justification at every position.
+
+    The justifications are the rules of ``rules``, each definition
+    ``n := body`` as the rule ``n -> body`` and each ``(label, l = r)`` of
+    ``facts`` as the rule ``l -> r``.  A citation keeps those it names in
+    full or by the part after the first colon."""
+    candidates = [
+        *rules.rules,
+        *(Rule(f"definition:{n}", Defined(n), body, "fact") for n, body in (defs or {}).items()),
+        *(Rule(f"fact:{label}", eq.lhs, eq.rhs, "fact") for label, eq in facts),
+    ]
+    if citation is not None:
+        candidates = [r for r in candidates if citation in (r.name, r.name.split(":", 1)[-1])]
     return any(
         interpreted_rewrite_at(x, pos, rule) == y
         for x, y in ((a, b), (b, a))
-        for rule in rules.rules
+        for rule in candidates
         for pos, _ in subterms(x)
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), a=redex_rich)
-def test_chain_link_verdict_matches_reference(registry, data, a):
+# One script shape holding every justification source: the core rules, the
+# hypothesis equation of M, the definition I and the let-bound t, and the
+# equalities in scope of a contradiction assumption or of a cases branch.
+LINK_HYPOTHESIS = Hypothesis(("M",), (HypEquation("M", parse_pattern("M $x"), parse_pattern("$x $x")),))
+LINK_DEFS = {**BASE_DEFINITIONS, "t": Pair(P2, P1)}
+
+link_terms = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(["x", "y"])),
+              st.sampled_from([ABST, EQ, P1, P2, Defined("I"), Defined("t"), Defined("M")])),
+    lambda sub: st.one_of(
+        st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub),
+        st.builds(App, st.just(Defined("M")), sub),
+    ),
+    max_leaves=12,
+)
+
+LINK_CITATIONS = [
+    "K", "P1-proj", "pair-application", "hypothesis:M.0", "M.0", "definition:I", "I",
+    "definition:t", "t", "fact:H", "H", "fact:C", "C", "D", "nope",
+]
+
+
+def link_facts(scope, left, right):
+    """The equalities in scope of the link, one list per branch it runs in."""
+    if scope == "contradiction":
+        return [[("H", Equal(left, right))]]
+    if scope == "cases":
+        eq = App(EQ, Pair(left, right))
+        return [[("C", Equal(eq, P1)), ("D", Equal(left, right))], [("C", Equal(eq, P2))]]
+    return [[]]
+
+
+def link_script(a, b, scope, left, right, citation):
+    """A refutation script whose step ``link`` is the chain link a = b, run
+    in a scope of the kind ``scope``.  The script fails at that step, or
+    later: its blocks never conclude their goals."""
+    link = ChainStep("link", Equal(a, b), (a, b), None if citation is None else (citation,))
+    if scope == "contradiction":
+        body = (ContradictionStep("outer", NotEqual(left, right), "H", (link,)),)
+    elif scope == "cases":
+        body = (CasesStep("outer", Equal(a, b), left, right, "C", "D", (link,), (link,)),)
+    else:
+        body = (link,)
+    return ProofScript("link", "one chain link", LINK_HYPOTHESIS, FALSUM, (("t", LINK_DEFS["t"]),), body)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), a=st.one_of(link_terms, redex_rich),
+       scope=st.sampled_from(["none", "contradiction", "cases"]))
+def test_chain_link_verdict_matches_reference(registry, data, a, scope):
     rules = core_rules()
-    rewrites = [
-        got for pos, _ in subterms(a) for rule in rules.rules
-        if (got := rewrite_at(a, pos, rule)) is not None
+    (hyp,) = LINK_HYPOTHESIS.equations
+    with_hyp = rules.extended([Rule("hypothesis:M.0", hyp.lhs, hyp.rhs, "hypothesis:M")])
+    # a fact about a subterm of a, so facts fire
+    left = data.draw(st.one_of(st.sampled_from([sub for _, sub in subterms(a)]), link_terms))
+    right = data.draw(link_terms)
+    fact_sets = link_facts(scope, left, right)
+    justifications = [
+        *with_hyp.rules,
+        *(Rule(f"definition:{n}", Defined(n), body, "fact") for n, body in LINK_DEFS.items()),
+        *(Rule(f"fact:{label}", eq.lhs, eq.rhs, "fact") for facts in fact_sets for label, eq in facts),
     ]
-    b = data.draw(st.one_of(
-        st.sampled_from(rewrites) if rewrites else st.nothing(),
-        st.just(a),
-        redex_rich,
+    # the one-step rewrites of a by each kind of justification, so that
+    # rare kinds (definitions, facts, the hypothesis) are drawn as often as rules
+    rewrites: dict[str, list] = {}
+    for pos, _ in subterms(a):
+        for rule in justifications:
+            got = interpreted_rewrite_at(a, pos, rule)
+            if got is not None:
+                rewrites.setdefault(rule.name.split(":")[0], []).append((got, rule.name))
+    b, name = data.draw(st.one_of(
+        st.sampled_from(sorted(rewrites)).flatmap(lambda kind: st.sampled_from(rewrites[kind]))
+        if rewrites else st.nothing(),
+        st.tuples(st.just(a), st.just("K")),
+        st.tuples(link_terms, st.just("K")),
     ))
     if data.draw(st.booleans()):
         a, b = b, a
-    report = check_text(f'''
-        theorem link "one chain link" {{
-          prove {render(a)} = {render(b)}
-          qed by chain [{render(a)}, {render(b)}]
-        }}
-    ''', registry, rules)
-    assert report.ok == reference_link(a, b, rules)
+    citation = data.draw(st.one_of(
+        st.none(), st.sampled_from([name, name.split(":", 1)[-1]]), st.sampled_from(LINK_CITATIONS),
+    ))
+    report = check_script(link_script(a, b, scope, left, right, citation), registry, rules, BASE_DEFINITIONS)
+    accepted = "(link): no single rule instance" not in report.reason
+    assert accepted == all(
+        reference_link(a, b, with_hyp, LINK_DEFS, facts, citation) for facts in fact_sets
+    )
+
+
+def cited_definition(citation):
+    a, b = parse("I x"), parse("<P1, P2> x")
+    return ProofScript("cite", "a cited definition", None, Equal(a, b), (),
+                       (ChainStep("l", Equal(a, b), (a, b), (citation,)),))
+
+
+def cited_fact(citation):
+    # inside the contradiction, H : P1 = P2 rewrites k(P1) w to k(P2) w
+    a, b = parse("k(P1) w"), parse("k(P2) w")
+    goal = NotEqual(P1, P2)
+    body = (
+        ChainStep("l", Equal(a, b), (a, b), (citation,)),
+        TheoremStep("v", goal, "VIII"),
+        FalsumStep("f", FALSUM, "H", "v"),
+    )
+    return ProofScript("cite", "a cited fact", None, goal, (), (ContradictionStep("c", goal, "H", body),))
+
+
+@pytest.mark.parametrize("script", [
+    cited_definition("I"), cited_definition("definition:I"), cited_fact("H"), cited_fact("fact:H"),
+])
+def test_a_link_citing_its_justification_is_accepted(core, registry, script):
+    report = check_script(script, registry, core, BASE_DEFINITIONS)
+    assert report.ok, report.reason
+
+
+@pytest.mark.parametrize("script", [
+    cited_definition("K"), cited_definition("fact:I"), cited_definition("H"),
+    cited_fact("I"), cited_fact("definition:H"), cited_fact("K"),
+])
+def test_a_link_citing_another_justification_is_rejected(core, registry, script):
+    report = check_script(script, registry, core, BASE_DEFINITIONS)
+    assert not report.ok
+    assert "(l): no single rule instance" in report.reason
+
+
+def test_a_fact_holding_a_pattern_variable_is_matched_literally(core, registry):
+    # a hand-built fact $x = P1 would rewrite any term to P1 if matched as a
+    # schema; the kernel compares facts with the link literally
+    def script(a):
+        link = ChainStep("l", Equal(a, P1), (a, P1))
+        goal = NotEqual(PatVar("$x"), P1)
+        return ProofScript("literal", "a fact with a pattern variable", None, goal, (),
+                           (ContradictionStep("c", goal, "H", (link,)),))
+    report = check_script(script(Var("u")), registry, core, BASE_DEFINITIONS)
+    assert "(l): no single rule instance" in report.reason
+    report = check_script(script(PatVar("$x")), registry, core, BASE_DEFINITIONS)
+    assert "(l): no single rule instance" not in report.reason
+    assert "block concludes" in report.reason
+
+
+def test_a_rule_set_extends_by_a_hypothesis_once(core):
+    built = []
+
+    def rules():
+        built.append(1)
+        return LINK_HYPOTHESIS.rules()
+
+    one = core.extended_once(LINK_HYPOTHESIS, rules)
+    assert [r.name for r in one.rules[len(core.rules):]] == ["hypothesis:M.0"]
+    # an equal hypothesis built apart is the same key
+    equal = Hypothesis(("M",), (HypEquation("M", parse_pattern("M $x"), parse_pattern("$x $x")),))
+    assert core.extended_once(equal, rules) is one
+    assert len(built) == 1
+    other = Hypothesis(("M",), (HypEquation("M", parse_pattern("M $x"), parse_pattern("$x")),))
+    assert core.extended_once(other, other.rules).rules[-1].rhs == parse_pattern("$x")
+    # another rule set, equal or not, keeps its own
+    assert core_rules().extended_once(LINK_HYPOTHESIS, rules) is not one
+    assert len(built) == 2
+
+
+def test_checks_under_one_hypothesis_share_its_rule_set(core, registry, monkeypatch):
+    calls = []
+    rules = Hypothesis.rules
+    monkeypatch.setattr(Hypothesis, "rules", lambda self: calls.append(self) or rules(self))
+    script = link_script(Defined("t"), Pair(P2, P1), "none", P1, P2, None)
+    for _ in range(3):
+        assert "block concludes" in check_script(script, registry, core, BASE_DEFINITIONS).reason
+    assert len(calls) == 1
+
+
+def test_an_extended_rule_set_dies_with_its_base():
+    base = core_rules()
+    extended = weakref.ref(base.extended_once(LINK_HYPOTHESIS, LINK_HYPOTHESIS.rules))
+    gc.collect()
+    assert extended() is not None
+    del base
+    gc.collect()
+    assert extended() is None
+
+
+@pytest.mark.parametrize("text", [
+    'theorem g "goal" { prove $x = P1 qed by normalize }',
+    'theorem g "chain term" { prove P1 = P1 qed by chain [P1, $x, P1] }',
+    'theorem g "instantiation" { prove P1 = P1 have e : P1 = P1 by theorem 2.4a with x := $x qed by e }',
+])
+def test_goals_chain_terms_and_instantiations_are_ground(text):
+    # facts are built from these, which is what lets the kernel compare a
+    # fact with a link literally
+    with pytest.raises(ParseError, match="pattern variables"):
+        parse_scripts(text)
 
 
 def test_normalize_step(core, registry):

@@ -1,4 +1,4 @@
-"""No new recursive walker: the functions in ``src/trc`` that call themselves."""
+"""No new recursive walker: the call cycles among the functions in ``src/trc``."""
 
 from __future__ import annotations
 
@@ -10,27 +10,115 @@ import trc
 SRC = Path(trc.__file__).parent
 
 
-def self_calling_functions() -> set[str]:
-    """``module.function`` (``module.outer.inner`` when nested) for every
-    module-level or nested function, not method, that calls its own bare name."""
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef) or isinstance(parents[fn], ast.ClassDef):
+def _enclosing(node: ast.AST, parents: dict) -> list[ast.AST]:
+    """``node`` and its ancestors, innermost first."""
+    chain = [node]
+    while chain[-1] in parents:
+        chain.append(parents[chain[-1]])
+    return chain
+
+
+def _qualified(node: ast.AST, parents: dict) -> str:
+    names = [n.name for n in _enclosing(node, parents) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    return ".".join(reversed(names))
+
+
+def call_graph(tree: ast.Module) -> dict[str, set[str]]:
+    """Caller -> callees among one module's functions and methods, named
+    ``outer.inner`` when nested and ``Class.method`` for methods.
+
+    A bare-name call resolves as Python resolves the name: to a function
+    defined in the innermost enclosing function that has one, else to a
+    module-level function; class bodies are skipped.  ``self.name(...)``
+    inside a method resolves to the method of that name in its class."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    defined = {_qualified(fn, parents) for fn in functions}
+    graph: dict[str, set[str]] = {}
+    for fn in functions:
+        caller = _qualified(fn, parents)
+        scopes = [node for node in _enclosing(fn, parents) if isinstance(node, ast.FunctionDef)]
+        owner = parents[fn]
+        callees = graph.setdefault(caller, set())
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
                 continue
-            if not any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == fn.name
-                       for n in ast.walk(fn)):
-                continue
-            names = [fn.name]
-            up = parents[fn]
-            while up in parents:
-                if isinstance(up, (ast.FunctionDef, ast.ClassDef)):
-                    names.append(up.name)
-                up = parents[up]
-            found.add(".".join([path.stem, *reversed(names)]))
+            if isinstance(call.func, ast.Name):
+                options = [f"{_qualified(scope, parents)}.{call.func.id}" for scope in scopes]
+                callees.update([name for name in options + [call.func.id] if name in defined][:1])
+            elif (isinstance(call.func, ast.Attribute) and isinstance(call.func.value, ast.Name)
+                  and call.func.value.id == "self" and isinstance(owner, ast.ClassDef)):
+                method = f"{_qualified(owner, parents)}.{call.func.attr}"
+                if method in defined:
+                    callees.add(method)
+    return graph
+
+
+def cycles(graph: dict[str, set[str]]) -> set[frozenset[str]]:
+    """The strongly connected components that hold a cycle (Tarjan's
+    algorithm, with an explicit stack)."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    found: set[frozenset[str]] = set()
+    for root in graph:
+        if root in index:
+            continue
+        work = [(root, iter(sorted(graph[root])))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, callees = work[-1]
+            for callee in callees:
+                if callee not in index:
+                    index[callee] = low[callee] = len(index)
+                    stack.append(callee)
+                    on_stack.add(callee)
+                    work.append((callee, iter(sorted(graph.get(callee, ())))))
+                    break
+                if callee in on_stack:
+                    low[node] = min(low[node], index[callee])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                if low[node] == index[node]:
+                    component = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    if len(component) > 1 or node in graph.get(node, ()):
+                        found.add(frozenset(component))
     return found
+
+
+def module_graphs() -> dict[str, dict[str, set[str]]]:
+    return {path.stem: call_graph(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+
+
+def self_calling_functions() -> set[str]:
+    """``module.function`` (``module.outer.inner`` when nested,
+    ``module.Class.method`` for a method) for every function that calls
+    itself."""
+    return {
+        f"{module}.{fn}"
+        for module, graph in module_graphs().items()
+        for fn, callees in graph.items() if fn in callees
+    }
+
+
+def call_cycles() -> set[frozenset[str]]:
+    """Every cycle of calls within one module, as the set of its members."""
+    return {
+        frozenset(f"{module}.{fn}" for fn in component)
+        for module, graph in module_graphs().items()
+        for component in cycles(graph)
+    }
 
 
 def test_only_the_known_functions_call_themselves():
@@ -40,3 +128,34 @@ def test_only_the_known_functions_call_themselves():
         "mutate._step_mutants",
         "stratify.optimize.go",
     }
+
+
+def test_only_the_known_call_cycles():
+    # mutual recursion, which the self-call check above cannot see
+    assert call_cycles() == {
+        frozenset({"terms.expand_defined"}),
+        frozenset({"kernel.map_step"}),
+        frozenset({"mutate._step_mutants"}),
+        frozenset({"stratify.optimize.go"}),
+        # the term parser: an argument in parentheses is a whole term
+        frozenset({"terms.parse_atom", "terms.parse_term_tokens"}),
+        # the proof checker: a contradiction or cases step runs a block
+        frozenset({
+            "kernel._Checker.run_block", "kernel._Checker.run_step", "kernel._Checker._dispatch",
+            "kernel._Checker._contradiction", "kernel._Checker._cases",
+        }),
+        # the script parser: a contradiction or cases method holds a block
+        frozenset({
+            "scriptfile._ScriptParser.parse_block_items", "scriptfile._ScriptParser.parse_method",
+            "scriptfile._ScriptParser.parse_inner_block",
+        }),
+    }
+
+
+def test_a_cycle_through_two_functions_is_found():
+    tree = ast.parse(
+        "def even(n):\n    return n == 0 or odd(n - 1)\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n"
+        "def alone(n):\n    return even(n)\n"
+    )
+    assert cycles(call_graph(tree)) == {frozenset({"even", "odd"})}
