@@ -54,47 +54,26 @@ def call_graph(tree: ast.Module) -> dict[str, set[str]]:
     return graph
 
 
+def _reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    """The functions ``start`` calls, directly or through others."""
+    seen: set[str] = set()
+    todo = list(graph.get(start, ()))
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(graph.get(name, ()))
+    return seen
+
+
 def cycles(graph: dict[str, set[str]]) -> set[frozenset[str]]:
-    """The strongly connected components that hold a cycle (Tarjan's
-    algorithm, with an explicit stack)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    found: set[frozenset[str]] = set()
-    for root in graph:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(graph[root])))]
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, callees = work[-1]
-            for callee in callees:
-                if callee not in index:
-                    index[callee] = low[callee] = len(index)
-                    stack.append(callee)
-                    on_stack.add(callee)
-                    work.append((callee, iter(sorted(graph.get(callee, ())))))
-                    break
-                if callee in on_stack:
-                    low[node] = min(low[node], index[callee])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
-                if low[node] == index[node]:
-                    component = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == node:
-                            break
-                    if len(component) > 1 or node in graph.get(node, ()):
-                        found.add(frozenset(component))
-    return found
+    """The groups of functions that call one another, each as the set of
+    its members; a function that calls itself is a group of one."""
+    reach = {name: _reachable(graph, name) for name in graph}
+    return {
+        frozenset(other for other in reach[name] if name in reach[other])
+        for name in graph if name in reach[name]
+    }
 
 
 def module_graphs() -> dict[str, dict[str, set[str]]]:
