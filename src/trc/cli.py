@@ -4,7 +4,8 @@ Commands: ``parse``, ``normalize``, ``eq``, ``stratify``, ``abstract``,
 ``compile``, ``check``, ``corpus``.  Exit codes: 0 on success or a passing
 check, 1 on a mathematical failure (failed or unknown verdicts, rejected
 abstraction, exhausted normalization), 2 on usage or syntax errors, including
-terms nested too deeply for the parser, term equality or ``--optimize``.
+input nested too deeply for term equality, ``--optimize`` or the nested blocks
+of a proof script.
 
 The engine configuration is settable with ``--fuel``, ``--ext-depth``,
 ``--printed-axioms``, ``--no-surjective-pairing``, ``--no-eq-refl``, or a
@@ -290,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return MATH_FAILURE
     except RecursionError:
-        print("error: term is nested too deeply", file=sys.stderr)
+        print("error: input is nested too deeply", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -27,6 +27,7 @@ Combinator definition files hold one definition per line::
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Optional
 
 from .kernel import (
@@ -37,7 +38,7 @@ from .kernel import (
 )
 from .stratify import CombinatorSpec
 from .terms import (
-    Defined, ParseError, Term, TokenStream, parse_term_tokens, substitute, tokenize,
+    Defined, ParseError, Term, Token, TokenStream, parse_term_tokens, substitute, tokenize,
 )
 
 # Words with structural meaning in script files; they terminate embedded
@@ -282,25 +283,24 @@ def parse_scripts(text: str, source: str = "<script>") -> list[ProofScript]:
 def parse_combinator_specs(text: str) -> list[CombinatorSpec]:
     """One definition per line: ``NAME x1 ... xn = term``."""
     specs: list[CombinatorSpec] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("--", 1)[0].strip()
-        if not line:
-            continue
-        ts = TokenStream(tokenize(line))
-        name = ts.expect("WORD").text
-        params: list[str] = []
+    for lineno, line in groupby(tokenize(text)[:-1], key=lambda tok: tok.line):
+        toks = list(line)
+        last = toks[-1]  # the definition ends just after its last token
+        ts = TokenStream(toks + [Token("EOF", "", lineno, last.col + len(last.text))])
+        name = ts.expect("WORD")
+        params: list[Token] = []
         while ts.peek().kind == "WORD":
-            params.append(ts.next().text)
+            params.append(ts.next())
         ts.expect("=")
         body = _term(ts)
         tok = ts.peek()
         if tok.kind != "EOF":
             raise ParseError(f"trailing input in definition on line {lineno}", tok.line, tok.col)
         for p in params:
-            if not p[0].islower():
-                raise ParseError(f"parameter {p!r} must be a variable", lineno, 1)
+            if not p.text[0].islower():
+                raise ParseError(f"parameter {p.text!r} must be a variable", p.line, p.col)
         try:
-            specs.append(CombinatorSpec(name, tuple(params), body))
+            specs.append(CombinatorSpec(name.text, tuple(p.text for p in params), body))
         except ValueError as exc:
-            raise ParseError(str(exc), lineno, 1) from None
+            raise ParseError(str(exc), name.line, name.col) from None
     return specs

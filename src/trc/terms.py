@@ -22,16 +22,18 @@ running to the end of the line.
 Term traversal goes through ``subterms`` (preorder, with positions),
 ``nodes`` (preorder, without positions) and ``rebuild`` (a bottom-up copy
 mapping each atom); substitution, definition unfolding, pattern conversion
-and the size and variable queries are built on them.  These three and
-``render`` keep their own stacks, so they handle terms of any depth.  Term
-``==`` and ``hash`` are the generated dataclass methods, which recurse.
+and the size and variable queries are built on them.  These three,
+``render`` and the parser keep their own stacks, so they handle terms of any
+depth.  The tokenizer is one regular expression with an alternative per token
+class.  Term ``==`` and ``hash`` are the generated dataclass methods, which
+recurse.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
 class TrcError(Exception):
@@ -373,77 +375,49 @@ def render(t: Term) -> str:
 # Lexer (shared by the term grammar and the proof-script grammar)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # WORD, PATVAR, STRING, EOF, or the punctuation text itself
     text: str
     line: int
     col: int
 
 
-_PUNCT2 = (":=", "!=", "=>")
-_PUNCT1 = "()<>,[]{}:;=|"
-_WORD_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.'-]*")
+# One alternative per token class, tried in order at each position; BAD is
+# any other single character.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<NEWLINE>\n)",
+    r"(?P<SKIP>[ \t\r]+)",
+    r"(?P<COMMENT>--[^\n]*)",
+    r"(?P<PUNCT>:=|!=|=>|[()<>,\[\]{}:;=|])",
+    r'"(?P<STRING>[^"\n]*)"',
+    r"(?P<PATVAR>\$[A-Za-z0-9_][A-Za-z0-9_.'-]*)",
+    r"(?P<WORD>[A-Za-z0-9_][A-Za-z0-9_.'-]*)",
+    r"(?P<BAD>.)",
+]))
+# a quote or a '$' is BAD only where its STRING or PATVAR alternative failed
+_BAD_CHARACTERS = {'"': "unterminated string", "$": "'$' must introduce a pattern variable"}
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0  # line number, and the offset where that line starts
+    m = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP" or kind == "COMMENT":
+            continue
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            toks.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT1:
-            toks.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", line, col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, col)
-            toks.append(Token("STRING", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch == "$":
-            m = _WORD_RE.match(text, i + 1)
-            if not m:
-                raise ParseError("'$' must introduce a pattern variable", line, col)
-            toks.append(Token("PATVAR", "$" + m.group(0), line, col))
-            col += 1 + len(m.group(0))
-            i = m.end()
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            toks.append(Token("WORD", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+        value = m.group(kind)
+        col = m.start() - line_start + 1
+        if kind == "BAD":
+            raise ParseError(_BAD_CHARACTERS.get(value, f"unexpected character {value!r}"), line, col)
+        toks.append(Token(value if kind == "PUNCT" else kind, value, line, col))
+    # a comment at the very end of the input does not move the end position
+    end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(text)
+    toks.append(Token("EOF", "", line, end - line_start + 1))
     return toks
 
 
@@ -481,66 +455,63 @@ class TokenStream:
 _ATOM_STARTERS = ("WORD", "PATVAR", "(", "<")
 
 
-def _classify_ident(name: str, tok: Token) -> Term:
-    if not _IDENT_RE.fullmatch(name):
-        raise ParseError(f"{name!r} is not a valid identifier", tok.line, tok.col)
-    if name[0].isupper():
-        return Defined(name)
-    return Var(name)
-
-
-def parse_atom(ts: TokenStream, pattern: bool) -> Term:
-    tok = ts.peek()
-    if tok.kind == "WORD":
-        if tok.text == "k":
-            ts.next()
-            ts.expect("(")
-            body = parse_term_tokens(ts, pattern)
-            ts.expect(")")
-            return KWrap(body)
-        if tok.text in CONSTANTS:
-            ts.next()
-            return CONSTANTS[tok.text]
-        ts.next()
-        return _classify_ident(tok.text, tok)
-    if tok.kind == "PATVAR":
-        if not pattern:
-            raise ParseError("pattern variables are only allowed in patterns", tok.line, tok.col)
-        ts.next()
-        return PatVar(tok.text)
-    if tok.kind == "(":
-        ts.next()
-        t = parse_term_tokens(ts, pattern)
-        ts.expect(")")
-        return t
-    if tok.kind == "<":
-        ts.next()
-        left = parse_term_tokens(ts, pattern)
-        ts.expect(",")
-        right = parse_term_tokens(ts, pattern)
-        ts.expect(">")
-        return Pair(left, right)
-    raise ParseError(
-        f"got {tok.text or tok.kind!r}", tok.line, tok.col,
-        ("identifier", "k(", "<", "("),
-    )
-
-
 def parse_term_tokens(
     ts: TokenStream, pattern: bool = False, reserved: frozenset[str] = frozenset()
 ) -> Term:
-    """Parse one term; WORD tokens in ``reserved`` end the term (script keywords)."""
-    def stopped() -> bool:
-        tok = ts.peek()
-        return tok.kind == "WORD" and tok.text in reserved
+    """Parse one term; WORD tokens in ``reserved`` end the term (script keywords).
 
-    if stopped():
+    Only the outermost term stops at a reserved word: inside brackets it is
+    an identifier.  Each open bracket (``k(``, ``(``, ``<`` and the right
+    side ``<...,``) is a frame on an explicit stack holding the application
+    folded before the bracket opened, so nesting costs no recursion.
+    """
+    # frames: (opener, the application before it, the left side of a pair)
+    stack: list[tuple[str, Optional[Term], Optional[Term]]] = []
+    t: Optional[Term] = None  # the application folded so far in the innermost bracket
+    while True:
         tok = ts.peek()
-        raise ParseError(f"expected a term, got keyword {tok.text!r}", tok.line, tok.col)
-    t = parse_atom(ts, pattern)
-    while ts.peek().kind in _ATOM_STARTERS and not stopped():
-        t = App(t, parse_atom(ts, pattern))
-    return t
+        kind = tok.kind
+        if kind in _ATOM_STARTERS and (stack or kind != "WORD" or tok.text not in reserved):
+            ts.next()
+            text = tok.text
+            if kind == "WORD":
+                if text == "k":
+                    ts.expect("(")
+                    stack.append(("k(", t, None))
+                    t = None
+                    continue
+                atom = CONSTANTS.get(text)
+                if atom is None:
+                    if not _IDENT_RE.fullmatch(text):
+                        raise ParseError(f"{text!r} is not a valid identifier", tok.line, tok.col)
+                    atom = Defined(text) if text[0].isupper() else Var(text)
+            elif kind == "PATVAR":
+                if not pattern:
+                    raise ParseError("pattern variables are only allowed in patterns", tok.line, tok.col)
+                atom = PatVar(text)
+            else:
+                stack.append((kind, t, None))
+                t = None
+                continue
+        elif t is None:
+            if kind == "WORD":  # a reserved word where the outermost term starts
+                raise ParseError(f"expected a term, got keyword {tok.text!r}", tok.line, tok.col)
+            raise ParseError(
+                f"got {tok.text or kind!r}", tok.line, tok.col, ("identifier", "k(", "<", "("),
+            )
+        elif not stack:
+            return t
+        else:
+            opener, before, left = stack.pop()
+            if opener == "<":
+                ts.expect(",")
+                stack.append(("<,", before, t))
+                t = None
+                continue
+            ts.expect(">" if opener == "<," else ")")
+            atom = KWrap(t) if opener == "k(" else Pair(left, t) if opener == "<," else t
+            t = before
+        t = atom if t is None else App(t, atom)
 
 
 def parse(text: str, *, pattern: bool = False) -> Term:

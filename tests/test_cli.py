@@ -109,6 +109,21 @@ def test_compile_success(tmp_path, capsys):
     assert out.startswith("c = ")
 
 
+@pytest.mark.parametrize("second, error", [
+    ("\n  D x y = x <y", "3:15: got 'EOF' (expected one of: ,)"),
+    ("d x = x )", "2:9: trailing input in definition on line 2"),
+    ("d x Y = x", "2:5: parameter 'Y' must be a variable"),
+    ("  d x x = x", "2:3: d: parameters must be distinct"),
+    ("d x = x @", "2:9: unexpected character '@'"),
+])
+def test_compile_errors_carry_the_file_position(tmp_path, capsys, second, error):
+    f = tmp_path / "bad.defs"
+    f.write_text(f"c x y = x (x y) -- fine\n{second}\n")
+    code, out, err = run(capsys, "compile", str(f))
+    assert code == 2 and not out
+    assert err == f"error: {error}\n"
+
+
 def test_check_command(tmp_path, capsys):
     f = tmp_path / "script.trc"
     f.write_text('''
@@ -224,13 +239,20 @@ def _spine_text(n):
     return " ".join(f"x{i}" for i in range(n))
 
 
-def test_deep_parse_is_usage_error(tmp_path, capsys):
+DEPTH = 10_000
+
+
+@pytest.mark.parametrize("text", [
+    "k(" * DEPTH + "x" + ")" * DEPTH,
+    "<" * DEPTH + "x" + ",x>" * DEPTH,
+    "x (" * DEPTH + "x x" + ")" * DEPTH,
+], ids=["k-nest", "pair-nest", "parenthesis-nest"])
+def test_deep_parse_prints_the_nest(tmp_path, capsys, text):
     f = tmp_path / "nest.trc"
-    f.write_text("k(" * 1200 + "x" + ")" * 1200)
+    f.write_text(text)
     code, out, err = run(capsys, "parse", "--file", str(f))
-    assert code == 2
-    assert not out
-    assert "nested too deeply" in err
+    assert code == 0 and not err
+    assert out == text + "\n"
 
 
 def test_deep_equality_is_usage_error(capsys):
@@ -238,6 +260,17 @@ def test_deep_equality_is_usage_error(capsys):
     code, _, err = run(capsys, "eq", spine, spine)
     assert code == 2
     assert "nested too deeply" in err
+
+
+def test_deeply_nested_proof_blocks_are_usage_error(tmp_path, capsys):
+    proof = "qed by chain [a, a]"
+    for _ in range(300):
+        proof = f"qed by cases Eq <a, a> as (C, D) {{ p1 => {{ {proof} }} }}"
+    f = tmp_path / "cases.trc"
+    f.write_text(f'theorem deep "nested cases" {{ prove a = a {proof} }}')
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 2 and not out
+    assert err == "error: input is nested too deeply\n"
 
 
 def test_normalize_deep_spine(tmp_path, capsys):

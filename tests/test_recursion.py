@@ -116,14 +116,15 @@ def test_only_the_known_call_cycles():
         frozenset({"kernel.map_step"}),
         frozenset({"mutate._step_mutants"}),
         frozenset({"stratify.optimize.go"}),
-        # the term parser: an argument in parentheses is a whole term
-        frozenset({"terms.parse_atom", "terms.parse_term_tokens"}),
-        # the proof checker: a contradiction or cases step runs a block
+        # the proof checker: a contradiction or cases step runs a block.  Kept
+        # recursive: an explicit stack here would add code to the trusted kernel.
         frozenset({
             "kernel._Checker.run_block", "kernel._Checker.run_step", "kernel._Checker._dispatch",
             "kernel._Checker._contradiction", "kernel._Checker._cases",
         }),
-        # the script parser: a contradiction or cases method holds a block
+        # the script parser: a contradiction or cases method holds a block.
+        # Kept recursive: the checker above limits block nesting anyway, so a
+        # flat parser alone would let no deeper script be checked.
         frozenset({
             "scriptfile._ScriptParser.parse_block_items", "scriptfile._ScriptParser.parse_method",
             "scriptfile._ScriptParser.parse_inner_block",

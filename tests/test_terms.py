@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trc
+from trc import scriptfile
 from trc.mutate import _count_projections, _swap_projection
 from trc.terms import (
-    ABST, EQ, P1, P2,
+    ABST, CONSTANTS, EQ, P1, P2,
     App, Const, Defined, KWrap, Pair, ParseError, PatVar, PositionError,
-    TrcError, Var,
+    Token, TokenStream, TrcError, Var,
     app, expand_defined, free_vars, fresh_var, match_pattern, navigate, nodes,
-    parse, parse_pattern, rebuild, render, replace_at, replace_defined,
-    substitute, subterms, term_size, to_pattern,
+    parse, parse_pattern, parse_term_tokens, rebuild, render, replace_at, replace_defined,
+    substitute, subterms, term_size, to_pattern, tokenize,
 )
 
 # ---------------------------------------------------------------------------
@@ -94,6 +100,214 @@ def test_pattern_variables_rejected_outside_patterns():
 @given(terms)
 def test_round_trip(t):
     assert parse(render(t)) == t
+
+
+# ---------------------------------------------------------------------------
+# the front end against the character-at-a-time lexer and recursive parser
+# ---------------------------------------------------------------------------
+# The oracle is the front end the regex tokenizer and the explicit-stack
+# parser replaced; both must give the same tokens, the same term, or the same
+# ParseError (text, line, column and expected tokens).
+
+_ORACLE_PUNCT2 = (":=", "!=", "=>")
+_ORACLE_PUNCT1 = "()<>,[]{}:;=|"
+_ORACLE_WORD_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.'-]*")
+_ORACLE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+
+
+def oracle_tokenize(text):
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        two = text[i : i + 2]
+        if two in _ORACLE_PUNCT2:
+            toks.append(Token(two, two, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _ORACLE_PUNCT1:
+            toks.append(Token(ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                if text[j] == "\n":
+                    raise ParseError("unterminated string", line, col)
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated string", line, col)
+            toks.append(Token("STRING", text[i + 1 : j], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch == "$":
+            m = _ORACLE_WORD_RE.match(text, i + 1)
+            if not m:
+                raise ParseError("'$' must introduce a pattern variable", line, col)
+            toks.append(Token("PATVAR", "$" + m.group(0), line, col))
+            col += 1 + len(m.group(0))
+            i = m.end()
+            continue
+        m = _ORACLE_WORD_RE.match(text, i)
+        if m:
+            toks.append(Token("WORD", m.group(0), line, col))
+            col += len(m.group(0))
+            i = m.end()
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(Token("EOF", "", line, col))
+    return toks
+
+
+def oracle_classify_ident(name, tok):
+    if not _ORACLE_IDENT_RE.fullmatch(name):
+        raise ParseError(f"{name!r} is not a valid identifier", tok.line, tok.col)
+    if name[0].isupper():
+        return Defined(name)
+    return Var(name)
+
+
+def oracle_parse_atom(ts, pattern):
+    tok = ts.peek()
+    if tok.kind == "WORD":
+        if tok.text == "k":
+            ts.next()
+            ts.expect("(")
+            body = oracle_parse_term_tokens(ts, pattern)
+            ts.expect(")")
+            return KWrap(body)
+        if tok.text in CONSTANTS:
+            ts.next()
+            return CONSTANTS[tok.text]
+        ts.next()
+        return oracle_classify_ident(tok.text, tok)
+    if tok.kind == "PATVAR":
+        if not pattern:
+            raise ParseError("pattern variables are only allowed in patterns", tok.line, tok.col)
+        ts.next()
+        return PatVar(tok.text)
+    if tok.kind == "(":
+        ts.next()
+        t = oracle_parse_term_tokens(ts, pattern)
+        ts.expect(")")
+        return t
+    if tok.kind == "<":
+        ts.next()
+        left = oracle_parse_term_tokens(ts, pattern)
+        ts.expect(",")
+        right = oracle_parse_term_tokens(ts, pattern)
+        ts.expect(">")
+        return Pair(left, right)
+    raise ParseError(
+        f"got {tok.text or tok.kind!r}", tok.line, tok.col,
+        ("identifier", "k(", "<", "("),
+    )
+
+
+def oracle_parse_term_tokens(ts, pattern=False, reserved=frozenset()):
+    def stopped():
+        tok = ts.peek()
+        return tok.kind == "WORD" and tok.text in reserved
+
+    if stopped():
+        tok = ts.peek()
+        raise ParseError(f"expected a term, got keyword {tok.text!r}", tok.line, tok.col)
+    t = oracle_parse_atom(ts, pattern)
+    while ts.peek().kind in ("WORD", "PATVAR", "(", "<") and not stopped():
+        t = App(t, oracle_parse_atom(ts, pattern))
+    return t
+
+
+def oracle_parse(text, pattern=False):
+    ts = TokenStream(oracle_tokenize(text))
+    t = oracle_parse_term_tokens(ts, pattern)
+    tok = ts.peek()
+    if tok.kind != "EOF":
+        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col, ("end of input",))
+    return t
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or every field of the ParseError it raises
+    (a script can also fail later, on a hypothesis that does not bind)."""
+    try:
+        return fn(*args)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.col, exc.expected)
+    except TrcError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# reserved script words, inside and outside brackets, next to term syntax
+_FRONT_END_TOKENS = [
+    "x", "y'", "_a", "I", "M", "P1", "P2", "Abst", "Eq", "k", "k(", "(", ")", "<", ",", ">",
+    "$x", "$", "=", "!=", ":=", "let", "qed", "by", "theorem", "false", "k-injection",
+    "2.4a", '"s"', '"', "@", "-- note\n", "--", "\n",
+]
+token_text = st.lists(
+    st.tuples(st.sampled_from(_FRONT_END_TOKENS), st.sampled_from([" ", "", "\n", "\t"])),
+    max_size=16,
+).map(lambda parts: "".join(tok + sep for tok, sep in parts))
+
+
+@settings(max_examples=300)
+@given(st.one_of(token_text, st.text(alphabet=' \t\r\n"$-<>(),:=!|[]{};ab_Z09.\'@é', max_size=30)))
+def test_tokenize_matches_the_character_lexer(text):
+    assert outcome(tokenize, text) == outcome(oracle_tokenize, text)
+
+
+@settings(max_examples=500)
+@given(token_text)
+def test_term_parser_matches_the_recursive_parser(text):
+    assert outcome(parse, text) == outcome(oracle_parse, text)
+    assert outcome(parse_pattern, text) == outcome(oracle_parse, text, True)
+
+
+@settings(max_examples=300)
+@given(token_text, token_text)
+def test_script_terms_match_the_recursive_parser(goal, hypothesis):
+    # the goal's left side stops at a reserved word; brackets do not
+    text = (f'theorem t "g" {{\n hypothesis M : M $x = {hypothesis}\n'
+            f' prove {goal} = x\n qed by normalize\n}}\n')
+    want = outcome(scriptfile.parse_scripts, text)
+    with mock.patch.object(scriptfile, "tokenize", oracle_tokenize), \
+            mock.patch.object(scriptfile, "parse_term_tokens", oracle_parse_term_tokens):
+        assert outcome(scriptfile.parse_scripts, text) == want
+
+
+def test_reserved_words_end_only_the_outermost_term():
+    ts = TokenStream(tokenize("x (let by) <qed, y> let"))
+    t = parse_term_tokens(ts, reserved=frozenset({"let", "by", "qed"}))
+    assert t == app(Var("x"), App(Var("let"), Var("by")), Pair(Var("qed"), Var("y")))
+    assert ts.peek().text == "let"
+    with pytest.raises(ParseError, match="expected a term, got keyword 'let'"):
+        parse_term_tokens(TokenStream(tokenize("let")), reserved=frozenset({"let"}))
+
+
+def test_corpus_files_tokenize_as_before():
+    root = Path(trc.__file__).parent / "corpus"
+    files = sorted(root.iterdir())
+    assert len(files) > 50
+    for f in files:
+        text = f.read_text()
+        assert tokenize(text) == oracle_tokenize(text), f.name
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +659,7 @@ DEEP_CASES = {
     "free_vars": (free_vars, lambda text, size: {"x"}),
     "term_size": (term_size, lambda text, size: size),
     "nodes": (lambda t: sum(1 for _ in nodes(t)), lambda text, size: size),
+    "parse": (lambda t: render(parse(render(t))), lambda text, size: text),
 }
 
 
@@ -454,3 +669,13 @@ def test_walkers_handle_deep_terms(shape, walker):
     t, text, size = shape()
     fn, expected = DEEP_CASES[walker]
     assert fn(t) == expected(text, size)
+
+
+@pytest.mark.parametrize("text, rendered", [
+    ("<" * DEPTH + "x" + ",x>" * DEPTH, None),
+    ("<x," * DEPTH + "x" + ">" * DEPTH, None),
+    ("x (" * DEPTH + "x x" + ")" * DEPTH, None),
+    ("(" * DEPTH + "P1 x" + ")" * DEPTH + " y", "P1 x y"),
+], ids=["left-pairs", "right-pairs", "right-applications", "parentheses"])
+def test_parse_deep_nests(text, rendered):
+    assert render(parse(text)) == (rendered or text)
