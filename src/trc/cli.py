@@ -7,12 +7,15 @@ abstraction, exhausted normalization), 2 on usage or syntax errors, including
 input nested too deeply for term equality, ``--optimize`` or the nested blocks
 of a proof script.
 
-The engine configuration is settable with ``--fuel``, ``--ext-depth``,
-``--printed-axioms``, ``--no-surjective-pairing``, ``--no-eq-refl``, or a
-line-oriented ``key = value`` file passed with ``--config``.  Commands that
-rewrite terms first check the bundled equality theorems in-process and use
-the derived rules they justify; with the uncorrected axiom variants most of
-those theorems fail, and only the surviving rules are used.
+The commands that rewrite terms (``normalize``, ``eq``, ``compile``,
+``check``, ``corpus``) take the engine configuration from ``--fuel``,
+``--ext-depth``, ``--printed-axioms``, ``--no-surjective-pairing``,
+``--no-eq-refl``, or a line-oriented ``key = value`` file passed with
+``--config``; ``parse``, ``stratify`` and ``abstract`` take none of these
+flags.  The rewriting commands first check the bundled equality theorems
+in-process and use the derived rules they justify; with the uncorrected
+axiom variants most of those theorems fail, and only the surviving rules are
+used.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .stratify import (
     CompileError, NotAbstractable, abstract, compile_combinator, optimize,
     replay_conflict, stratify,
 )
-from .terms import ParseError, TrcError, expand_defined, parse, render
+from .terms import ParseError, TrcError, Var, expand_defined, parse, render
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
@@ -98,6 +101,17 @@ def _term_text(args: argparse.Namespace, attr: str) -> str:
     if value is None:
         raise ValueError("missing term argument (or use --file)")
     return value
+
+
+def _variable_name(text: str) -> str:
+    """The name of the variable ``text`` parses to; a usage error otherwise."""
+    try:
+        t = parse(text)
+    except ParseError:
+        t = None
+    if not isinstance(t, Var):
+        raise argparse.ArgumentTypeError(f"not a variable: {text!r}")
+    return t.name
 
 
 def _rules(config: EngineConfig):
@@ -225,7 +239,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse a term and print its canonical form")
     p.add_argument("term", nargs="?")
     p.add_argument("--file", default=None)
-    _add_engine_flags(p)
     p.set_defaults(fn=cmd_parse)
 
     p = sub.add_parser("normalize", help="normalize a term")
@@ -245,15 +258,13 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stratify", help="solve the stratification constraints of a term")
     p.add_argument("term", nargs="?")
     p.add_argument("--file", default=None)
-    _add_engine_flags(p)
     p.set_defaults(fn=cmd_stratify)
 
     p = sub.add_parser("abstract", help="bracket-abstract a variable out of a term")
-    p.add_argument("variable")
+    p.add_argument("variable", type=_variable_name)
     p.add_argument("term", nargs="?")
     p.add_argument("--file", default=None)
     p.add_argument("--optimize", action="store_true")
-    _add_engine_flags(p)
     p.set_defaults(fn=cmd_abstract)
 
     p = sub.add_parser("compile", help="compile combinator definitions from a file")

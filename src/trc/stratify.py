@@ -1,18 +1,22 @@
 """Stratification typing and the bracket-abstraction compiler.
 
-``stratify`` assigns an integer type to every variable of a term, where an
-application's function is exactly one type above its argument, ``k(-)``
-raises the type by one, and the components of a pair share the pair's type.
-Types live in all of the integers (the assignment is shift-invariant); the
-reported assignment is shifted so its minimum is 0.
+Both rest on one level rule (``_LEVEL_STEP``): from the root at level 0,
+levels rise by one into function position, drop by one into ``k(-)`` bodies,
+and stay put into argument and pair positions.
+
+``stratify`` types the variables of a term so that an application's function
+is one type above its argument, ``k(-)`` raises the type by one and a pair's
+components share its type; a subterm's type is then its level shifted by a
+constant.  Types live in all of the integers (the assignment is
+shift-invariant); the reported assignment is shifted so its minimum is 0.
+An unstratified term is explained by a cycle of difference constraints whose
+offsets do not cancel.
 
 ``abstract`` builds, for an admissible variable ``x`` and term ``t``, a term
 ``l`` in which ``x`` does not occur and which behaves like the function
 ``s -> t[s/x]`` up to extensional equality.  Admissibility is the level
-discipline of ``abstraction_levels``: walking from the root at level 0,
-levels rise by one into function position, stay put into argument and pair
-positions, and drop by one into k-bodies; every occurrence of ``x`` must sit
-at level exactly 0 and no subterm containing ``x`` may go negative.  Both
+discipline of ``abstraction_levels``: every occurrence of ``x`` must sit at
+level exactly 0 and no subterm containing ``x`` may go negative.  Both
 functions share one explicit-stack walk that reports the first violation it
 meets (root first, right child before left); ``abstract`` then folds the
 images of the subterms holding ``x`` bottom-up.
@@ -58,7 +62,22 @@ class CompileError(TrcError):
 
 
 # ---------------------------------------------------------------------------
-# Stratification solver (union-find over difference constraints)
+# Levels: the one typing rule of stratification and abstraction
+# ---------------------------------------------------------------------------
+
+_LEVEL_STEP = {FN: 1, KBODY: -1}  # argument and pair positions keep the level
+
+
+def _position(link: tuple) -> Position:
+    sels: list[str] = []
+    while link:
+        sel, link = link
+        sels.append(sel)
+    return tuple(reversed(sels))
+
+
+# ---------------------------------------------------------------------------
+# Stratification (a level walk; difference constraints explain a conflict)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -108,44 +127,6 @@ def term_constraints(t: Term) -> list[Constraint]:
             out.append(Constraint(key, rk, 0, pos))
         # constants and defined names: fresh unconstrained unknown per occurrence
     return out
-
-
-class _OffsetUnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
-        self.offset: dict[str, int] = {}  # value(key) = value(parent) + offset
-
-    def find(self, key: str) -> tuple[str, int]:
-        if key not in self.parent:
-            self.parent[key] = key
-            self.offset[key] = 0
-            return key, 0
-        path = []
-        cur = key
-        total = 0
-        while self.parent[cur] != cur:
-            path.append(cur)
-            total += self.offset[cur]
-            cur = self.parent[cur]
-        # path compression, re-anchoring offsets at the root
-        acc = total
-        for node in path:
-            step = self.offset[node]
-            self.parent[node] = cur
-            self.offset[node] = acc
-            acc -= step
-        return cur, total
-
-    def union(self, a: str, b: str, delta: int) -> bool:
-        """Impose value(a) = value(b) + delta; False on contradiction."""
-        ra, da = self.find(a)
-        rb, db = self.find(b)
-        if ra == rb:
-            return da == db + delta
-        # value(ra) = value(a) - da = value(b) + delta - da = value(rb) + db + delta - da
-        self.parent[ra] = rb
-        self.offset[ra] = db + delta - da
-        return True
 
 
 def _conflict_cycle(constraints: list[Constraint], bad: Constraint) -> tuple[Constraint, ...]:
@@ -208,38 +189,38 @@ def replay_conflict(cycle: tuple[Constraint, ...]) -> int:
 
 
 def stratify(t: Term) -> StratifyResult:
-    constraints = term_constraints(t)
-    uf = _OffsetUnionFind()
-    for i, c in enumerate(constraints):
-        if not uf.union(c.a, c.b, c.offset):
-            return StratifyResult(None, _conflict_cycle(constraints[: i + 1], c))
-    assignment: dict[str, int] = {}
-    anchors: dict[str, int] = {}
-    for name in sorted(free_vars(t)):
-        root, off = uf.find("var:" + name)
-        # variables in separate components are anchored independently at 0
-        base = anchors.setdefault(root, -off)
-        assignment[name] = base + off
-    if assignment:
-        low = min(assignment.values())
-        assignment = {k: v - low for k, v in assignment.items()}
-    return StratifyResult(assignment, None)
+    """Stratification types of the variables of ``t``, or a conflict cycle.
+
+    One preorder walk (left child first) carries each subterm's level by the
+    level rule and records the level of each variable's first occurrence.
+    The term is stratified exactly when every later occurrence sits at that
+    level; the assignment is those levels shifted so their minimum is 0.
+    Otherwise the walk stops at the first diverging occurrence in preorder,
+    and the conflict is the cycle of ``term_constraints`` closed by that
+    occurrence's constraint.
+    """
+    first: dict[str, int] = {}  # variable -> level of its first occurrence
+    stack: list[tuple[Term, int, tuple]] = [(t, 0, ())]
+    while stack:
+        sub, level, link = stack.pop()
+        if type(sub) is Var:
+            if first.setdefault(sub.name, level) != level:
+                # a tree's node constraints never conflict, so the first
+                # contradiction in constraint order is this occurrence's
+                pos = _position(link)
+                constraints = term_constraints(t)
+                i = constraints.index(Constraint(_node_key(pos), "var:" + sub.name, 0, pos))
+                return StratifyResult(None, _conflict_cycle(constraints[: i + 1], constraints[i]))
+            continue
+        for sel, child in reversed(children(sub)):
+            stack.append((child, level + _LEVEL_STEP.get(sel, 0), (sel, link)))
+    low = min(first.values(), default=0)
+    return StratifyResult({name: first[name] - low for name in sorted(first)}, None)
 
 
 # ---------------------------------------------------------------------------
 # Abstraction levels and bracket abstraction
 # ---------------------------------------------------------------------------
-
-_LEVEL_STEP = {FN: 1, KBODY: -1}  # argument and pair positions keep the level
-
-
-def _position(link: tuple) -> Position:
-    sels: list[str] = []
-    while link:
-        sel, link = link
-        sels.append(sel)
-    return tuple(reversed(sels))
-
 
 def _level_walk(x: str, t: Term, every: bool) -> Iterator[tuple[Term, int, tuple]]:
     """``(subterm, level, link)`` from the root at level 0, right child first,

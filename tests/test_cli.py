@@ -68,10 +68,28 @@ def test_stratify_example(capsys):
 
 
 def test_stratify_conflict(capsys):
-    code, out, _ = run(capsys, "stratify", "x (y x)")
-    assert code == 1
-    assert out.startswith("unsatisfiable")
-    assert "net offset" in out
+    code, out, err = run(capsys, "stratify", "x (y x)")
+    assert code == 1 and not err
+    assert out == (
+        "unsatisfiable\n"
+        "  node:argument = node:argument.argument + 0\n"
+        "  node:function = node:argument + 1\n"
+        "  node:function = var:x + 0\n"
+        "  node:argument.argument = var:x + 0\n"
+        "  net offset 1\n"
+    )
+
+
+@pytest.mark.parametrize("text, code, out", [
+    ("x x", 1, "unsatisfiable\n"
+               "  node:function = node:argument + 1\n"
+               "  node:function = var:x + 0\n"
+               "  node:argument = var:x + 0\n"
+               "  net offset 1\n"),
+    ("P1", 0, "\n"),
+])
+def test_stratify_output_is_pinned(capsys, text, code, out):
+    assert run(capsys, "stratify", text) == (code, out, "")
 
 
 def test_abstract_identity(capsys):
@@ -83,6 +101,20 @@ def test_abstract_rejects(capsys):
     code, _, err = run(capsys, "abstract", "x", "x y")
     assert code == 1
     assert "x-at-nonzero-level" in err
+
+
+@pytest.mark.parametrize("variable", ["", "x y", "P1", "I", "$x"])
+def test_abstract_variable_must_parse_as_a_variable(capsys, variable):
+    code, out, err = run(capsys, "abstract", variable, "x")
+    assert code == 2 and not out
+    assert f"not a variable: {variable!r}" in err
+
+
+@pytest.mark.parametrize("command", [["parse", "x"], ["stratify", "x"], ["abstract", "x", "x"]])
+def test_commands_that_do_not_rewrite_take_no_engine_flags(capsys, command):
+    code, out, err = run(capsys, *command, "--config", "/nonexistent")
+    assert code == 2 and not out
+    assert "unrecognized arguments: --config /nonexistent" in err
 
 
 def test_abstract_reports_the_first_violation_in_walk_order(capsys):
@@ -255,6 +287,14 @@ def test_deep_parse_prints_the_nest(tmp_path, capsys, text):
     assert out == text + "\n"
 
 
+def test_stratify_deep_chain(tmp_path, capsys):
+    f = tmp_path / "chain.trc"
+    f.write_text("".join(f"f{i} (" for i in range(DEPTH)) + "y" + ")" * DEPTH)
+    code, out, err = run(capsys, "stratify", "--file", str(f))
+    assert code == 0 and not err
+    assert out == "y:0 " + " ".join(f"{name}:1" for name in sorted(f"f{i}" for i in range(DEPTH))) + "\n"
+
+
 def test_deep_equality_is_usage_error(capsys):
     spine = _spine_text(3000)
     code, _, err = run(capsys, "eq", spine, spine)
@@ -357,6 +397,8 @@ def command_lines(draw, tmp_path):
     switches = {"normalize": ["--trace"], "eq": ["--trace"], "abstract": ["--optimize"],
                 "compile": ["--optimize"], "corpus": ["--trace", "--list"]}
     argv += draw(st.lists(st.sampled_from(switches.get(command, ["--trace"])), max_size=1))
+    if command in ("parse", "stratify", "abstract"):
+        return argv
     return argv + draw(engine_flags)
 
 

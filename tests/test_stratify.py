@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from trc.corpus import BASE_DEFINITIONS
 from trc.engine import ext_equal
 from trc.stratify import (
-    IDENTITY, CombinatorSpec, NotAbstractable, abstract, abstraction_levels,
-    compile_combinator, optimize, replay_conflict, stratify, term_constraints,
+    IDENTITY, CombinatorSpec, NotAbstractable, StratifyResult, _conflict_cycle, abstract,
+    abstraction_levels, compile_combinator, optimize, replay_conflict, stratify,
+    term_constraints,
 )
 from trc.terms import (
     ABST, EQ, P1, P2, App, Defined, KWrap, Pair, Var, app, children, free_vars,
@@ -80,6 +81,97 @@ def test_stratify_conflict_walk_is_connected():
     closing = got.conflict[-1]
     assert replay_conflict(got.conflict) != 0
     assert closing.offset != 0 or len(got.conflict) > 1
+
+
+# The union-find solver over all of term_constraints, with components
+# anchored separately, kept as the reference for the level walk.
+
+class OracleOffsetUnionFind:
+    def __init__(self):
+        self.parent = {}
+        self.offset = {}  # value(key) = value(parent) + offset
+
+    def find(self, key):
+        if key not in self.parent:
+            self.parent[key] = key
+            self.offset[key] = 0
+            return key, 0
+        path = []
+        cur = key
+        total = 0
+        while self.parent[cur] != cur:
+            path.append(cur)
+            total += self.offset[cur]
+            cur = self.parent[cur]
+        acc = total
+        for node in path:
+            step = self.offset[node]
+            self.parent[node] = cur
+            self.offset[node] = acc
+            acc -= step
+        return cur, total
+
+    def union(self, a, b, delta):
+        """Impose value(a) = value(b) + delta; False on contradiction."""
+        ra, da = self.find(a)
+        rb, db = self.find(b)
+        if ra == rb:
+            return da == db + delta
+        self.parent[ra] = rb
+        self.offset[ra] = db + delta - da
+        return True
+
+
+def oracle_stratify(t):
+    constraints = term_constraints(t)
+    uf = OracleOffsetUnionFind()
+    for i, c in enumerate(constraints):
+        if not uf.union(c.a, c.b, c.offset):
+            return StratifyResult(None, _conflict_cycle(constraints[: i + 1], c))
+    assignment = {}
+    anchors = {}
+    for name in sorted(free_vars(t)):
+        root, off = uf.find("var:" + name)
+        base = anchors.setdefault(root, -off)
+        assignment[name] = base + off
+    if assignment:
+        low = min(assignment.values())
+        assignment = {k: v - low for k, v in assignment.items()}
+    return StratifyResult(assignment, None)
+
+
+stratify_leaves = st.one_of(
+    st.builds(Var, st.sampled_from(["x", "y", "z"])),
+    st.sampled_from([ABST, EQ, P1, P2, IDENTITY, Defined("B")]),
+)
+stratify_terms = st.recursive(
+    stratify_leaves,
+    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub)),
+    max_leaves=24,
+)
+# a subterm that holds a variable, used twice at levels one apart: always
+# unsatisfiable, so that most draws below have a conflict to compare
+_holding_var = st.builds(lambda u, v, left: Pair(v, u) if left else App(u, v),
+                         stratify_terms, st.builds(Var, st.sampled_from(["x", "y", "z"])),
+                         st.booleans())
+stratify_doubles = st.one_of(
+    _holding_var.map(lambda u: App(u, u)),
+    _holding_var.map(lambda u: Pair(u, KWrap(u))),
+)
+
+
+@settings(max_examples=400)
+@given(st.one_of(stratify_terms, stratify_doubles))
+@example(parse("x (y x)"))
+@example(parse("x x"))
+@example(parse("P1"))
+@example(parse("y (x y z)"))
+@example(parse("<x, k(x)>"))
+@example(parse("k(B x) <I, y x>"))
+def test_level_walk_matches_the_union_find(t):
+    got, want = stratify(t), oracle_stratify(t)
+    assert got.assignment == want.assignment
+    assert got.conflict == want.conflict
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +382,35 @@ def test_abstract_deep_pair_nest():
     got = abstract("x", t)
     assert free_vars(got) == {"y"}
     assert render(got) == render(want)
+
+
+def test_stratify_deep_chain():
+    # f0 (f1 (... (f9999 y))): every function at level 1, y at 0
+    t = Var("y")
+    for i in reversed(range(DEPTH)):
+        t = App(Var(f"f{i}"), t)
+    want = {f"f{i}": 1 for i in range(DEPTH)}
+    want["y"] = 0
+    assert stratify(t).assignment == want
+
+
+def test_stratify_deep_k_nest():
+    # k(<v0, k(<v1, ... k(<v9999, x>) ...>)>): v_i at level -(i+1), x with the last
+    t = Var("x")
+    for i in reversed(range(DEPTH)):
+        t = KWrap(Pair(Var(f"v{i}"), t))
+    want = {f"v{i}": DEPTH - 1 - i for i in range(DEPTH)}
+    want["x"] = 0
+    assert stratify(t).assignment == want
+
+
+def test_stratify_deep_pair_nest():
+    t = Var("x")
+    for i in range(DEPTH):
+        t = Pair(t, Var(f"y{i}"))
+    want = {f"y{i}": 0 for i in range(DEPTH)}
+    want["x"] = 0
+    assert stratify(t).assignment == want
 
 
 def test_abstraction_levels_deep_chain():
