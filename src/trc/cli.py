@@ -94,13 +94,15 @@ def build_config(args: argparse.Namespace) -> EngineConfig:
     return replace(EngineConfig(), **changes)
 
 
-def _term_text(args: argparse.Namespace, attr: str) -> str:
-    value = getattr(args, attr)
+def _term_text(args: argparse.Namespace) -> str:
+    """The term given as the argument or, with ``--file``, read from a file."""
     if args.file:
+        if args.term is not None:
+            raise ValueError("give the term as an argument or with --file, not both")
         return Path(args.file).read_text().strip()
-    if value is None:
+    if args.term is None:
         raise ValueError("missing term argument (or use --file)")
-    return value
+    return args.term
 
 
 def _variable_name(text: str) -> str:
@@ -120,14 +122,14 @@ def _rules(config: EngineConfig):
 
 
 def cmd_parse(args) -> int:
-    print(render(parse(_term_text(args, "term"))))
+    print(render(parse(_term_text(args))))
     return 0
 
 
 def cmd_normalize(args) -> int:
     config = build_config(args)
     rs = _rules(config)
-    t = expand_defined(parse(_term_text(args, "term")), BASE_DEFINITIONS)
+    t = expand_defined(parse(_term_text(args)), BASE_DEFINITIONS)
     result = normalize(t, rs)
     if args.trace:
         for line in result.lines():
@@ -152,7 +154,7 @@ def cmd_eq(args) -> int:
 
 
 def cmd_stratify(args) -> int:
-    result = stratify(parse(_term_text(args, "term")))
+    result = stratify(parse(_term_text(args)))
     if result.satisfiable:
         items = sorted(result.assignment.items(), key=lambda kv: (kv[1], kv[0]))
         print(" ".join(f"{name}:{level}" for name, level in items))
@@ -165,7 +167,7 @@ def cmd_stratify(args) -> int:
 
 
 def cmd_abstract(args) -> int:
-    t = parse(_term_text(args, "term"))
+    t = parse(_term_text(args))
     try:
         out = abstract(args.variable, t)
     except NotAbstractable as exc:

@@ -38,13 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Protocol
+from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from .terms import (
     ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
     App, Const, Defined, KWrap, Pair, PatVar, Term, TrcError, Var,
     expand_defined, format_position, free_vars, fresh_var, navigate, nodes,
-    pattern_vars, render, replace_at, to_pattern, with_child, Position,
+    pattern_vars, render, replace_at, with_child, Position,
 )
 # Not called here: the reference path that compiled rules reproduce, and a
 # name bench/tracer.py patches to count first-order matches.
@@ -470,36 +470,3 @@ def ext_equal(
         left = App(ln.result, Var(fresh))
         right = App(rn.result, Var(fresh))
     return ExtEvidence(False, tuple(levels))
-
-
-# ---------------------------------------------------------------------------
-# Derived-rule registration
-# ---------------------------------------------------------------------------
-
-class EqualityRecord(Protocol):
-    """What the engine needs to know about a kernel-checked theorem."""
-
-    @property
-    def theorem_id(self) -> str: ...
-
-    def equation_sides(self) -> Optional[tuple[Term, Term]]: ...
-
-
-def register_derived_rule(rs: RuleSet, lhs: Term, rhs: Term, record: EqualityRecord) -> RuleSet:
-    """Extend ``rs`` with a derived rule backed by a checked equality theorem.
-
-    The record's statement must be exactly ``lhs = rhs`` (with object
-    variables where the rule has pattern variables); anything else is
-    rejected.  Extending a rule set never changes the meaning of equalities
-    already derivable, only their reachability by rewriting.
-    """
-    sides = record.equation_sides()
-    if sides is None:
-        raise RuleError(f"theorem {record.theorem_id} is not an equality")
-    want_lhs, want_rhs = to_pattern(sides[0]), to_pattern(sides[1])
-    if (want_lhs, want_rhs) != (lhs, rhs):
-        raise RuleError(
-            f"statement mismatch for {record.theorem_id}: "
-            f"rule says {render(lhs)} -> {render(rhs)}"
-        )
-    return rs.extended([Rule(record.theorem_id, lhs, rhs, f"derived:{record.theorem_id}")])

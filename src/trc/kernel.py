@@ -1,10 +1,17 @@
 """A small trusted checker for equational and refutational proofs.
 
-Judgments are equalities, disequalities, and falsum, implicitly universally
-quantified over their free variables.  A proof script is checked step by
-step; the checker either accepts every step (pass) or pinpoints the first
-unjustifiable one (fail).  Checking never raises for mathematical failure,
-only for malformed scripts.
+Judgments are equalities, disequalities, and falsum.  A proof script is
+checked step by step; the checker either accepts every step (pass) or
+pinpoints the first unjustifiable one (fail).  Checking never raises for
+mathematical failure, only for malformed scripts.
+
+Generalization has one rule: a fact holds for all values of its variables
+except those fixed by an open assumption.  A ``contradiction as`` block, and
+each branch of ``cases``, fixes the variables of its assumption's sides,
+counted after ``let`` expansion, for as long as it is open.  The one place
+facts are generalized is the discharge of a cited refutation's hypothesis
+equations, which compares them with facts up to renaming every variable that
+is not fixed (see ``_Checker.canonical``).
 
 Step repertoire:
 
@@ -22,14 +29,14 @@ Step repertoire:
 * ``ext K``: both sides applied to K fresh variables reach one normal form.
 * ``cases Eq <a,b>``: classical dichotomy; branch one assumes a = b and
   ``Eq <a,b> = P1``, branch two assumes a != b and ``Eq <a,b> = P2``; both
-  branches must prove the goal.  With syntactically identical arguments the
-  second branch may be omitted.
+  branches must prove the goal, and both fix the variables of a and b.  With
+  syntactically identical arguments the second branch may be omitted.
 * ``theorem ID``: instantiate a registered statement; for a registered
   refutation, the instantiated hypothesis equations must be discharged by
-  facts already proved, and the conclusion is falsum.
+  facts already proved (or by the script's own hypothesis), and the
+  conclusion is falsum.
 * ``contradiction as H { ... }``: proves a disequality by deriving falsum
-  from the assumed equality.  Variables of the assumption are fixed (not
-  generalizable) inside the block.
+  from the assumed equality, whose variables the block fixes.
 * ``falsum A B``: falsum from an equality and a disequality over the same
   pair of terms.
 * ``k-injection A``: from k(s) = k(t) conclude s = t.
@@ -46,12 +53,12 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
 
-from .engine import Rule, RuleSet, RuleError, normalize, register_derived_rule, rule_match
+from .engine import Rule, RuleSet, RuleError, normalize, rule_match
 from .terms import (
     EQ, P1, P2,
     App, Defined, KWrap, Pair, PatVar, Term, TrcError, Var,
     children, defined_names, expand_defined, free_vars, fresh_var, nodes,
-    pattern_vars, render, replace_defined, substitute, to_pattern,
+    pattern_vars, rebuild, render, replace_defined, substitute, to_pattern,
 )
 
 
@@ -99,10 +106,6 @@ def judgment_vars(j: Judgment) -> set[str]:
     if isinstance(j, Falsum):
         return set()
     return free_vars(j.lhs) | free_vars(j.rhs)
-
-
-def substitute_judgment(j: Judgment, subst: Mapping[str, Term]) -> Judgment:
-    return map_judgment(j, lambda t: substitute(t, subst))
 
 
 # ---------------------------------------------------------------------------
@@ -364,37 +367,36 @@ class Registry:
         stray = set(subst) - judgment_vars(record.statement)
         if stray:
             raise RegistryError(f"substitution binds variables {sorted(stray)} not free in {theorem_id}")
-        return substitute_judgment(record.statement, subst)
+        return map_judgment(record.statement, lambda t: substitute(t, subst))
 
     def derived_rule(self, rs: RuleSet, theorem_id: str) -> RuleSet:
-        """Register the statement of ``theorem_id`` as an oriented rewrite rule."""
-        record = self.get(theorem_id)
-        sides = record.equation_sides()
+        """``rs`` extended by the registered equality ``theorem_id``, oriented
+        left to right, as the rule ``derived:<id>``.  Registered equalities
+        are the only source of derived rules."""
+        sides = self.get(theorem_id).equation_sides()
         if sides is None:
             raise RuleError(f"theorem {theorem_id} is not an equality")
-        return register_derived_rule(rs, to_pattern(sides[0]), to_pattern(sides[1]), record)
+        lhs, rhs = sides
+        return rs.extended([Rule(theorem_id, to_pattern(lhs), to_pattern(rhs), "derived:" + theorem_id)])
 
 
 # ---------------------------------------------------------------------------
 # Checking
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Fact:
-    judgment: Judgment
-    fixed: frozenset[str]  # variables not generalizable (fixed by an assumption)
-
-
 class _Scope:
-    def __init__(self, parent: Optional["_Scope"] = None):
+    """Labelled facts, and the variables fixed while this scope is open."""
+
+    def __init__(self, parent: Optional["_Scope"] = None, fixed: frozenset[str] = frozenset()):
         self.parent = parent
-        self.facts: dict[str, _Fact] = {}
-        self.fixed: frozenset[str] = parent.fixed if parent else frozenset()
+        self.facts: dict[str, Judgment] = {}
+        self.fixed = fixed
 
-    def child(self) -> "_Scope":
-        return _Scope(self)
+    def child(self, fixing: set[str]) -> "_Scope":
+        """A scope inside this one that also fixes the variables ``fixing``."""
+        return _Scope(self, self.fixed | fixing)
 
-    def lookup(self, label: str) -> Optional[_Fact]:
+    def lookup(self, label: str) -> Optional[Judgment]:
         scope: Optional[_Scope] = self
         while scope is not None:
             if label in scope.facts:
@@ -402,19 +404,20 @@ class _Scope:
             scope = scope.parent
         return None
 
-    def add(self, label: str, judgment: Judgment, fixed: frozenset[str]) -> None:
+    def add(self, label: str, judgment: Judgment) -> None:
         if label in self.facts:
             raise ScriptError(f"duplicate label {label!r}")
-        self.facts[label] = _Fact(judgment, fixed)
+        self.facts[label] = judgment
 
-    def iter_equalities(self) -> Iterator[tuple[str, _Fact]]:
+    def iter_equalities(self) -> Iterator[tuple[str, Equal, frozenset[str]]]:
+        """Each equality in scope, with the variables fixed where it was proved."""
         seen: set[str] = set()
         scope: Optional[_Scope] = self
         while scope is not None:
             for label, fact in scope.facts.items():
-                if label not in seen and isinstance(fact.judgment, Equal):
+                if label not in seen and isinstance(fact, Equal):
                     seen.add(label)
-                    yield label, fact
+                    yield label, fact, scope.fixed
             scope = scope.parent
 
 
@@ -476,10 +479,6 @@ class _Checker:
         self.step_counter = 0
         self.traces: list[str] = []
 
-    def _record_trace(self, label: str, side: str, result) -> None:
-        self.traces.append(f"{label} {side} {render(result.result)}")
-        self.traces.extend(f"{label} {side} {line}" for line in result.lines())
-
     def check_declared(self, t: Term) -> None:
         loose = defined_names(t) - self.declared
         if loose:
@@ -490,22 +489,25 @@ class _Checker:
     def expand(self, t: Term) -> Term:
         return expand_defined(t, self.defs)
 
-    def canonical(self, j: Judgment, fixed: frozenset[str]) -> Judgment:
-        """Expand definitions and rename generalizable variables to a fixed scheme."""
-        if isinstance(j, Falsum):
-            return j
-        lhs = self.expand(j.lhs)
-        rhs = self.expand(j.rhs)
-        mapping: dict[str, Term] = {}
+    def fixing(self, *sides: Term) -> set[str]:
+        """The variables an assumption about ``sides`` fixes."""
+        return set().union(*(free_vars(self.expand(t)) for t in sides))
+
+    def canonical(self, eq: Equal, fixed: frozenset[str]) -> Equal:
+        """Expand definitions and rename every pattern variable, and every
+        variable not in ``fixed``, to the placeholder pattern variable ``$i``
+        numbered by first occurrence.  Fixed variables stay variables, so no
+        placeholder meets a name from the script.  Two equalities have one
+        canonical form exactly when they differ only by such a renaming."""
+        lhs, rhs = self.expand(eq.lhs), self.expand(eq.rhs)
+        mapping: dict[Term, Term] = {}
         for t in (lhs, rhs):
             for sub in nodes(t):
-                if isinstance(sub, (Var, PatVar)) and sub.name not in mapping:
-                    if isinstance(sub, Var) and sub.name in fixed:
-                        continue
-                    mapping[sub.name] = Var(f"_m{len(mapping)}")
-        return type(j)(substitute(lhs, mapping), substitute(rhs, mapping))
+                if type(sub) is PatVar or type(sub) is Var and sub.name not in fixed:
+                    mapping.setdefault(sub, PatVar(f"${len(mapping)}"))
+        return Equal(*(rebuild(t, lambda a: mapping.get(a, a)) for t in (lhs, rhs)))
 
-    def fact(self, scope: _Scope, label: str) -> _Fact:
+    def fact(self, scope: _Scope, label: str) -> Judgment:
         fact = scope.lookup(label)
         if fact is None:
             raise _StepFailure(f"unknown label {label!r}")
@@ -529,7 +531,7 @@ class _Checker:
         return False
 
     def justify_link(self, a: Term, b: Term, scope: _Scope, citation: Optional[str]) -> None:
-        facts = [fact.judgment for label, fact in scope.iter_equalities() if _cites(citation, "fact:" + label)]
+        facts = [fact for label, fact, _ in scope.iter_equalities() if _cites(citation, "fact:" + label)]
         sites = _link_sites(a, b)
         if not (self._one_step(sites, facts, citation)
                 or self._one_step([(t, s) for s, t in sites], facts, citation)):
@@ -557,7 +559,7 @@ class _Checker:
             judgment = self._dispatch(step, scope)
         except _StepFailure as exc:
             raise _StepFailure(f"step {index} ({step.label}): {exc.reason}") from None
-        scope.add(step.label, judgment, scope.fixed)
+        scope.add(step.label, judgment)
         return judgment
 
     def _dispatch(self, step: Step, scope: _Scope) -> Judgment:
@@ -583,7 +585,7 @@ class _Checker:
         if isinstance(step, FalsumStep):
             return self._falsum(step, scope)
         if isinstance(step, RefStep):
-            fact = self.fact(scope, step.source).judgment
+            fact = self.fact(scope, step.source)
             if fact != step.goal:
                 raise _StepFailure(f"{step.source} states {fact.render()}, not {step.goal.render()}")
             return fact
@@ -605,20 +607,25 @@ class _Checker:
             self.justify_link(terms[i], terms[i + 1], scope, citations[i])
         return goal
 
+    def _same_normal_form(self, label: str, lhs: Term, rhs: Term, fuel: Optional[int], what: str) -> None:
+        """Normalize both sides and record their traces; fail unless both
+        reach one normal form within fuel."""
+        left = normalize(lhs, self.rules, fuel)
+        right = normalize(rhs, self.rules, fuel)
+        for side, result in (("lhs", left), ("rhs", right)):
+            self.traces.append(f"{label} {side} {render(result.result)}")
+            self.traces.extend(f"{label} {side} {line}" for line in result.lines())
+        if left.exhausted or right.exhausted:
+            raise _StepFailure("normalization exhausted its fuel")
+        if left.result != right.result:
+            raise _StepFailure(f"{what} differ: {render(left.result)} vs {render(right.result)}")
+
     def _normalize(self, step: NormalizeStep) -> Judgment:
         goal = step.goal
         if not isinstance(goal, Equal):
             raise _StepFailure("normalize proves equalities only")
-        left = normalize(self.expand(goal.lhs), self.rules, step.fuel)
-        right = normalize(self.expand(goal.rhs), self.rules, step.fuel)
-        self._record_trace(step.label, "lhs", left)
-        self._record_trace(step.label, "rhs", right)
-        if left.exhausted or right.exhausted:
-            raise _StepFailure("normalization exhausted its fuel")
-        if left.result != right.result:
-            raise _StepFailure(
-                f"normal forms differ: {render(left.result)} vs {render(right.result)}"
-            )
+        self._same_normal_form(step.label, self.expand(goal.lhs), self.expand(goal.rhs),
+                               step.fuel, "normal forms")
         return goal
 
     def _ext(self, step: ExtStep) -> Judgment:
@@ -635,16 +642,7 @@ class _Checker:
             avoid.add(name)
             applied_l = App(applied_l, Var(name))
             applied_r = App(applied_r, Var(name))
-        left = normalize(applied_l, self.rules)
-        right = normalize(applied_r, self.rules)
-        self._record_trace(step.label, "lhs", left)
-        self._record_trace(step.label, "rhs", right)
-        if left.exhausted or right.exhausted:
-            raise _StepFailure("normalization exhausted its fuel")
-        if left.result != right.result:
-            raise _StepFailure(
-                f"applied normal forms differ: {render(left.result)} vs {render(right.result)}"
-            )
+        self._same_normal_form(step.label, applied_l, applied_r, None, "applied normal forms")
         return goal
 
     def _theorem(self, step: TheoremStep, scope: _Scope) -> Judgment:
@@ -670,11 +668,7 @@ class _Checker:
             raise _StepFailure(f"instantiation must bind hypothesized constants {sorted(missing)}")
         constants = {c: subst[c] for c in record.hypothesis.constants}
         for eq in record.hypothesis.equations:
-            inst_lhs = replace_defined(eq.lhs, constants)
-            inst_rhs = replace_defined(eq.rhs, constants)
-            patvars = sorted(pattern_vars(inst_lhs) | pattern_vars(inst_rhs))
-            renaming = {pv: Var(pv.lstrip("$") + "_inst") for pv in patvars}
-            want = Equal(substitute(inst_lhs, renaming), substitute(inst_rhs, renaming))
+            want = Equal(replace_defined(eq.lhs, constants), replace_defined(eq.rhs, constants))
             if not self._discharged(want, scope):
                 raise _StepFailure(
                     f"hypothesis of {step.theorem_id} not discharged: need {want.render()}"
@@ -682,49 +676,43 @@ class _Checker:
         return FALSUM
 
     def _discharged(self, want: Equal, scope: _Scope) -> bool:
+        """Whether the script's hypothesis or a fact in scope states ``want``
+        for all values of every variable: up to renaming, with none fixed."""
         want_c = self.canonical(want, frozenset())
-        if self.script.hypothesis:
-            for eq in self.script.hypothesis.equations:
-                pv = sorted(pattern_vars(eq.lhs) | pattern_vars(eq.rhs))
-                renaming = {p: Var(p.lstrip("$") + "_hyp") for p in pv}
-                have = Equal(substitute(eq.lhs, renaming), substitute(eq.rhs, renaming))
-                if self.canonical(have, frozenset()) == want_c:
-                    return True
-        for _, fact in scope.iter_equalities():
-            if self.canonical(fact.judgment, fact.fixed) == want_c:
-                return True
-        return False
+        hyp = self.script.hypothesis.equations if self.script.hypothesis else ()
+        if any(self.canonical(Equal(eq.lhs, eq.rhs), frozenset()) == want_c for eq in hyp):
+            return True
+        return any(self.canonical(fact, fixed) == want_c for _, fact, fixed in scope.iter_equalities())
 
     def _contradiction(self, step: ContradictionStep, scope: _Scope) -> Judgment:
         goal = step.goal
         if not isinstance(goal, NotEqual):
             raise _StepFailure("contradiction blocks prove disequalities")
-        inner = scope.child()
-        assumed = Equal(goal.lhs, goal.rhs)
-        inner.fixed = scope.fixed | frozenset(judgment_vars(assumed))
-        inner.add(step.assume_label, assumed, inner.fixed)
+        inner = scope.child(self.fixing(goal.lhs, goal.rhs))
+        inner.add(step.assume_label, Equal(goal.lhs, goal.rhs))
         self.run_block(step.body, inner, FALSUM)
         return goal
 
     def _cases(self, step: CasesStep, scope: _Scope) -> Judgment:
         a, b = step.left, step.right
         eq_term = App(EQ, Pair(a, b))
-        branch1 = scope.child()
-        branch1.add(step.case_label, Equal(eq_term, P1), branch1.fixed)
-        branch1.add(step.dicho_label, Equal(a, b), branch1.fixed)
+        fixing = self.fixing(a, b)
+        branch1 = scope.child(fixing)
+        branch1.add(step.case_label, Equal(eq_term, P1))
+        branch1.add(step.dicho_label, Equal(a, b))
         self.run_block(step.branch_equal, branch1, step.goal)
         if step.branch_not_equal is None:
             if a != b:
                 raise _StepFailure("cases over distinct terms needs both branches")
             return step.goal
-        branch2 = scope.child()
-        branch2.add(step.case_label, Equal(eq_term, P2), branch2.fixed)
-        branch2.add(step.dicho_label, NotEqual(a, b), branch2.fixed)
+        branch2 = scope.child(fixing)
+        branch2.add(step.case_label, Equal(eq_term, P2))
+        branch2.add(step.dicho_label, NotEqual(a, b))
         self.run_block(step.branch_not_equal, branch2, step.goal)
         return step.goal
 
     def _k_inject(self, step: KInjectStep, scope: _Scope) -> Judgment:
-        fact = self.fact(scope, step.source).judgment
+        fact = self.fact(scope, step.source)
         if not (isinstance(fact, Equal) and isinstance(fact.lhs, KWrap) and isinstance(fact.rhs, KWrap)):
             raise _StepFailure(f"{step.source} is not an equality of k-wrapped terms")
         got = Equal(fact.lhs.body, fact.rhs.body)
@@ -738,9 +726,9 @@ class _Checker:
             raise _StepFailure("application proves disequalities")
         if not step.args:
             raise _StepFailure("application needs at least one argument")
-        left_fact = self.fact(scope, step.left_label).judgment
-        right_fact = self.fact(scope, step.right_label).judgment
-        neq_fact = self.fact(scope, step.neq_label).judgment
+        left_fact = self.fact(scope, step.left_label)
+        right_fact = self.fact(scope, step.right_label)
+        neq_fact = self.fact(scope, step.neq_label)
         if not (isinstance(left_fact, Equal) and isinstance(right_fact, Equal)):
             raise _StepFailure("application needs two equalities and a disequality")
         if not isinstance(neq_fact, NotEqual):
@@ -759,8 +747,8 @@ class _Checker:
         return goal
 
     def _falsum(self, step: FalsumStep, scope: _Scope) -> Judgment:
-        eq = self.fact(scope, step.eq_label).judgment
-        neq = self.fact(scope, step.neq_label).judgment
+        eq = self.fact(scope, step.eq_label)
+        neq = self.fact(scope, step.neq_label)
         if not isinstance(eq, Equal) or not isinstance(neq, NotEqual):
             raise _StepFailure("falsum needs an equality and a disequality")
         same = (eq.lhs, eq.rhs) in ((neq.lhs, neq.rhs), (neq.rhs, neq.lhs))

@@ -345,7 +345,7 @@ def compile_combinator(
 # Kernel-verified simplifier
 # ---------------------------------------------------------------------------
 
-def _head_simplify(t: Term, eta: bool) -> Optional[Term]:
+def _head_simplify(t: Term) -> Optional[Term]:
     # Abst (Abst (Abst a)) -> Abst a
     if (
         isinstance(t, App) and t.fn == ABST and isinstance(t.arg, App) and t.arg.fn == ABST
@@ -373,16 +373,10 @@ def _head_simplify(t: Term, eta: bool) -> Optional[Term]:
     # Abst k(P_i) -> P_i ; Abst k(I) -> I
     if isinstance(t, App) and t.fn == ABST and isinstance(t.arg, KWrap) and t.arg.body in (P1, P2, IDENTITY):
         return t.arg.body
-    # eta (off by default): Abst k(u) I -> u
-    if (
-        eta and isinstance(t, App) and t.arg == IDENTITY and isinstance(t.fn, App)
-        and t.fn.fn == ABST and isinstance(t.fn.arg, KWrap)
-    ):
-        return t.fn.arg.body
     return None
 
 
-def optimize(t: Term, eta: bool = False) -> Term:
+def optimize(t: Term) -> Term:
     """Exhaustively apply the verified simplifications; never grows the term.
 
     All rewrites shrink or preserve size except the pair distribution
@@ -391,7 +385,7 @@ def optimize(t: Term, eta: bool = False) -> Term:
     """
     def go(u: Term) -> Term:
         # head rules first, so whole-node collapses win over sub-collapses
-        head = _head_simplify(u, eta)
+        head = _head_simplify(u)
         if head is not None:
             return go(head)
         if isinstance(u, App):
@@ -403,7 +397,7 @@ def optimize(t: Term, eta: bool = False) -> Term:
         else:
             v = u
         if v != u:
-            head = _head_simplify(v, eta)
+            head = _head_simplify(v)
             if head is not None:
                 return go(head)
         if isinstance(v, App) and v.fn == ABST and isinstance(v.arg, Pair):

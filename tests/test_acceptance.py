@@ -9,10 +9,11 @@ CRITERION line on success.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from trc.cli import main
 from trc.corpus import (
-    BASE_DEFINITIONS, EQUALITY_ENTRY_IDS, REFUTATION_ENTRY_IDS, run_corpus,
+    BASE_DEFINITIONS, EQUALITY_ENTRY_IDS, REFUTATION_ENTRY_IDS, load_corpus, run_corpus,
 )
 from trc.engine import EngineConfig, core_rules, ext_equal, normalize
 from trc.kernel import (
@@ -30,6 +31,7 @@ from trc.terms import (
 
 EXT_DEPTH = 4
 FUEL = 10000
+MUTANT_REPORTS = Path(__file__).parent / "data" / "mutant_reports.txt"
 
 
 def _random_term(rng: random.Random, depth: int, names=("x", "y", "z")):
@@ -169,25 +171,37 @@ def test_criterion_5_compiler_refuter_consistency(corpus, corpus_report, full_ru
     print("\nCRITERION 5 PASS (30 rejected table specs, 3 compiled stratified specs)")
 
 
-def test_criterion_6_mutation_robustness(corpus, corpus_report):
-    """Every single-fault corruption of every corpus script is rejected."""
-    total = survived = 0
+def mutant_reports(corpus, corpus_report):
+    """Whether the kernel accepts each single-fault corruption of each corpus
+    script, with the line ``<theorem> <mutation> | <report line>``."""
     for entry in corpus.entries:
         if entry.source.startswith("spec:"):
             continue
         registry, ruleset = corpus_report.contexts[entry.ident]
         for script in corpus.scripts[entry.ident]:
             for desc, mutant in enumerate_mutations(script):
-                total += 1
                 try:
-                    ok = check_script(mutant, registry, ruleset, BASE_DEFINITIONS).ok
-                except ScriptError:
-                    ok = False
-                assert not ok, f"mutant survived: {script.theorem_id} | {desc}"
-                if ok:
-                    survived += 1
-    assert total > 200
-    print(f"\nCRITERION 6 PASS ({total} mutants, 100% kill rate)")
+                    report = check_script(mutant, registry, ruleset, BASE_DEFINITIONS)
+                    ok, line = report.ok, report.line()
+                except ScriptError as exc:
+                    ok, line = False, f"ScriptError {exc}"
+                yield ok, f"{script.theorem_id} {desc} | {line}"
+
+
+def test_criterion_6_mutation_robustness(corpus, corpus_report):
+    """Every single-fault corruption of every corpus script is rejected."""
+    reports = list(mutant_reports(corpus, corpus_report))
+    survivors = [line for ok, line in reports if ok]
+    assert not survivors, f"mutants survived: {survivors}"
+    assert len(reports) > 200
+    print(f"\nCRITERION 6 PASS ({len(reports)} mutants, 100% kill rate)")
+
+
+def test_mutant_reports_are_pinned(corpus, corpus_report):
+    # every mutant is rejected for the reason the committed file gives;
+    # rewrite it with `PYTHONPATH=src python tests/test_acceptance.py`
+    got = [line for _, line in mutant_reports(corpus, corpus_report)]
+    assert got == MUTANT_REPORTS.read_text(encoding="utf-8").splitlines()
 
 
 def test_criterion_7_determinism(capsys):
@@ -228,3 +242,9 @@ def test_criterion_8_fixed_point_refuter(registry, full_rules):
         report = check_script(script, registry, full_rules, BASE_DEFINITIONS)
         assert report.ok, report.reason
     print("\nCRITERION 8 PASS (50 closed arguments)")
+
+
+if __name__ == "__main__":
+    corpus = load_corpus()
+    lines = mutant_reports(corpus, run_corpus(corpus, keep_contexts=True))
+    MUTANT_REPORTS.write_text("".join(line + "\n" for _, line in lines), encoding="utf-8")

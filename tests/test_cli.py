@@ -321,6 +321,16 @@ def test_normalize_deep_spine(tmp_path, capsys):
     assert out.strip() == _spine_text(3000)
 
 
+@pytest.mark.parametrize("command", ["parse", "normalize", "stratify", "abstract"])
+def test_a_term_and_a_file_together_are_usage_error(tmp_path, capsys, command):
+    f = tmp_path / "term.trc"
+    f.write_text("y")
+    variable = ["x"] if command == "abstract" else []
+    code, out, err = run(capsys, command, *variable, "x", "--file", str(f))
+    assert code == 2 and not out
+    assert err == "error: give the term as an argument or with --file, not both\n"
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any input ends in an exit code, never an escaped exception
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from trc.corpus import BASE_DEFINITIONS, standard_context
 from trc.engine import (
     EngineConfig, NormalizeResult, Rule, RuleError, RuleSet, TraceStep,
-    core_rules, ext_equal, normalize, register_derived_rule, rewrite_at,
-    rewrite_step, rule_match,
+    core_rules, ext_equal, normalize, rewrite_at, rewrite_step, rule_match,
 )
 from trc.terms import (
     ABST, EQ, P1, P2, App, Defined, KWrap, Pair, PatVar, Var, free_vars,
@@ -478,34 +477,6 @@ def test_fixed_point_refuter_shape(core):
 # ---------------------------------------------------------------------------
 # derived-rule registration
 # ---------------------------------------------------------------------------
-
-class _FakeRecord:
-    def __init__(self, theorem_id, lhs, rhs):
-        self.theorem_id = theorem_id
-        self._sides = (parse(lhs), parse(rhs))
-
-    def equation_sides(self):
-        return self._sides
-
-
-def test_register_derived_rule_accepts_matching_statement(core):
-    record = _FakeRecord("2.2c.1", "P1 x y", "P1 (x y)")
-    rs = register_derived_rule(core, parse_pattern("P1 $x $y"), parse_pattern("P1 ($x $y)"), record)
-    got = normalize(parse("P1 k(x) z"), rs)
-    assert got.result == parse("P1 x")
-
-
-def test_register_derived_rule_accepts_constant_collapse(core):
-    record = _FakeRecord("2.1e", "Abst k(x) k(y)", "k(x y)")
-    rs = register_derived_rule(core, parse_pattern("Abst k($x) k($y)"), parse_pattern("k($x $y)"), record)
-    assert any(r.name == "2.1e" for r in rs.rules)
-
-
-def test_register_derived_rule_rejects_mismatch(core):
-    record = _FakeRecord("2.1e", "Abst k(x) k(y)", "k(x y)")
-    with pytest.raises(RuleError):
-        register_derived_rule(core, parse_pattern("k($x) $y"), parse_pattern("$y"), record)
-
 
 def test_registered_rules_only_extend_reachability(core, full_rules):
     # anything the core proves, the extended set still proves

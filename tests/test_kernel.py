@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
 
@@ -8,16 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trc.corpus import BASE_DEFINITIONS
-from trc.engine import Rule, core_rules
+from trc.engine import Rule, RuleError, core_rules, normalize
 from trc.kernel import (
     FALSUM, ApplicationStep, CasesStep, ChainStep, CheckReport, ContradictionStep,
     Equal, FalsumStep, HypEquation, Hypothesis, NormalizeStep, NotEqual,
-    ProofScript, Registry, RegistryError, TheoremStep, check_script, record_for,
+    ProofScript, Registry, RegistryError, TheoremRecord, TheoremStep, check_script, judgment_vars,
+    map_judgment, map_step, record_for,
 )
 from trc.scriptfile import parse_scripts
 from trc.terms import (
     ABST, EQ, P1, P2, App, Defined, KWrap, Pair, ParseError, PatVar, Var,
-    parse, parse_pattern, render, subterms,
+    free_vars, parse, parse_pattern, render, substitute, subterms,
 )
 
 from test_engine import interpreted_rewrite_at, redex_rich
@@ -541,6 +543,32 @@ def test_instantiate_rejects_stray_variables(registry):
         registry.instantiate("2.4a", {"zz": P1})
 
 
+def registered(theorem_id, statement):
+    """A fresh registry holding ``statement`` under ``theorem_id``."""
+    fresh = Registry()
+    fresh.register(TheoremRecord(theorem_id, statement, None, ()), CheckReport(theorem_id, True))
+    return fresh
+
+
+def test_derived_rule_rewrites_by_the_registered_equality(core):
+    rs = registered("2.2c.1", Equal(parse("P1 x y"), parse("P1 (x y)"))).derived_rule(core, "2.2c.1")
+    rule = rs.rules[-1]
+    assert (rule.name, rule.lhs, rule.rhs) == ("2.2c.1", parse_pattern("P1 $x $y"), parse_pattern("P1 ($x $y)"))
+    assert normalize(parse("P1 k(x) z"), rs).result == parse("P1 x")
+
+
+def test_derived_rule_is_named_for_its_theorem(core):
+    rs = registered("2.1e", Equal(parse("Abst k(x) k(y)"), parse("k(x y)"))).derived_rule(core, "2.1e")
+    assert [(r.name, r.provenance) for r in rs.rules[len(core.rules):]] == [("2.1e", "derived:2.1e")]
+
+
+def test_derived_rule_refuses_a_statement_that_is_not_an_equality(core):
+    with pytest.raises(RuleError, match="not an equality"):
+        registered("2.4a", NotEqual(parse("Eq <x, P2>"), Var("x"))).derived_rule(core, "2.4a")
+    with pytest.raises(RegistryError):
+        Registry().derived_rule(core, "2.1e")
+
+
 def test_registry_dependency_order():
     fresh = Registry()
     (script,) = parse_scripts('''
@@ -621,3 +649,106 @@ def test_refutation_replay_of_transposition(corpus_report):
         }
     ''', context_registry, context_rules)
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# generalization: a fact is universal except in its fixed variables
+# ---------------------------------------------------------------------------
+
+# Each script proves a false disequality by discharging 2.6's hypothesis
+# M $x = $x $x with a fact that holds only for particular values: one
+# instance whose variable shares the name of a pattern variable's
+# placeholder, a variable fixed by a contradiction, by a cases branch, or by
+# a contradiction whose assumption mentions it only through a let.
+UNSOUND = {
+    "bad": '''theorem bad "P1 differs from itself" {
+      prove P1 != P1
+      have e : k(x_inst x_inst) x_inst = x_inst x_inst by chain [k(x_inst x_inst) x_inst, x_inst x_inst]
+      qed by contradiction as H { have f : false by theorem 2.6 with M := k(x_inst x_inst)  qed by f }
+    }''',
+    "bad2": '''theorem bad2 "self-application is never P1" {
+      prove _m0 _m0 != P1
+      qed by contradiction as H {
+        have e : k(P1) y = _m0 _m0 by chain [k(P1) y, P1, _m0 _m0]
+        have f : false by theorem 2.6 with M := k(P1)  qed by f }
+    }''',
+    "bad3": '''theorem bad3 "self-application is never P1, by cases" {
+      prove y y != P1
+      qed by cases Eq <k(P1) y, y y> as (C, D) {
+        p1 => { have f : false by theorem 2.6 with M := k(P1)  qed by contradiction as H { qed by f } }
+        p2 => { qed by contradiction as H {
+                  have e : k(P1) y = y y by chain [k(P1) y, P1, y y]  qed by contradiction e D } }
+      }
+    }''',
+    "bad4": '''theorem bad4 "self-application is never P1, through a let" {
+      prove s != P1
+      let s := y y
+      qed by contradiction as H {
+        have e : k(P1) y = s by chain [k(P1) y, P1, s]
+        have f : false by theorem 2.6 with M := k(P1)  qed by f }
+    }''',
+}
+# bad and bad2 spelled with ordinary variable names
+CONTROLS = [UNSOUND["bad"].replace("x_inst", "y"), UNSOUND["bad2"].replace("_m0", "z")]
+
+
+@pytest.mark.parametrize("name", sorted(UNSOUND))
+def test_a_fact_about_fixed_values_does_not_discharge_a_hypothesis(registry, full_rules, name):
+    report = check_text(UNSOUND[name], registry, full_rules)
+    assert not report.ok
+    assert "(f): hypothesis of 2.6 not discharged: need k(" in report.reason
+
+
+def map_script(script, fn):
+    """``script`` with ``fn`` applied to every term it states."""
+    return dataclasses.replace(
+        script, statement=map_judgment(script.statement, fn),
+        lets=tuple((name, fn(body)) for name, body in script.lets),
+        body=tuple(map_step(step, fn) for step in script.body))
+
+
+def script_vars(script):
+    found = set()
+    map_script(script, lambda t: found.update(free_vars(t)) or t)
+    return found
+
+
+def bind_cited_variables(step, registry):
+    """``step`` with every citation of a registered statement also binding
+    the statement's unbound variables to themselves, so that renaming the
+    script's variables renames those too."""
+    if isinstance(step, TheoremStep) and registry.get(step.theorem_id).hypothesis is None:
+        unbound = judgment_vars(registry.get(step.theorem_id).statement) - dict(step.subst).keys()
+        return dataclasses.replace(step, subst=step.subst + tuple((v, Var(v)) for v in sorted(unbound)))
+    if isinstance(step, ContradictionStep):
+        return dataclasses.replace(step, body=tuple(bind_cited_variables(s, registry) for s in step.body))
+    if isinstance(step, CasesStep):
+        branch2 = step.branch_not_equal
+        return dataclasses.replace(
+            step, branch_equal=tuple(bind_cited_variables(s, registry) for s in step.branch_equal),
+            branch_not_equal=None if branch2 is None else tuple(bind_cited_variables(s, registry) for s in branch2))
+    return step
+
+
+RENAMING_POOL = ["_m0", "_m1", "x_inst", "y_inst", "x_hyp", "v0"]
+names = st.one_of(st.sampled_from(RENAMING_POOL), st.from_regex(r"[a-z_][a-z0-9_']{0,5}", fullmatch=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_renaming_variables_never_changes_a_verdict(corpus, corpus_report, registry, full_rules, data):
+    checks = [(parse_scripts(text)[0], registry, full_rules, False) for text in CONTROLS]
+    for entry in corpus.entries:
+        if not entry.source.startswith("spec:"):
+            context_registry, context_rules = corpus_report.contexts[entry.ident]
+            for script in corpus.scripts[entry.ident]:
+                script = dataclasses.replace(
+                    script, body=tuple(bind_cited_variables(s, context_registry) for s in script.body))
+                checks.append((script, context_registry, context_rules, True))
+    old = sorted(set().union(*(script_vars(script) for script, *_ in checks)))
+    new = data.draw(st.lists(names, min_size=len(old), max_size=len(old), unique=True))
+    renaming = {a: Var(b) for a, b in zip(old, new)}
+    for script, context_registry, context_rules, ok in checks:
+        renamed = map_script(script, lambda t: substitute(t, renaming))
+        report = check_script(renamed, context_registry, context_rules, BASE_DEFINITIONS)
+        assert report.ok == ok, (script.theorem_id, renaming, report.reason)
