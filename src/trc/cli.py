@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .corpus import (
@@ -91,7 +90,7 @@ def build_config(args: argparse.Namespace) -> EngineConfig:
         changes["surjective_pairing"] = False
     if args.no_eq_refl:
         changes["eq_reflexivity"] = False
-    return replace(EngineConfig(), **changes)
+    return EngineConfig(**changes)
 
 
 def _term_text(args: argparse.Namespace) -> str:
@@ -223,9 +222,9 @@ def cmd_corpus(args) -> int:
 
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fuel", type=int, default=None,
-                   help=f"rewrite step bound (default {EngineConfig.fuel})")
+                   help=f"rewrite step bound (default {EngineConfig().fuel})")
     p.add_argument("--ext-depth", type=int, default=None,
-                   help=f"fresh-variable applications for equality (default {EngineConfig.ext_depth})")
+                   help=f"fresh-variable applications for equality (default {EngineConfig().ext_depth})")
     p.add_argument("--printed-axioms", action="store_true",
                    help="use the uncorrected rule variants (documented misprint)")
     p.add_argument("--no-surjective-pairing", action="store_true")

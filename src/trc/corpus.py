@@ -14,15 +14,15 @@ defined here, bound to ``<P1,P2>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .engine import EngineConfig, RuleSet, core_rules
 from .kernel import CheckReport, ProofScript, Registry, check_script, record_for
 from .scriptfile import parse_combinator_specs, parse_scripts
 from .stratify import CombinatorSpec, CompileError, NotAbstractable, compile_combinator
-from .terms import P1, P2, Pair, Term, TrcError, render
+from .terms import P1, P2, Pair, Record, Term, TrcError, render
 
 BASE_DEFINITIONS: dict[str, Term] = {"I": Pair(P1, P2)}
 
@@ -63,8 +63,7 @@ class CorpusError(TrcError):
     pass
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     ident: str
     kind: str  # equality | refutation | compile-success | compile-failure
     source: str  # script file name, or "spec:<name>"
@@ -78,15 +77,13 @@ class CorpusEntry:
         return not self.rule_ids or theorem_id in self.rule_ids
 
 
-@dataclass
-class Corpus:
+class Corpus(Record):
     entries: tuple[CorpusEntry, ...]
     scripts: dict[str, tuple[ProofScript, ...]]  # entry id -> theorem blocks
     specs: dict[str, CombinatorSpec]
 
     def without(self, *idents: str) -> "Corpus":
-        keep = tuple(e for e in self.entries if e.ident not in idents)
-        return Corpus(keep, self.scripts, self.specs)
+        return self.replace(entries=tuple(e for e in self.entries if e.ident not in idents))
 
 
 def parse_index(text: str) -> tuple[CorpusEntry, ...]:
@@ -138,18 +135,17 @@ def _check_coverage(entries: Iterable[CorpusEntry]) -> None:
                 raise CorpusError(f"entry {e.ident} needs unknown entry {d!r}")
 
 
-def load_corpus() -> Corpus:
-    """Load the packaged corpus; validates index/coverage agreement."""
+def load_corpus(only: Collection[str] | None = None) -> Corpus:
+    """Load the packaged corpus, or only the entries named in ``only`` (reading
+    only their files); validates index/coverage agreement either way."""
     root = resources.files("trc") / "corpus"
     entries = parse_index((root / "index").read_text())
     _check_coverage(entries)
-    scripts: dict[str, tuple[ProofScript, ...]] = {}
-    for e in entries:
-        if e.source.startswith("spec:"):
-            continue
-        text = (root / e.source).read_text()
-        scripts[e.ident] = tuple(parse_scripts(text, e.source))
-    specs = {s.name: s for s in parse_combinator_specs((root / "specs.trc").read_text())}
+    entries = tuple(e for e in entries if only is None or e.ident in only)
+    scripts = {e.ident: tuple(parse_scripts((root / e.source).read_text(), e.source))
+               for e in entries if not e.source.startswith("spec:")}
+    spec_text = (root / "specs.trc").read_text() if len(scripts) < len(entries) else ""
+    specs = {s.name: s for s in parse_combinator_specs(spec_text)}
     for e in entries:
         if e.source.startswith("spec:") and e.source[5:] not in specs:
             raise CorpusError(f"entry {e.ident} references unknown spec {e.source[5:]!r}")
@@ -160,6 +156,7 @@ def load_corpus() -> Corpus:
 # Running
 # ---------------------------------------------------------------------------
 
+# Still a dataclass: the benchmark's tests copy it with ``dataclasses.replace``.
 @dataclass
 class EntryResult:
     entry: CorpusEntry
@@ -188,13 +185,12 @@ class EntryResult:
         return out
 
 
-@dataclass
-class CorpusReport:
+class CorpusReport(Record):
     results: tuple[EntryResult, ...]
     registry: Registry
     ruleset: RuleSet
     config: EngineConfig
-    contexts: dict[str, tuple[Registry, RuleSet]] = field(default_factory=dict)
+    contexts: dict[str, tuple[Registry, RuleSet]]  # entry id -> what it was checked against
 
     @property
     def ok(self) -> bool:
@@ -328,13 +324,7 @@ def standard_context(config: EngineConfig | None = None) -> tuple[Registry, Rule
     This is the bootstrap used by the command-line tools: every derived rule
     in the returned set is backed by a theorem checked in this process.
     """
-    corpus = load_corpus()
-    keep = set(EQUALITY_ENTRY_IDS)
-    subset = Corpus(
-        tuple(e for e in corpus.entries if e.ident in keep),
-        corpus.scripts, corpus.specs,
-    )
-    report = run_corpus(subset, config)
+    report = run_corpus(load_corpus(EQUALITY_ENTRY_IDS), config)
     return report.registry, report.ruleset
 
 

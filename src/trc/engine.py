@@ -36,13 +36,13 @@ they are inconsistent with the corrected theory's own derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from .terms import (
     ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
-    App, Const, Defined, KWrap, Pair, PatVar, Term, TrcError, Var,
+    App, Const, Defined, KWrap, Pair, PatVar, Record, Term, TrcError, Var,
     expand_defined, format_position, free_vars, fresh_var, navigate, nodes,
     pattern_vars, render, replace_at, with_child, Position,
 )
@@ -55,23 +55,22 @@ class RuleError(TrcError):
     """Raised when a rule or rule registration is malformed."""
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record):
     fuel: int = 10000
     ext_depth: int = 4
     corrected_axioms: bool = True
     surjective_pairing: bool = True
     eq_reflexivity: bool = True
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         if self.fuel < 1:
             raise ValueError("fuel must be >= 1")
         if self.ext_depth < 0:
             raise ValueError("ext_depth must be >= 0")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """Oriented schematic equation.
 
     ``identical`` names two pattern variables that must bind syntactically
@@ -83,15 +82,19 @@ class Rule:
     rhs: Term
     provenance: str  # "axiom", "derived:<id>", "hypothesis:<id>", "fact"
     identical: Optional[tuple[str, str]] = None
+    _fire: Callable[[Term], Optional[Term]]  # the compiled rule, set on first use
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         extra = pattern_vars(self.rhs) - pattern_vars(self.lhs)
         if extra:
             raise RuleError(f"rule {self.name}: rhs pattern variables {sorted(extra)} not bound by lhs")
 
-    @cached_property
-    def _fire(self) -> Callable[[Term], Optional[Term]]:
-        return _compiled(_RuleKey(self))
+    def __getattr__(self, name: str) -> Callable[[Term], Optional[Term]]:
+        if name != "_fire":  # the one slot left unset, until its first use
+            raise AttributeError(name)
+        object.__setattr__(self, "_fire", _compiled(_RuleKey(self)))
+        return self._fire
 
 
 # child fields of each compound constructor, in preorder
@@ -216,21 +219,22 @@ def lhs_fits(lhs: Term, key: object) -> bool:
     return type(key) is tuple and (type(lhs.fn) is PatVar or key == root_shape(lhs))
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Record):
     rules: tuple[Rule, ...]
     config: EngineConfig
     # shape key -> the rules that can match a term of that shape, filled on use
-    _index: dict[object, tuple[Rule, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _index: dict[object, tuple[Rule, ...]]
     # key -> this rule set extended by the rules it names, built on first use
-    _extensions: dict[Hashable, "RuleSet"] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _extensions: dict[Hashable, "RuleSet"]
+    __slots__ = ("__weakref__",)  # weakly referable, so its lifetime can be observed
 
-    def __post_init__(self) -> None:
-        names = [r.name for r in self.rules]
+    def __init__(self, rules: tuple[Rule, ...], config: EngineConfig) -> None:
+        super().__init__(rules, config)
+        names = [r.name for r in rules]
         if len(names) != len(set(names)):
             raise RuleError("rule names must be unique")
+        object.__setattr__(self, "_index", {})
+        object.__setattr__(self, "_extensions", {})
 
     def extended(self, more: Iterable[Rule]) -> "RuleSet":
         return RuleSet(self.rules + tuple(more), self.config)
@@ -284,8 +288,7 @@ def rule_match(rule: Rule, t: Term) -> Optional[Term]:
     return rule._fire(t)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     position: Position
     rule_name: str
     before: Term
@@ -295,6 +298,8 @@ class TraceStep:
         return f"{number} {format_position(self.position)} {self.rule_name} ⊢ {render(self.after)}"
 
 
+# Still a dataclass: the benchmark's tests copy it with ``dataclasses.replace``.
+# That keeps the ~10 ms import of ``dataclasses`` in every start-up.
 @dataclass(frozen=True)
 class NormalizeResult:
     result: Term
@@ -412,15 +417,13 @@ def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
 # Extensional equality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtLevel:
+class ExtLevel(Record):
     fresh: Optional[str]  # variable applied to reach this level (None at level 0)
     left: NormalizeResult
     right: NormalizeResult
 
 
-@dataclass(frozen=True)
-class ExtEvidence:
+class ExtEvidence(Record):
     equal: bool
     levels: tuple[ExtLevel, ...]
 

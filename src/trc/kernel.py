@@ -50,13 +50,12 @@ alongside a passing report, and its dependency graph is acyclic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
 
-from .engine import Rule, RuleSet, RuleError, normalize, rule_match
+from .engine import NormalizeResult, Rule, RuleSet, RuleError, normalize, rule_match
 from .terms import (
     EQ, P1, P2,
-    App, Defined, KWrap, Pair, PatVar, Term, TrcError, Var,
+    App, Defined, KWrap, Pair, PatVar, Record, Term, TrcError, Var,
     children, defined_names, expand_defined, free_vars, fresh_var, nodes,
     pattern_vars, rebuild, render, replace_defined, substitute, to_pattern,
 )
@@ -74,8 +73,7 @@ class RegistryError(TrcError):
 # Judgments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Equal:
+class Equal(Record):
     lhs: Term
     rhs: Term
 
@@ -83,8 +81,7 @@ class Equal:
         return f"{render(self.lhs)} = {render(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class NotEqual:
+class NotEqual(Record):
     lhs: Term
     rhs: Term
 
@@ -92,8 +89,7 @@ class NotEqual:
         return f"{render(self.lhs)} != {render(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class Falsum:
+class Falsum(Record):
     def render(self) -> str:
         return "false"
 
@@ -112,15 +108,15 @@ def judgment_vars(j: Judgment) -> set[str]:
 # Hypotheses and scripts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypEquation:
+class HypEquation(Record):
     """Schematic defining equation of a hypothesized combinator."""
 
     constant: str
     lhs: Term  # pattern headed by the constant
     rhs: Term
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         head = self.lhs
         while isinstance(head, App):
             head = head.fn
@@ -130,8 +126,7 @@ class HypEquation:
             raise ScriptError(f"hypothesis for {self.constant}: rhs has unbound pattern variables")
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(Record):
     constants: tuple[str, ...]
     equations: tuple[HypEquation, ...]
 
@@ -142,46 +137,40 @@ class Hypothesis:
 
 # Proof steps ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(Record):
     label: str
     goal: Judgment
     terms: tuple[Term, ...]
     citations: Optional[tuple[Optional[str], ...]] = None  # one per link when given
 
 
-@dataclass(frozen=True)
-class NormalizeStep:
+class NormalizeStep(Record):
     label: str
     goal: Judgment
     fuel: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ExtStep:
+class ExtStep(Record):
     label: str
     goal: Judgment
     arity: int
 
 
-@dataclass(frozen=True)
-class TheoremStep:
+class TheoremStep(Record):
     label: str
     goal: Judgment
     theorem_id: str
     subst: tuple[tuple[str, Term], ...] = ()
 
 
-@dataclass(frozen=True)
-class ContradictionStep:
+class ContradictionStep(Record):
     label: str
     goal: Judgment  # NotEqual
     assume_label: str
     body: "Block"
 
 
-@dataclass(frozen=True)
-class CasesStep:
+class CasesStep(Record):
     label: str
     goal: Judgment
     left: Term
@@ -192,15 +181,13 @@ class CasesStep:
     branch_not_equal: Optional["Block"]
 
 
-@dataclass(frozen=True)
-class KInjectStep:
+class KInjectStep(Record):
     label: str
     goal: Judgment
     source: str
 
 
-@dataclass(frozen=True)
-class ApplicationStep:
+class ApplicationStep(Record):
     label: str
     goal: Judgment  # NotEqual
     args: tuple[Term, ...]
@@ -209,16 +196,14 @@ class ApplicationStep:
     neq_label: str
 
 
-@dataclass(frozen=True)
-class FalsumStep:
+class FalsumStep(Record):
     label: str
     goal: Judgment  # Falsum
     eq_label: str
     neq_label: str
 
 
-@dataclass(frozen=True)
-class RefStep:
+class RefStep(Record):
     """Restates an already-proved fact (the ``qed by LABEL`` form)."""
 
     label: str
@@ -243,38 +228,25 @@ def map_step(step: Step, fn) -> Step:
     """Rebuild ``step`` with ``fn`` applied to every embedded term."""
     goal = map_judgment(step.goal, fn)
     if isinstance(step, ChainStep):
-        return ChainStep(step.label, goal, tuple(fn(t) for t in step.terms), step.citations)
-    if isinstance(step, NormalizeStep):
-        return NormalizeStep(step.label, goal, step.fuel)
-    if isinstance(step, ExtStep):
-        return ExtStep(step.label, goal, step.arity)
+        return step.replace(goal=goal, terms=tuple(fn(t) for t in step.terms))
     if isinstance(step, TheoremStep):
-        return TheoremStep(step.label, goal, step.theorem_id,
-                           tuple((k, fn(v)) for k, v in step.subst))
+        return step.replace(goal=goal, subst=tuple((k, fn(v)) for k, v in step.subst))
     if isinstance(step, ContradictionStep):
-        return ContradictionStep(step.label, goal, step.assume_label,
-                                 tuple(map_step(s, fn) for s in step.body))
+        return step.replace(goal=goal, body=tuple(map_step(s, fn) for s in step.body))
     if isinstance(step, CasesStep):
-        branch2 = None
-        if step.branch_not_equal is not None:
-            branch2 = tuple(map_step(s, fn) for s in step.branch_not_equal)
-        return CasesStep(step.label, goal, fn(step.left), fn(step.right),
-                         step.case_label, step.dicho_label,
-                         tuple(map_step(s, fn) for s in step.branch_equal), branch2)
-    if isinstance(step, KInjectStep):
-        return KInjectStep(step.label, goal, step.source)
+        branch2 = step.branch_not_equal
+        return step.replace(
+            goal=goal, left=fn(step.left), right=fn(step.right),
+            branch_equal=tuple(map_step(s, fn) for s in step.branch_equal),
+            branch_not_equal=None if branch2 is None else tuple(map_step(s, fn) for s in branch2))
     if isinstance(step, ApplicationStep):
-        return ApplicationStep(step.label, goal, tuple(fn(t) for t in step.args),
-                               step.left_label, step.right_label, step.neq_label)
-    if isinstance(step, FalsumStep):
-        return FalsumStep(step.label, goal, step.eq_label, step.neq_label)
-    if isinstance(step, RefStep):
-        return RefStep(step.label, goal, step.source)
+        return step.replace(goal=goal, args=tuple(fn(t) for t in step.args))
+    if isinstance(step, (NormalizeStep, ExtStep, KInjectStep, FalsumStep, RefStep)):
+        return step.replace(goal=goal)
     raise ScriptError(f"unknown step {step!r}")
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(Record):
     theorem_id: str
     title: str
     hypothesis: Optional[Hypothesis]
@@ -288,8 +260,7 @@ class ProofScript:
 # Registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TheoremRecord:
+class TheoremRecord(Record):
     theorem_id: str
     statement: Judgment
     hypothesis: Optional[Hypothesis]
@@ -302,20 +273,27 @@ class TheoremRecord:
         return None
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     theorem_id: str
     ok: bool
     failed_step: Optional[int] = None
     reason: str = ""
     steps_checked: int = 0
     wall_time: float = 0.0
-    trace_lines: tuple[str, ...] = ()
+    # (step label, left result, right result) of each normalize and ext check
+    normalizations: tuple[tuple[str, NormalizeResult, NormalizeResult], ...] = ()
 
     def line(self) -> str:
         if self.ok:
             return f"THEOREM {self.theorem_id} PASS"
         return f"THEOREM {self.theorem_id} FAIL {self.failed_step or 0} {self.reason}"
+
+    @property
+    def trace_lines(self) -> tuple[str, ...]:
+        """Each side's normal form and rewrite steps, per normalization."""
+        return tuple(f"{label} {side} {line}" for label, *results in self.normalizations
+                     for side, result in zip(("lhs", "rhs"), results)
+                     for line in [render(result.result), *result.lines()])
 
 
 AXIOM_NEQ_ID = "VIII"
@@ -477,12 +455,15 @@ class _Checker:
         # included, shares one extended rule set and its index
         self.rules = rs.extended_once(hyp, hyp.rules) if hyp else rs
         self.step_counter = 0
-        self.traces: list[str] = []
+        self.normalizations: list[tuple[str, NormalizeResult, NormalizeResult]] = []
+        self.checked: dict[int, Term] = {}  # id -> a term found free of undeclared names
 
     def check_declared(self, t: Term) -> None:
-        loose = defined_names(t) - self.declared
-        if loose:
-            raise ScriptError(f"{self.script.theorem_id}: undeclared names {sorted(loose)}")
+        if id(t) not in self.checked:
+            loose = defined_names(t) - self.declared
+            if loose:
+                raise ScriptError(f"{self.script.theorem_id}: undeclared names {sorted(loose)}")
+            self.checked[id(t)] = t
 
     # -- helpers
 
@@ -608,13 +589,11 @@ class _Checker:
         return goal
 
     def _same_normal_form(self, label: str, lhs: Term, rhs: Term, fuel: Optional[int], what: str) -> None:
-        """Normalize both sides and record their traces; fail unless both
+        """Normalize both sides and record the results; fail unless both
         reach one normal form within fuel."""
         left = normalize(lhs, self.rules, fuel)
         right = normalize(rhs, self.rules, fuel)
-        for side, result in (("lhs", left), ("rhs", right)):
-            self.traces.append(f"{label} {side} {render(result.result)}")
-            self.traces.extend(f"{label} {side} {line}" for line in result.lines())
+        self.normalizations.append((label, left, right))
         if left.exhausted or right.exhausted:
             raise _StepFailure("normalization exhausted its fuel")
         if left.result != right.result:
@@ -772,18 +751,13 @@ def check_script(
     if script.hypothesis is None and isinstance(script.statement, Falsum):
         return CheckReport(script.theorem_id, False, 0, "false is only provable under hypotheses")
     checker = _Checker(script, registry, rs, defs)
-    scope = _Scope()
     try:
-        checker.run_block(script.body, scope, script.statement)
+        checker.run_block(script.body, _Scope(), script.statement)
+        ok, failed_step, reason = True, None, ""
     except _StepFailure as exc:
-        return CheckReport(
-            script.theorem_id, False, checker.step_counter, exc.reason,
-            checker.step_counter, time.perf_counter() - start, tuple(checker.traces),
-        )
-    return CheckReport(
-        script.theorem_id, True, None, "",
-        checker.step_counter, time.perf_counter() - start, tuple(checker.traces),
-    )
+        ok, failed_step, reason = False, checker.step_counter, exc.reason
+    return CheckReport(script.theorem_id, ok, failed_step, reason, checker.step_counter,
+                       time.perf_counter() - start, tuple(checker.normalizations))
 
 
 def record_for(script: ProofScript, dependencies: tuple[str, ...]) -> TheoremRecord:

@@ -30,13 +30,12 @@ output.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .engine import RuleSet, ext_equal
 from .terms import (
     ABST, ARG, FN, KBODY, LEFT, P1, P2, RIGHT,
-    App, Defined, KWrap, Pair, Term, TrcError, Var,
+    App, Defined, KWrap, Pair, Record, Term, TrcError, Var,
     Position, app, children, format_position, free_vars, nodes, render, subterms,
     term_size,
 )
@@ -80,8 +79,7 @@ def _position(link: tuple) -> Position:
 # Stratification (a level walk; difference constraints explain a conflict)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """tau(a) = tau(b) + offset, generated at the named subterm."""
 
     a: str
@@ -90,8 +88,7 @@ class Constraint:
     at: Position
 
 
-@dataclass(frozen=True)
-class StratifyResult:
+class StratifyResult(Record):
     assignment: Optional[dict[str, int]]
     conflict: Optional[tuple[Constraint, ...]]
 
@@ -294,15 +291,15 @@ def abstract(x: str, t: Term) -> Term:
 # Combinator specs and compilation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CombinatorSpec:
+class CombinatorSpec(Record):
     """A definition ``name x1 ... xn = body`` over exactly those parameters."""
 
     name: str
     params: tuple[str, ...]
     body: Term
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         if len(set(self.params)) != len(self.params):
             raise ValueError(f"{self.name}: parameters must be distinct")
         loose = free_vars(self.body) - set(self.params)

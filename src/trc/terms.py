@@ -25,14 +25,15 @@ mapping each atom); substitution, definition unfolding, pattern conversion
 and the size and variable queries are built on them.  These three,
 ``render`` and the parser keep their own stacks, so they handle terms of any
 depth.  The tokenizer is one regular expression with an alternative per token
-class.  Term ``==`` and ``hash`` are the generated dataclass methods, which
-recurse.
+class.  Terms, like the package's other value classes, are ``Record``s:
+read-only ``__slots__`` objects whose methods are written out, not generated
+at import as a dataclass's are.  Term ``==`` and ``hash`` recurse.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 
@@ -59,47 +60,149 @@ class PositionError(TrcError):
 
 
 # ---------------------------------------------------------------------------
-# Term nodes
+# Records and term nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+class _RecordType(type):
+    """Makes each name a ``Record`` class body annotates a slot, and each one
+    not starting with ``_`` a field after its base's; a value the body gives
+    such a name is the field's default."""
+
+    def __new__(mcs, name: str, bases: tuple, ns: dict) -> "_RecordType":
+        names = tuple(ns.get("__annotations__", ()))
+        defaults = {n: ns.pop(n) for n in names if n in ns}
+        cls = super().__new__(mcs, name, bases, {**ns, "__slots__": names + ns.get("__slots__", ())})
+        fields = cls._fields = getattr(cls, "_fields", ()) + tuple(n for n in names if n[0] != "_")
+        cls._defaults = {**getattr(cls, "_defaults", {}), **defaults}
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+        cls._values = staticmethod(  # the tuple of field values
+            attrgetter(*fields) if len(fields) > 1 else lambda r: tuple(getattr(r, f) for f in fields))
+        return cls
+
+
+class Record(metaclass=_RecordType):
+    """Base of the package's value classes: read-only ``__slots__`` objects,
+    declared like dataclasses.  ``__init__`` takes the fields by position or
+    keyword.  ``==`` and ``hash`` compare and hash the tuple of field values,
+    and only between records of exactly one class (so ``Equal(a, b) !=
+    NotEqual(a, b)``); ``repr`` is ``Class(field=value, ...)``.  A slot starting
+    with ``_`` holds private state that the class fills itself.
+    """
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # fill in keyword and default values
+            values = {**self._defaults, **kwargs, **dict(zip(fields, args))}
+            if len(args) > len(fields) or values.keys() != set(fields) or kwargs.keys() & set(fields[:len(args)]):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}, "
+                                f"not {len(args)} positional and the keywords {sorted(kwargs)}")
+            args = tuple(values[f] for f in fields)
+        for put, value in zip(self._setters, args):
+            put(self, value)
+
+    def replace(self, **changes: object) -> "Record":
+        """A copy with the fields named in ``changes`` set to their new values."""
+        values = tuple(map(changes.pop, self._fields, self._values(self)))
+        return type(self)(*values, **changes)  # a change left over names no field
+
+    def __reduce__(self) -> tuple:  # for copy and pickle, which would assign the slots
+        return type(self), self._values(self)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values(self) == self._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+# Term nodes are built and compared far more often than any other record, so
+# they have their own ``__init__``, ``==`` and ``hash``, with the same results.
+
+class _Atom(Record):
+    """A named leaf; atoms of different classes never compare equal."""
+
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+    def __eq__(self, other: object) -> bool:
+        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
 
-
-@dataclass(frozen=True)
-class Defined:
-    name: str
-
-
-@dataclass(frozen=True)
-class PatVar:
-    """Pattern variable; only appears in rule/hypothesis patterns."""
-
-    name: str  # includes the leading '$'
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class App:
+class Var(_Atom):
+    pass
+
+
+class Const(_Atom):
+    pass
+
+
+class Defined(_Atom):
+    pass
+
+
+class PatVar(_Atom):
+    """Pattern variable, named with its '$'; only in rule/hypothesis patterns."""
+
+
+class App(Record):
     fn: "Term"
     arg: "Term"
 
+    def __init__(self, fn: "Term", arg: "Term") -> None:
+        _set_fn(self, fn)
+        _set_arg(self, arg)
 
-@dataclass(frozen=True)
-class KWrap:
+    def __eq__(self, other: object) -> bool:
+        return (self.fn, self.arg) == (other.fn, other.arg) if other.__class__ is App else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.arg))
+
+
+class KWrap(Record):
     body: "Term"
 
+    def __init__(self, body: "Term") -> None:
+        _set_body(self, body)
 
-@dataclass(frozen=True)
-class Pair:
+    def __eq__(self, other: object) -> bool:
+        return (self.body,) == (other.body,) if other.__class__ is KWrap else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
+
+
+class Pair(Record):
     left: "Term"
     right: "Term"
 
+    def __init__(self, left: "Term", right: "Term") -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def __eq__(self, other: object) -> bool:
+        return (self.left, self.right) == (other.left, other.right) if other.__class__ is Pair else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+
+# the slot setters the constructors write through, past the read-only guard
+(_set_name,), (_set_fn, _set_arg), (_set_body,), (_set_left, _set_right) = (
+    _Atom._setters, App._setters, KWrap._setters, Pair._setters)
 
 Term = Union[Var, Const, Defined, PatVar, App, KWrap, Pair]
 
@@ -133,11 +236,11 @@ def app(fn: Term, *args: Term) -> Term:
 
 
 def children(t: Term) -> tuple[tuple[str, Term], ...]:
-    if isinstance(t, App):
+    if type(t) is App:
         return ((FN, t.fn), (ARG, t.arg))
-    if isinstance(t, KWrap):
+    if type(t) is KWrap:
         return ((KBODY, t.body),)
-    if isinstance(t, Pair):
+    if type(t) is Pair:
         return ((LEFT, t.left), (RIGHT, t.right))
     return ()
 

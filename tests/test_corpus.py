@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from unittest import mock
+
+from trc import corpus as corpus_module
 from trc.corpus import (
-    BASE_DEFINITIONS, CorpusError, EQUALITY_ENTRY_IDS, CATALOG_COVERAGE,
-    REFUTATION_ENTRY_IDS, list_theorems, parse_index, run_corpus,
+    BASE_DEFINITIONS, Corpus, CorpusError, EQUALITY_ENTRY_IDS, CATALOG_COVERAGE,
+    REFUTATION_ENTRY_IDS, list_theorems, load_corpus, parse_index, run_corpus,
     standard_context,
 )
 from trc.engine import EngineConfig
@@ -130,6 +133,29 @@ def test_standard_context_registers_rules():
     assert {"2.1d", "2.1e", "2.2a.2", "2.2c.1"} <= names
     assert "2.4a" not in registry.ids()  # equality bootstrap only
     assert "2.2c.1" in registry.ids()
+
+
+def test_standard_context_is_the_equality_entries_of_the_full_corpus(corpus):
+    registry, ruleset = standard_context()
+    keep = set(EQUALITY_ENTRY_IDS)
+    subset = Corpus(tuple(e for e in corpus.entries if e.ident in keep), corpus.scripts, corpus.specs)
+    full = run_corpus(subset)
+    assert registry.ids() == full.registry.ids()
+    assert [(r.name, r.lhs, r.rhs) for r in ruleset.rules] == \
+        [(r.name, r.lhs, r.rhs) for r in full.ruleset.rules]
+    assert ruleset == full.ruleset
+
+
+def test_loading_some_entries_parses_only_their_scripts(corpus):
+    with mock.patch.object(corpus_module, "parse_scripts", side_effect=corpus_module.parse_scripts) as parsed, \
+            mock.patch.object(corpus_module, "parse_combinator_specs",
+                              side_effect=corpus_module.parse_combinator_specs) as specs:
+        subset = load_corpus(EQUALITY_ENTRY_IDS)
+    assert [e.ident for e in subset.entries] == list(EQUALITY_ENTRY_IDS)
+    sources = {e.ident: e.source for e in corpus.entries}
+    assert [c.args[1] for c in parsed.call_args_list] == [sources[i] for i in EQUALITY_ENTRY_IDS]
+    assert all(c.args == ("",) for c in specs.call_args_list) and subset.specs == {}  # specs.trc unread
+    assert subset.scripts == {i: corpus.scripts[i] for i in EQUALITY_ENTRY_IDS}
 
 
 def test_runtime_budget(corpus_report):

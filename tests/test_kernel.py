@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import gc
 import weakref
 
@@ -701,8 +700,8 @@ def test_a_fact_about_fixed_values_does_not_discharge_a_hypothesis(registry, ful
 
 def map_script(script, fn):
     """``script`` with ``fn`` applied to every term it states."""
-    return dataclasses.replace(
-        script, statement=map_judgment(script.statement, fn),
+    return script.replace(
+        statement=map_judgment(script.statement, fn),
         lets=tuple((name, fn(body)) for name, body in script.lets),
         body=tuple(map_step(step, fn) for step in script.body))
 
@@ -719,13 +718,13 @@ def bind_cited_variables(step, registry):
     script's variables renames those too."""
     if isinstance(step, TheoremStep) and registry.get(step.theorem_id).hypothesis is None:
         unbound = judgment_vars(registry.get(step.theorem_id).statement) - dict(step.subst).keys()
-        return dataclasses.replace(step, subst=step.subst + tuple((v, Var(v)) for v in sorted(unbound)))
+        return step.replace(subst=step.subst + tuple((v, Var(v)) for v in sorted(unbound)))
     if isinstance(step, ContradictionStep):
-        return dataclasses.replace(step, body=tuple(bind_cited_variables(s, registry) for s in step.body))
+        return step.replace(body=tuple(bind_cited_variables(s, registry) for s in step.body))
     if isinstance(step, CasesStep):
         branch2 = step.branch_not_equal
-        return dataclasses.replace(
-            step, branch_equal=tuple(bind_cited_variables(s, registry) for s in step.branch_equal),
+        return step.replace(
+            branch_equal=tuple(bind_cited_variables(s, registry) for s in step.branch_equal),
             branch_not_equal=None if branch2 is None else tuple(bind_cited_variables(s, registry) for s in branch2))
     return step
 
@@ -742,8 +741,8 @@ def test_renaming_variables_never_changes_a_verdict(corpus, corpus_report, regis
         if not entry.source.startswith("spec:"):
             context_registry, context_rules = corpus_report.contexts[entry.ident]
             for script in corpus.scripts[entry.ident]:
-                script = dataclasses.replace(
-                    script, body=tuple(bind_cited_variables(s, context_registry) for s in script.body))
+                script = script.replace(
+                    body=tuple(bind_cited_variables(s, context_registry) for s in script.body))
                 checks.append((script, context_registry, context_rules, True))
     old = sorted(set().union(*(script_vars(script) for script, *_ in checks)))
     new = data.draw(st.lists(names, min_size=len(old), max_size=len(old), unique=True))
