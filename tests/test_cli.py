@@ -202,6 +202,21 @@ def test_corpus_trace_matches_golden(capsys):
     assert out.encode("utf-8") == GOLDEN_TRACE.read_bytes()
 
 
+SPECS = Path(__file__).parent.parent / "src" / "trc" / "corpus" / "specs.trc"
+
+
+@pytest.mark.parametrize("golden, flags", [
+    ("compile_specs.txt", ()),
+    ("compile_specs_optimized.txt", ("--optimize",)),
+])
+def test_compile_matches_golden(capsys, golden, flags):
+    # the committed output pins the compiled terms, byte for byte; most
+    # specs are not stratified, so the command exits 1
+    code, out, _ = run(capsys, "compile", str(SPECS), *flags)
+    assert code == 1
+    assert out.encode("utf-8") == (GOLDEN_TRACE.parent / golden).read_bytes()
+
+
 def test_corpus_printed_axioms_fails(capsys):
     code, out, _ = run(capsys, "corpus", "--printed-axioms")
     assert code == 1
