@@ -8,7 +8,7 @@ machine-checked theorem corpus.
 
 from .engine import (
     EngineConfig, ExtEvidence, NormalizeResult, Rule, RuleError, RuleSet,
-    TraceStep, core_rules, ext_equal, normalize, rewrite_at, rewrite_step,
+    TraceStep, core_rules, ext_equal, normalize,
 )
 from .kernel import (
     CheckReport, Equal, FALSUM, Falsum, Hypothesis, HypEquation, Judgment,

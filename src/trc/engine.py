@@ -8,11 +8,13 @@ bound), never a hang.
 
 Redexes are found through a per-rule-set index keyed by a term's root shape
 (its constructor and, for an application, the head of its function side), so
-only rules whose left-hand side can match are tried at a position.  After a
-rewrite at position p the search resumes there instead of at the root: the
-ancestors of p are re-checked top-down, then p's subtree and the subtrees to
-the right of the path are scanned.  The subtrees to the left of the path are
-unchanged and were already found redex-free.
+only rules whose left-hand side can match are tried at a position.
+``normalize`` is one preorder scan over an explicit stack of subterms still to
+scan, which keeps the path from the root to the subterm in hand.  A rewrite
+rebuilds the path's ancestors and re-checks them from the root down; the first
+that became a redex is contracted next, and otherwise the scan resumes at the
+contractum and then the subterms to the right of the path.  The subterms to
+the left of the path are unchanged and were already found redex-free.
 
 Each rule is compiled, on first use, into one generated Python function that
 takes a term and returns the contractum at its root (the instantiated
@@ -43,8 +45,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional
 from .terms import (
     ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
     App, Const, Defined, KWrap, Pair, PatVar, Record, Term, TrcError, Var,
-    expand_defined, format_position, free_vars, fresh_var, navigate, nodes,
-    pattern_vars, render, replace_at, with_child, Position,
+    expand_defined, format_position, free_vars, fresh_var, nodes, pattern_vars,
+    render, with_child, Position,
 )
 # Not called here: the reference path that compiled rules reproduce, and a
 # name bench/tracer.py patches to count first-order matches.
@@ -310,107 +312,61 @@ class NormalizeResult:
         return [step.line(i) for i, step in enumerate(self.trace, start=1)]
 
 
-def rewrite_at(t: Term, pos: Position, rule: Rule) -> Optional[Term]:
-    """Apply ``rule`` at exactly ``pos``; None when the rule does not match there."""
-    new = rule_match(rule, navigate(t, pos))
-    return None if new is None else replace_at(t, pos, new)
-
-
-# A path leads from the root to a position: the (ancestor, selector) pairs
-# passed on the way down.
-Path = list[tuple[Term, str]]
-Redex = tuple[Path, Rule, Term]  # path to the redex, the rule, the contractum
-
-_RIGHT_OF = {FN: ARG, LEFT: RIGHT}
-
-
-def _scan(rs: RuleSet, t: Term, path: Path) -> Optional[Redex]:
-    """First redex in preorder within ``t``, the subterm at the end of ``path``."""
-    stack: list[tuple[Term, object]] = [(t, None)]
-    while stack:
-        sub, up = stack.pop()  # up: (parent, selector, parent's up), or None at t
+def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
+    """Rewrite ``t`` leftmost-outermost until no rule applies or ``fuel`` steps
+    are taken; ``exhausted`` tells whether a redex remains."""
+    limit = rs.config.fuel if fuel is None else fuel
+    trace: list[TraceStep] = []
+    todo: list[tuple[int, str, Term]] = [(0, "", t)]  # subterms still to scan: (depth, selector, subterm)
+    # the path from the root down to the subterm last popped: the node at
+    # each depth and the selector into it ("" at the root)
+    ancestors: list[Term] = []
+    sels: list[str] = []
+    while todo:
+        depth, sel, sub = todo.pop()
+        del ancestors[depth:], sels[depth:]
+        ancestors.append(sub)
+        sels.append(sel)
         for rule in rs.candidates(sub):
             new = rule_match(rule, sub)
             if new is not None:
-                below: Path = []
-                while up is not None:
-                    parent, sel, up = up
-                    below.append((parent, sel))
-                below.reverse()
-                return path + below, rule, new
-        if type(sub) is App:
-            stack.append((sub.arg, (sub, ARG, up)))
-            stack.append((sub.fn, (sub, FN, up)))
-        elif type(sub) is Pair:
-            stack.append((sub.right, (sub, RIGHT, up)))
-            stack.append((sub.left, (sub, LEFT, up)))
-        elif type(sub) is KWrap:
-            stack.append((sub.body, (sub, KBODY, up)))
-    return None
-
-
-def _find(rs: RuleSet, path: Path, t: Term) -> Optional[Redex]:
-    """Leftmost-outermost redex after a rewrite at the end of ``path``.
-
-    ``path`` holds the rebuilt ancestors and ``t`` is the new subterm at the
-    rewritten position.  Everything left of the path is unchanged and known
-    to be redex-free, so it is skipped.  An empty path scans ``t`` whole.
-    """
-    for depth, (node, _) in enumerate(path):
-        for rule in rs.candidates(node):
-            new = rule_match(rule, node)
-            if new is not None:
-                return path[:depth], rule, new
-    found = _scan(rs, t, path)
-    depth = len(path)
-    while found is None and depth:
-        depth -= 1
-        node, sel = path[depth]
-        if sel in _RIGHT_OF:
-            sel = _RIGHT_OF[sel]
-            found = _scan(rs, navigate(node, (sel,)), path[:depth] + [(node, sel)])
-    return found
-
-
-def _contract(redex: Redex) -> tuple[Term, Path, Term]:
-    """Rewrite at ``redex``: the new root, the rebuilt path and the contractum."""
-    path, _, new = redex
-    cur = new
-    rebuilt: Path = []
-    for node, sel in reversed(path):
-        cur = with_child(node, sel, cur)
-        rebuilt.append((cur, sel))
-    rebuilt.reverse()
-    return cur, rebuilt, new
-
-
-def _position(path: Path) -> Position:
-    return tuple(sel for _, sel in path)
-
-
-def rewrite_step(t: Term, rs: RuleSet) -> Optional[TraceStep]:
-    """One step: first rule (in rule-set order) at the leftmost-outermost position."""
-    redex = _find(rs, [], t)
-    if redex is None:
-        return None
-    after, _, _ = _contract(redex)
-    return TraceStep(_position(redex[0]), redex[1].name, t, after)
-
-
-def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
-    limit = rs.config.fuel if fuel is None else fuel
-    trace: list[TraceStep] = []
-    cur = t
-    redex = _find(rs, [], t)
-    for _ in range(limit):
-        if redex is None:
-            return NormalizeResult(cur, tuple(trace), False)
-        after, path, new = _contract(redex)
-        trace.append(TraceStep(_position(path), redex[1].name, cur, after))
-        cur = after
-        redex = _find(rs, path, new)
-    # fuel consumed: exhausted only when a redex actually remains
-    return NormalizeResult(cur, tuple(trace), redex is not None)
+                break
+        else:
+            depth += 1
+            if type(sub) is App:
+                todo.append((depth, ARG, sub.arg))
+                todo.append((depth, FN, sub.fn))
+            elif type(sub) is Pair:
+                todo.append((depth, RIGHT, sub.right))
+                todo.append((depth, LEFT, sub.left))
+            elif type(sub) is KWrap:
+                todo.append((depth, KBODY, sub.body))
+            continue
+        # A redex ends the path.  Contract it, then re-check the rebuilt
+        # ancestors from the root down: the first one that became a redex
+        # ends the path in turn, and the scan entries below it are dropped.
+        while new is not None:
+            if len(trace) == limit:
+                return NormalizeResult(ancestors[0], tuple(trace), True)
+            before = ancestors[0]
+            ancestors[depth] = new
+            for i in range(depth, 0, -1):
+                ancestors[i - 1] = with_child(ancestors[i - 1], sels[i], ancestors[i])
+            trace.append(TraceStep(tuple(sels[1:]), rule.name, before, ancestors[0]))
+            new = None
+            for up in range(depth):
+                for rule in rs.candidates(ancestors[up]):
+                    new = rule_match(rule, ancestors[up])
+                    if new is not None:
+                        break
+                if new is not None:
+                    depth = up
+                    del ancestors[up + 1:], sels[up + 1:]
+                    while todo and todo[-1][0] > up:  # depths never decrease toward the top
+                        todo.pop()
+                    break
+        todo.append((depth, sels[depth], ancestors[depth]))
+    return NormalizeResult(ancestors[0], tuple(trace), False)
 
 
 # ---------------------------------------------------------------------------

@@ -32,16 +32,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator, Mapping, Optional
 
-from .engine import RuleSet, ext_equal
+from .engine import Rule, RuleSet, ext_equal, rule_match
 from .terms import (
-    ABST, ARG, FN, KBODY, LEFT, P1, P2, RIGHT,
+    ABST, ARG, FN, KBODY, LEFT, RIGHT,
     App, Defined, KWrap, Pair, Record, Term, TrcError, Var,
-    Position, app, children, format_position, free_vars, nodes, render, subterms,
-    term_size,
+    Position, app, children, format_position, free_vars, nodes, parse_pattern, render,
+    subterms, term_size,
 )
 
 IDENTITY = Defined("I")
-IDENTITY_BODY = Pair(P1, P2)
 
 
 class NotAbstractable(TrcError):
@@ -342,34 +341,30 @@ def compile_combinator(
 # Kernel-verified simplifier
 # ---------------------------------------------------------------------------
 
+# The simplifier's head rules.  Their left-hand sides are pairwise disjoint,
+# so at most one of them matches a term.
+_HEAD_RULES = tuple(
+    Rule(lhs, parse_pattern(lhs), parse_pattern(rhs), "derived:optimize")
+    for lhs, rhs in (
+        ("Abst (Abst (Abst $a))", "Abst $a"),
+        ("Abst (Abst k($a))", "k($a)"),
+        ("Abst k(k($a))", "k(k($a))"),
+        ("Abst k($a) k($b)", "k($a $b)"),
+        ("Abst P1", "k(P1)"),
+        ("Abst P2", "k(P2)"),
+        ("Abst I", "k(I)"),
+        ("Abst k(P1)", "P1"),
+        ("Abst k(P2)", "P2"),
+        ("Abst k(I)", "I"),
+    )
+)
+
+
 def _head_simplify(t: Term) -> Optional[Term]:
-    # Abst (Abst (Abst a)) -> Abst a
-    if (
-        isinstance(t, App) and t.fn == ABST and isinstance(t.arg, App) and t.arg.fn == ABST
-        and isinstance(t.arg.arg, App) and t.arg.arg.fn == ABST
-    ):
-        return App(ABST, t.arg.arg.arg)
-    # Abst (Abst k(a)) -> k(a)
-    if (
-        isinstance(t, App) and t.fn == ABST and isinstance(t.arg, App) and t.arg.fn == ABST
-        and isinstance(t.arg.arg, KWrap)
-    ):
-        return t.arg.arg
-    # Abst k(k(a)) -> k(k(a))
-    if isinstance(t, App) and t.fn == ABST and isinstance(t.arg, KWrap) and isinstance(t.arg.body, KWrap):
-        return t.arg
-    # Abst k(a) k(b) -> k(a b)
-    if (
-        isinstance(t, App) and isinstance(t.fn, App) and t.fn.fn == ABST
-        and isinstance(t.fn.arg, KWrap) and isinstance(t.arg, KWrap)
-    ):
-        return KWrap(App(t.fn.arg.body, t.arg.body))
-    # Abst P_i -> k(P_i) ; Abst I -> k(I)
-    if isinstance(t, App) and t.fn == ABST and t.arg in (P1, P2, IDENTITY):
-        return KWrap(t.arg)
-    # Abst k(P_i) -> P_i ; Abst k(I) -> I
-    if isinstance(t, App) and t.fn == ABST and isinstance(t.arg, KWrap) and t.arg.body in (P1, P2, IDENTITY):
-        return t.arg.body
+    for rule in _HEAD_RULES:
+        new = rule_match(rule, t)
+        if new is not None:
+            return new
     return None
 
 

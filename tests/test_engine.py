@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from trc.corpus import BASE_DEFINITIONS, standard_context
 from trc.engine import (
     EngineConfig, NormalizeResult, Rule, RuleError, RuleSet, TraceStep,
-    core_rules, ext_equal, normalize, rewrite_at, rewrite_step, rule_match,
+    core_rules, ext_equal, normalize, rule_match,
 )
 from trc.terms import (
     ABST, EQ, P1, P2, App, Defined, KWrap, Pair, PatVar, Var, free_vars,
@@ -86,24 +86,30 @@ def test_rule_rejects_unbound_rhs_pattern_vars():
 # single steps
 # ---------------------------------------------------------------------------
 
+def first_step(t, rs):
+    """The first step of normalizing ``t``, or None when ``t`` is normal."""
+    trace = normalize(t, rs, 1).trace
+    return trace[0] if trace else None
+
+
 def test_rewrite_step_k_rule(core):
-    step = rewrite_step(parse("k(x) y"), core)
+    step = first_step(parse("k(x) y"), core)
     assert step is not None and step.rule_name == "K" and step.position == ()
     assert step.after == Var("x")
 
 
 def test_rewrite_step_projection(core):
-    step = rewrite_step(parse("P1 <x, y>"), core)
+    step = first_step(parse("P1 <x, y>"), core)
     assert step is not None and step.after == Var("x")
 
 
 def test_variable_is_normal(core):
-    assert rewrite_step(Var("x"), core) is None
+    assert first_step(Var("x"), core) is None
 
 
 def test_leftmost_outermost_prefers_outer_position(core):
     # both the root and the inner k(a) b are K redexes; the root fires
-    step = rewrite_step(parse("k(x) (k(a) b)"), core)
+    step = first_step(parse("k(x) (k(a) b)"), core)
     assert step is not None and step.position == ()
 
 
@@ -150,7 +156,7 @@ def test_trace_replays(core):
     current = parse("Abst Abst x y z")
     for step in result.trace:
         assert step.before == current
-        replayed = rewrite_at(current, step.position, by_name[step.rule_name])
+        replayed = interpreted_rewrite_at(current, step.position, by_name[step.rule_name])
         assert replayed == step.after
         current = replayed
     assert current == result.result
@@ -167,12 +173,12 @@ def test_normalize_deterministic(core):
 @given(terms, closed_terms)
 def test_stability_under_substitution(t, s):
     rs = core_rules()
-    step = rewrite_step(t, rs)
+    step = first_step(t, rs)
     if step is None:
         return
     sigma = {name: s for name in free_vars(t)}
     rule = next(r for r in rs.rules if r.name == step.rule_name)
-    got = rewrite_at(substitute(t, sigma), step.position, rule)
+    got = interpreted_rewrite_at(substitute(t, sigma), step.position, rule)
     assert got == substitute(step.after, sigma)
 
 
@@ -231,17 +237,22 @@ def _projection(p, t, u):
     return App(p, Pair(t, u))
 
 
-# terms dense in redexes, including the nonlinear surjective-pairing and Eq ones
-redex_rich = st.recursive(
-    st.one_of(st.builds(Var, st.sampled_from(["x", "y", "z"])), st.sampled_from([ABST, EQ, P1, P2])),
-    lambda sub: st.one_of(
-        st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub),
-        st.builds(_surjective, sub), st.builds(_eq_same, sub),
-        st.builds(_projection, st.sampled_from([P1, P2]), sub, sub),
-        st.builds(App, st.builds(KWrap, sub), sub),
-    ),
-    max_leaves=20,
-)
+def redex_rich_terms(*atoms):
+    """Terms dense in redexes, including the nonlinear surjective-pairing and
+    Eq ones, with ``atoms`` among the leaves."""
+    return st.recursive(
+        st.one_of(st.builds(Var, st.sampled_from(["x", "y", "z"])), st.sampled_from([ABST, EQ, P1, P2, *atoms])),
+        lambda sub: st.one_of(
+            st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub),
+            st.builds(_surjective, sub), st.builds(_eq_same, sub),
+            st.builds(_projection, st.sampled_from([P1, P2]), sub, sub),
+            st.builds(App, st.builds(KWrap, sub), sub),
+        ),
+        max_leaves=20,
+    )
+
+
+redex_rich = redex_rich_terms()
 
 
 @pytest.fixture(scope="module")
@@ -250,24 +261,33 @@ def rule_sets():
         "core": core_rules(),
         "printed": core_rules(EngineConfig(corrected_axioms=False)),
         "standard": standard_context()[1],
+        # nonterminating: fuel can run out in the middle of an ancestor re-check
+        "self-application": core_rules().extended([hyp_rule("M", "M $x", "$x $x")]),
     }
 
 
-@pytest.mark.parametrize("which", ["core", "standard"])
+@pytest.mark.parametrize("which", ["core", "printed", "standard", "self-application"])
 @settings(max_examples=150, deadline=None)
-@given(t=st.one_of(terms, closed_terms, redex_rich), fuel=st.integers(1, 40))
+@given(t=st.one_of(terms, closed_terms, redex_rich_terms(Defined("M"))), fuel=st.integers(0, 40))
 def test_normalize_matches_reference_finder(rule_sets, which, t, fuel):
     rs = rule_sets[which]
     got = normalize(t, rs, fuel)
+    # at fuel 0 too: exhausted exactly when a redex exists
     assert got == reference_normalize(t, rs, fuel)
-    assert rewrite_step(t, rs) == reference_step(t, rs)
+    assert first_step(t, rs) == reference_step(t, rs)
     by_name = {r.name: r for r in rs.rules}
     current = t
     for step in got.trace:
         assert step.before == current
-        assert rewrite_at(step.before, step.position, by_name[step.rule_name]) == step.after
+        assert interpreted_rewrite_at(step.before, step.position, by_name[step.rule_name]) == step.after
         current = step.after
     assert current == got.result
+
+
+@pytest.mark.parametrize("text, exhausted", [("k(x) y", True), ("x (k(y))", False), ("<P1 x, P2 x>", True)])
+def test_zero_fuel_reports_whether_a_redex_exists(core, text, exhausted):
+    got = normalize(parse(text), core, 0)
+    assert got == NormalizeResult(parse(text), (), exhausted)
 
 
 pattern_names = st.sampled_from(["$x", "$y"])
@@ -330,10 +350,7 @@ def subjects(draw, rule, small):
 
 
 def assert_same_contractum(rule, t):
-    got, want = rule_match(rule, t), interpreted_match(rule, t)
-    assert got == want
-    if want is not None:
-        assert rewrite_at(t, (), rule) == want
+    assert rule_match(rule, t) == interpreted_match(rule, t)
 
 
 @settings(max_examples=150, deadline=None)
@@ -463,7 +480,7 @@ def test_evidence_replays(core):
     for level in evidence.levels:
         for side in (level.left, level.right):
             for step in side.trace:
-                assert rewrite_at(step.before, step.position, by_name[step.rule_name]) == step.after
+                assert interpreted_rewrite_at(step.before, step.position, by_name[step.rule_name]) == step.after
 
 
 def test_fixed_point_refuter_shape(core):

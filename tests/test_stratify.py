@@ -8,15 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trc.corpus import BASE_DEFINITIONS
-from trc.engine import ext_equal
+from trc.engine import ext_equal, rule_match
 from trc.stratify import (
-    IDENTITY, CombinatorSpec, NotAbstractable, StratifyResult, _conflict_cycle, abstract,
-    abstraction_levels, compile_combinator, optimize, replay_conflict, stratify,
+    _HEAD_RULES, IDENTITY, CombinatorSpec, NotAbstractable, StratifyResult, _conflict_cycle,
+    abstract, abstraction_levels, compile_combinator, optimize, replay_conflict, stratify,
     term_constraints,
 )
 from trc.terms import (
     ABST, EQ, P1, P2, App, Defined, KWrap, Pair, Var, app, children, free_vars,
-    parse, render, substitute, term_size,
+    parse, pattern_vars, render, substitute, term_size,
 )
 
 
@@ -474,6 +474,14 @@ def test_optimize_identity_rules():
     assert optimize(parse("Abst k(I)")) == Defined("I")
     assert optimize(parse("Abst P1")) == parse("k(P1)")
     assert optimize(parse("Abst k(P2)")) == P2
+
+
+@pytest.mark.parametrize("rule", _HEAD_RULES, ids=lambda rule: rule.name)
+def test_each_head_rule_is_sound_and_matches_alone(full_rules, rule):
+    # its left-hand side with object variables for the pattern variables
+    t = substitute(rule.lhs, {v: Var(v[1:]) for v in pattern_vars(rule.lhs)})
+    assert [r for r in _HEAD_RULES if rule_match(r, t) is not None] == [rule]
+    assert ext_equal(t, rule_match(rule, t), full_rules, defs=BASE_DEFINITIONS).equal
 
 
 def test_optimize_never_grows(full_rules):
