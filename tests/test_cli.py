@@ -224,6 +224,14 @@ def test_corpus_printed_axioms_fails(capsys):
     assert "NOTE" in out
 
 
+def test_corpus_printed_axioms_trace_matches_golden(capsys):
+    # the misprint regression, byte for byte: which entries fail, at which
+    # step and why, and the rewrite traces of the normalizations
+    code, out, _ = run(capsys, "corpus", "--printed-axioms", "--trace")
+    assert code == 1
+    assert out.encode("utf-8") == (GOLDEN_TRACE.parent / "corpus_printed_trace.txt").read_bytes()
+
+
 def test_corpus_list(capsys):
     code, out, _ = run(capsys, "corpus", "--list")
     assert code == 0

@@ -90,6 +90,23 @@ def test_parse_index_rejects_bad_lines():
         parse_index("justtwo words")
     with pytest.raises(CorpusError):
         parse_index("x unknown-kind file.trc")
+    with pytest.raises(CorpusError, match="bad index token 'bogus' in 'x equality f.trc bogus'"):
+        parse_index("x equality f.trc bogus")
+
+
+def test_a_need_outside_the_index_is_rejected(corpus):
+    entries = tuple(e.replace(needs=e.needs + ("nope",)) if e.ident == "2.6" else e for e in corpus.entries)
+    with pytest.raises(CorpusError, match="entry 2.6 needs unknown entry 'nope'"):
+        corpus_module._check_coverage(entries)
+
+
+def test_a_dependency_cycle_blocks_its_entries(corpus):
+    a, b = (e for e in corpus.entries if e.ident in ("2.4a", "2.4b"))
+    report = run_corpus(corpus.replace(entries=(a.replace(needs=("2.4b",)), b.replace(needs=("2.4a",)))))
+    assert [(r.entry.ident, r.status, r.detail) for r in report.results] == [
+        ("2.4a", "blocked", "dependency cycle"),
+        ("2.4b", "blocked", "dependency cycle"),
+    ]
 
 
 def test_deleting_a_dependency_blocks_dependents(corpus):

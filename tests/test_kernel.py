@@ -12,8 +12,8 @@ from trc.engine import Rule, RuleError, core_rules, normalize
 from trc.kernel import (
     FALSUM, ApplicationStep, CasesStep, ChainStep, CheckReport, ContradictionStep,
     Equal, FalsumStep, HypEquation, Hypothesis, NormalizeStep, NotEqual,
-    ProofScript, Registry, RegistryError, TheoremRecord, TheoremStep, check_script, judgment_vars,
-    map_judgment, map_step, record_for,
+    ProofScript, Registry, RegistryError, ScriptError, TheoremRecord, TheoremStep, check_script,
+    judgment_vars, map_judgment, map_step, record_for,
 )
 from trc.scriptfile import parse_scripts
 from trc.terms import (
@@ -517,6 +517,101 @@ def test_statement_forms_are_guarded(core, registry):
     report = check_script(script, registry, core, BASE_DEFINITIONS)
     assert not report.ok
     assert "hypotheses" in report.reason
+
+
+# ---------------------------------------------------------------------------
+# malformed scripts and rejected steps
+# ---------------------------------------------------------------------------
+
+def theorem_text(goal, body, hypothesis=""):
+    return f'theorem a "t" {{ {hypothesis} prove {goal} {body} }}'
+
+
+@pytest.mark.parametrize("goal, body, error", [
+    ("X = X", "qed by chain [X]", "a: undeclared names ['X']"),
+    ("k(P1) != k(P2)",
+     "qed by contradiction as h { have e : X = X by chain [X] qed by contradiction h e }",
+     "a: undeclared names ['X']"),
+    ("a = a", "let t := X qed by chain [a]", "let t uses undeclared names ['X']"),
+    ("a = a", "let I := P1 qed by chain [a]", "let I shadows an existing definition"),
+    ("a = a", "have e : a = a by chain [a] have e : b = b by chain [b] qed by e",
+     "duplicate label 'e'"),
+])
+def test_malformed_scripts_raise(core, registry, goal, body, error):
+    with pytest.raises(ScriptError) as info:
+        check_text(theorem_text(goal, body), registry, core)
+    assert str(info.value) == error
+
+
+# facts for an application step proving k(P1) != k(P2)
+APPLIED = "have l : k(P1) z = P1 by normalize have r : k(P2) z = P2 by normalize "
+
+
+@pytest.mark.parametrize("goal, body, line", [
+    ("a = a", "qed by h", "FAIL 1 step 1 (_qed1): unknown label 'h'"),
+    ("a = a", "have h : b = b by chain [b] qed by h", "FAIL 2 step 2 (_qed1): h states b = b, not a = a"),
+    ("a != b", "qed by chain [a, b]", "FAIL 1 step 1 (_qed1): chain proves equalities only"),
+    ("a != b", "qed by normalize", "FAIL 1 step 1 (_qed1): normalize proves equalities only"),
+    ("a != b", "qed by ext 1", "FAIL 1 step 1 (_qed1): ext proves equalities only"),
+    ("a = a", "qed by ext 0", "FAIL 1 step 1 (_qed1): ext arity must be >= 1"),
+    ("a = a", "qed by theorem nope", "FAIL 1 step 1 (_qed1): unknown theorem 'nope'"),
+    ("P1 != P2", "qed by theorem VIII with q := a",
+     "FAIL 1 step 1 (_qed1): substitution binds variables ['q'] not free in VIII"),
+    ("a = a", "qed by theorem 2.6 with M := a", "FAIL 1 step 1 (_qed1): 2.6 is a refutation; it concludes false"),
+    ("a = a", "qed by contradiction as h { qed by h }",
+     "FAIL 1 step 1 (_qed1): contradiction blocks prove disequalities"),
+    ("k(P1) != k(P2)", "qed by contradiction as h { have e : a = a by chain [a] qed by contradiction h e }",
+     "FAIL 3 step 1 (_qed1): step 3 (_qed2): falsum needs an equality and a disequality"),
+    ("k(P1) z = P1", "have l : k(P1) z = P1 by normalize fuel 0 qed by l",
+     "FAIL 1 step 1 (l): normalization exhausted its fuel"),
+    ("a = a", "qed by application [z] (l, r, w)", "FAIL 1 step 1 (_qed1): application proves disequalities"),
+    ("k(P1) != k(P2)", APPLIED + "qed by application [z] (r, l, r)",
+     "FAIL 3 step 3 (_qed1): application needs two equalities and a disequality"),
+    ("k(P1) != k(P2)", APPLIED + "have w : P1 != P2 by theorem VIII qed by application [z] (w, l, w)",
+     "FAIL 4 step 4 (_qed1): application needs two equalities and a disequality"),
+    ("k(P1) != k(P2)", APPLIED + "have w : P1 != P2 by theorem VIII qed by application [u] (l, r, w)",
+     "FAIL 4 step 4 (_qed1): application facts do not apply the stated sides to the arguments"),
+    ("k(P1) != k(P2)",
+     "have l : k(P1) z = k(P1) z by chain [k(P1) z] have r : k(P2) z = k(P2) z by chain [k(P2) z] "
+     "have w : P1 != P2 by theorem VIII qed by application [z] (l, r, w)",
+     "FAIL 4 step 4 (_qed1): the disequality is not about the two application results"),
+])
+def test_a_rejected_step_is_named_with_its_reason(core, registry, goal, body, line):
+    assert check_text(theorem_text(goal, body), registry, core).line() == "THEOREM a " + line
+
+
+@pytest.mark.parametrize("hypothesis, goal, body, line", [
+    ("hypothesis M : M $x = $x $x", "false", "qed by theorem 2.6",
+     "FAIL 1 step 1 (_qed1): instantiation must bind hypothesized constants ['M']"),
+    ("hypothesis M : M $x = $x $x", "a = a", "qed by chain [a]",
+     "FAIL 0 scripts with hypotheses must prove false"),
+])
+def test_a_rejected_refutation_is_named_with_its_reason(core, registry, hypothesis, goal, body, line):
+    assert check_text(theorem_text(goal, body, hypothesis), registry, core).line() == "THEOREM a " + line
+
+
+def test_application_needs_an_argument(core, registry):
+    # the script syntax cannot spell an empty argument list
+    script = ProofScript(
+        "appneq0", "no arguments", None, NotEqual(parse("k(P1)"), parse("k(P2)")), lets=(),
+        body=(ApplicationStep("goal", NotEqual(parse("k(P1)"), parse("k(P2)")), (), "a", "b", "w"),),
+    )
+    report = check_script(script, registry, core, BASE_DEFINITIONS)
+    assert report.reason == "step 1 (goal): application needs at least one argument"
+
+
+@pytest.mark.parametrize("goal, body", [
+    ("k(P1) != k(P2)", APPLIED + "have w : P1 != P2 by theorem VIII qed by application [z] (l, r, w)"),
+    # the disequality may state the two results in either order
+    ("k(P1) != k(P2)", APPLIED + "have w : P2 != P1 by contradiction as h {"
+     " have e : P1 = P2 by chain [P1, P2] have v : P1 != P2 by theorem VIII qed by contradiction e v }"
+     " qed by application [z] (l, r, w)"),
+    ("k(P1) z = P1", "have l : k(P1) z = P1 by normalize fuel 1 qed by l"),
+    ("Abst k(P1) k(P2) = k(P1 P2)", "qed by theorem 2.1e with x := P1, y := P2"),
+])
+def test_script_syntax_checks_end_to_end(core, registry, goal, body):
+    report = check_text(theorem_text(goal, body), registry, core)
+    assert report.ok, report.line()
 
 
 # ---------------------------------------------------------------------------

@@ -476,6 +476,11 @@ def test_optimize_identity_rules():
     assert optimize(parse("Abst k(P2)")) == P2
 
 
+def test_optimize_rewrites_a_head_its_children_made():
+    # the inner Abst I becomes k(I), which turns the whole term into Abst k(I)
+    assert optimize(parse("Abst (Abst I)")) == Defined("I")
+
+
 @pytest.mark.parametrize("rule", _HEAD_RULES, ids=lambda rule: rule.name)
 def test_each_head_rule_is_sound_and_matches_alone(full_rules, rule):
     # its left-hand side with object variables for the pattern variables
