@@ -82,7 +82,6 @@ class Rule(Record):
     name: str
     lhs: Term
     rhs: Term
-    provenance: str  # "axiom", "derived:<id>", "hypothesis:<id>", "fact"
     identical: Optional[tuple[str, str]] = None
     _fire: Callable[[Term], Optional[Term]]  # the compiled rule, set on first use
 
@@ -268,20 +267,20 @@ def core_rules(config: EngineConfig | None = None) -> RuleSet:
     x, y, z = _pv("x"), _pv("y"), _pv("z")
     a, b = _pv("a"), _pv("b")
     rules: list[Rule] = [
-        Rule("K", App(KWrap(x), y), x, "axiom"),
-        Rule("P1-proj", App(P1, Pair(a, b)), a, "axiom"),
-        Rule("P2-proj", App(P2, Pair(a, b)), b, "axiom"),
+        Rule("K", App(KWrap(x), y), x),
+        Rule("P1-proj", App(P1, Pair(a, b)), a),
+        Rule("P2-proj", App(P2, Pair(a, b)), b),
     ]
     if cfg.surjective_pairing:
-        rules.append(Rule("surjective-pairing", Pair(App(P1, x), App(P2, x)), x, "axiom"))
+        rules.append(Rule("surjective-pairing", Pair(App(P1, x), App(P2, x)), x))
     if cfg.corrected_axioms:
-        rules.append(Rule("pair-application", App(Pair(x, y), z), Pair(App(x, z), App(y, z)), "axiom"))
-        rules.append(Rule("Abst", App(App(App(ABST, x), y), z), App(App(x, KWrap(z)), App(y, z)), "axiom"))
+        rules.append(Rule("pair-application", App(Pair(x, y), z), Pair(App(x, z), App(y, z))))
+        rules.append(Rule("Abst", App(App(App(ABST, x), y), z), App(App(x, KWrap(z)), App(y, z))))
     else:
-        rules.append(Rule("pair-application", App(Pair(x, y), z), Pair(App(x, y), App(x, z)), "axiom"))
-        rules.append(Rule("Abst", App(App(App(ABST, x), y), z), App(App(x, KWrap(y)), App(y, z)), "axiom"))
+        rules.append(Rule("pair-application", App(Pair(x, y), z), Pair(App(x, y), App(x, z))))
+        rules.append(Rule("Abst", App(App(App(ABST, x), y), z), App(App(x, KWrap(y)), App(y, z))))
     if cfg.eq_reflexivity:
-        rules.append(Rule("Eq-refl", App(EQ, Pair(a, b)), P1, "axiom", identical=("$a", "$b")))
+        rules.append(Rule("Eq-refl", App(EQ, Pair(a, b)), P1, identical=("$a", "$b")))
     return RuleSet(tuple(rules), cfg)
 
 
@@ -293,7 +292,6 @@ def rule_match(rule: Rule, t: Term) -> Optional[Term]:
 class TraceStep(Record):
     position: Position
     rule_name: str
-    before: Term
     after: Term
 
     def line(self, number: int) -> str:
@@ -348,11 +346,10 @@ def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
         while new is not None:
             if len(trace) == limit:
                 return NormalizeResult(ancestors[0], tuple(trace), True)
-            before = ancestors[0]
             ancestors[depth] = new
             for i in range(depth, 0, -1):
                 ancestors[i - 1] = with_child(ancestors[i - 1], sels[i], ancestors[i])
-            trace.append(TraceStep(tuple(sels[1:]), rule.name, before, ancestors[0]))
+            trace.append(TraceStep(tuple(sels[1:]), rule.name, ancestors[0]))
             new = None
             for up in range(depth):
                 for rule in rs.candidates(ancestors[up]):
@@ -398,28 +395,22 @@ class ExtEvidence(Record):
         return f"UNKNOWN (searched ext depth {depth}, {steps} rewrite steps)"
 
 
-def ext_equal(
-    s: Term,
-    t: Term,
-    rs: RuleSet,
-    defs: Mapping[str, Term] | None = None,
-    ext_depth: int | None = None,
-    fuel: int | None = None,
-) -> ExtEvidence:
+def ext_equal(s: Term, t: Term, rs: RuleSet, defs: Mapping[str, Term] | None = None) -> ExtEvidence:
     """Decide equality up to extensionality by bounded fresh-variable application.
 
-    An ``equal`` result is sound (a genuine equality of the calculus); a
-    non-equal result is merely inconclusive.
+    Up to ``rs.config.ext_depth`` fresh variables are applied, and each
+    normalization has ``rs.config.fuel`` steps.  An ``equal`` result is sound
+    (a genuine equality of the calculus); a non-equal result is merely
+    inconclusive.
     """
-    depth = rs.config.ext_depth if ext_depth is None else ext_depth
     left = expand_defined(s, defs) if defs else s
     right = expand_defined(t, defs) if defs else t
     levels: list[ExtLevel] = []
     fresh: Optional[str] = None
     used: set[str] = set()
-    for _ in range(depth + 1):
-        ln = normalize(left, rs, fuel)
-        rn = normalize(right, rs, fuel)
+    for _ in range(rs.config.ext_depth + 1):
+        ln = normalize(left, rs)
+        rn = normalize(right, rs)
         levels.append(ExtLevel(fresh, ln, rn))
         if ln.result == rn.result:
             return ExtEvidence(True, tuple(levels))

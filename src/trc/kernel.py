@@ -131,8 +131,7 @@ class Hypothesis(Record):
     equations: tuple[HypEquation, ...]
 
     def rules(self) -> tuple[Rule, ...]:
-        return tuple(Rule(f"hypothesis:{eq.constant}.{i}", eq.lhs, eq.rhs, f"hypothesis:{eq.constant}")
-                     for i, eq in enumerate(self.equations))
+        return tuple(Rule(f"hypothesis:{eq.constant}.{i}", eq.lhs, eq.rhs) for i, eq in enumerate(self.equations))
 
 
 # Proof steps ---------------------------------------------------------------
@@ -349,13 +348,13 @@ class Registry:
 
     def derived_rule(self, rs: RuleSet, theorem_id: str) -> RuleSet:
         """``rs`` extended by the registered equality ``theorem_id``, oriented
-        left to right, as the rule ``derived:<id>``.  Registered equalities
+        left to right, as a rule named ``theorem_id``.  Registered equalities
         are the only source of derived rules."""
         sides = self.get(theorem_id).equation_sides()
         if sides is None:
             raise RuleError(f"theorem {theorem_id} is not an equality")
         lhs, rhs = sides
-        return rs.extended([Rule(theorem_id, to_pattern(lhs), to_pattern(rhs), "derived:" + theorem_id)])
+        return rs.extended([Rule(theorem_id, to_pattern(lhs), to_pattern(rhs))])
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +427,9 @@ def _cites(citation: Optional[str], name: str) -> bool:
 
 
 class _StepFailure(Exception):
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, step: Optional[int] = None):
         self.reason = reason
+        self.step = step  # index of the innermost failed step, set by the first run_step it leaves
         super().__init__(reason)
 
 
@@ -456,14 +456,11 @@ class _Checker:
         self.rules = rs.extended_once(hyp, hyp.rules) if hyp else rs
         self.step_counter = 0
         self.normalizations: list[tuple[str, NormalizeResult, NormalizeResult]] = []
-        self.checked: dict[int, Term] = {}  # id -> a term found free of undeclared names
 
     def check_declared(self, t: Term) -> None:
-        if id(t) not in self.checked:
-            loose = defined_names(t) - self.declared
-            if loose:
-                raise ScriptError(f"{self.script.theorem_id}: undeclared names {sorted(loose)}")
-            self.checked[id(t)] = t
+        loose = defined_names(t) - self.declared
+        if loose:
+            raise ScriptError(f"{self.script.theorem_id}: undeclared names {sorted(loose)}")
 
     # -- helpers
 
@@ -539,7 +536,7 @@ class _Checker:
         try:
             judgment = self._dispatch(step, scope)
         except _StepFailure as exc:
-            raise _StepFailure(f"step {index} ({step.label}): {exc.reason}") from None
+            raise _StepFailure(f"step {index} ({step.label}): {exc.reason}", exc.step or index) from None
         scope.add(step.label, judgment)
         return judgment
 
@@ -719,9 +716,7 @@ class _Checker:
             want_right = App(want_right, u)
         if left_fact.lhs != want_left or right_fact.lhs != want_right:
             raise _StepFailure("application facts do not apply the stated sides to the arguments")
-        if {neq_fact.lhs, neq_fact.rhs} != {left_fact.rhs, right_fact.rhs} and (
-            (neq_fact.lhs, neq_fact.rhs) != (left_fact.rhs, right_fact.rhs)
-        ):
+        if (neq_fact.lhs, neq_fact.rhs) not in ((left_fact.rhs, right_fact.rhs), (right_fact.rhs, left_fact.rhs)):
             raise _StepFailure("the disequality is not about the two application results")
         return goal
 
@@ -755,7 +750,7 @@ def check_script(
         checker.run_block(script.body, _Scope(), script.statement)
         ok, failed_step, reason = True, None, ""
     except _StepFailure as exc:
-        ok, failed_step, reason = False, checker.step_counter, exc.reason
+        ok, failed_step, reason = False, exc.step or checker.step_counter, exc.reason
     return CheckReport(script.theorem_id, ok, failed_step, reason, checker.step_counter,
                        time.perf_counter() - start, tuple(checker.normalizations))
 

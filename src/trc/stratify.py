@@ -344,7 +344,7 @@ def compile_combinator(
 # The simplifier's head rules.  Their left-hand sides are pairwise disjoint,
 # so at most one of them matches a term.
 _HEAD_RULES = tuple(
-    Rule(lhs, parse_pattern(lhs), parse_pattern(rhs), "derived:optimize")
+    Rule(lhs, parse_pattern(lhs), parse_pattern(rhs))
     for lhs, rhs in (
         ("Abst (Abst (Abst $a))", "Abst $a"),
         ("Abst (Abst k($a))", "k($a)"),

@@ -370,12 +370,12 @@ def defined_names(t: Term) -> set[str]:
     return {sub.name for sub in nodes(t) if type(sub) is Defined}
 
 
-def fresh_var(avoid: set[str], scheme: str = "v") -> str:
+def fresh_var(avoid: set[str]) -> str:
     """First name of the fixed scheme v0, v1, ... not in ``avoid``."""
     i = 0
-    while f"{scheme}{i}" in avoid:
+    while f"v{i}" in avoid:
         i += 1
-    return f"{scheme}{i}"
+    return f"v{i}"
 
 
 def substitute(t: Term, subst: Subst) -> Term:

@@ -29,8 +29,6 @@ from trc.terms import (
     substitute,
 )
 
-EXT_DEPTH = 4
-FUEL = 10000
 MUTANT_REPORTS = Path(__file__).parent / "data" / "mutant_reports.txt"
 
 
@@ -60,6 +58,12 @@ def _random_closed(rng: random.Random, depth: int):
     return Pair(_random_closed(rng, depth - 1), _random_closed(rng, depth - 1))
 
 
+def test_ext_equality_runs_within_the_criteria_bounds(full_rules):
+    # every ext_equal below takes its depth and fuel from its rule set's config
+    assert (full_rules.config.ext_depth, full_rules.config.fuel) == (4, 10000)
+    assert core_rules().config == full_rules.config
+
+
 def test_criterion_1_positive_corpus(corpus, corpus_report, full_rules):
     """The 12 equality results check via the kernel and via ext-equality."""
     assert len(EQUALITY_ENTRY_IDS) == 12
@@ -71,8 +75,7 @@ def test_criterion_1_positive_corpus(corpus, corpus_report, full_rules):
             assert report.ok
             statement = script.statement
             assert isinstance(statement, Equal)
-            evidence = ext_equal(statement.lhs, statement.rhs, full_rules,
-                                 defs=BASE_DEFINITIONS, ext_depth=EXT_DEPTH, fuel=FUEL)
+            evidence = ext_equal(statement.lhs, statement.rhs, full_rules, defs=BASE_DEFINITIONS)
             assert evidence.equal, f"{script.theorem_id} not confirmed extensionally"
             confirmed += 1
     print(f"\nCRITERION 1 PASS ({confirmed} equality statements, kernel + ext-equality)")
@@ -118,8 +121,7 @@ def test_criterion_4_abstraction_property(full_rules):
         assert "x" not in free_vars(lam)
         for _ in range(3):
             s = _random_closed(rng, 3)
-            evidence = ext_equal(App(lam, s), substitute(t, {"x": s}), full_rules,
-                                 defs=BASE_DEFINITIONS, ext_depth=EXT_DEPTH, fuel=FUEL)
+            evidence = ext_equal(App(lam, s), substitute(t, {"x": s}), full_rules, defs=BASE_DEFINITIONS)
             assert evidence.equal, f"contract failed for {render(t)} at s = {render(s)}"
         checked += 1
 
@@ -131,15 +133,13 @@ def test_criterion_4_abstraction_property(full_rules):
     for name, (params, body, reference) in references.items():
         spec = CombinatorSpec(name, tuple(params.split()), parse(body))
         compiled = compile_combinator(spec, full_rules, BASE_DEFINITIONS)
-        assert ext_equal(compiled, parse(reference), full_rules,
-                         defs=BASE_DEFINITIONS, ext_depth=EXT_DEPTH, fuel=FUEL).equal, name
+        assert ext_equal(compiled, parse(reference), full_rules, defs=BASE_DEFINITIONS).equal, name
     # the two-parameter example is checked against the body x (x y): the
     # recorded resolution of the stratified-example listing
     c = compile_combinator(CombinatorSpec("c", ("x", "y"), parse("x (x y)")),
                            full_rules, BASE_DEFINITIONS)
     applied = app(c, Var("x"), Var("y"))
-    assert ext_equal(applied, parse("x (x y)"), full_rules,
-                     defs=BASE_DEFINITIONS, ext_depth=EXT_DEPTH, fuel=FUEL).equal
+    assert ext_equal(applied, parse("x (x y)"), full_rules, defs=BASE_DEFINITIONS).equal
     print("\nCRITERION 4 PASS (200 abstraction samples x 3 arguments; 3 compiled references)")
 
 
@@ -233,7 +233,7 @@ def test_criterion_8_fixed_point_refuter(registry, full_rules):
         got = result.result
         assert isinstance(got, Pair) and got.right == P2
         assert isinstance(got.left, App) and got.left.fn == EQ, render(got)
-        assert not ext_equal(got, t, core, ext_depth=EXT_DEPTH, fuel=FUEL).equal
+        assert not ext_equal(got, t, core).equal
         statement = NotEqual(Pair(App(EQ, t), P2), t)
         script = ProofScript(
             f"fixed-point-{i}", "no fixed point at a closed argument", None,

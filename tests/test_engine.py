@@ -19,7 +19,7 @@ from test_terms import closed_terms, terms
 
 
 def hyp_rule(name: str, lhs: str, rhs: str) -> Rule:
-    return Rule(name, parse_pattern(lhs), parse_pattern(rhs), f"hypothesis:{name}")
+    return Rule(name, parse_pattern(lhs), parse_pattern(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_nonlinear_rules_need_identical_components(core, text, result):
 
 def test_rule_rejects_unbound_rhs_pattern_vars():
     with pytest.raises(RuleError):
-        Rule("bad", parse_pattern("$x"), parse_pattern("$x $y"), "axiom")
+        Rule("bad", parse_pattern("$x"), parse_pattern("$x $y"))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,6 @@ def test_trace_replays(core):
     by_name = {r.name: r for r in core.rules}
     current = parse("Abst Abst x y z")
     for step in result.trace:
-        assert step.before == current
         replayed = interpreted_rewrite_at(current, step.position, by_name[step.rule_name])
         assert replayed == step.after
         current = replayed
@@ -210,7 +209,7 @@ def reference_step(t, rs):
         for rule in rs.rules:
             new = interpreted_match(rule, sub)
             if new is not None:
-                return TraceStep(pos, rule.name, t, replace_at(t, pos, new))
+                return TraceStep(pos, rule.name, replace_at(t, pos, new))
     return None
 
 
@@ -278,8 +277,7 @@ def test_normalize_matches_reference_finder(rule_sets, which, t, fuel):
     by_name = {r.name: r for r in rs.rules}
     current = t
     for step in got.trace:
-        assert step.before == current
-        assert interpreted_rewrite_at(step.before, step.position, by_name[step.rule_name]) == step.after
+        assert interpreted_rewrite_at(current, step.position, by_name[step.rule_name]) == step.after
         current = step.after
     assert current == got.result
 
@@ -314,7 +312,7 @@ def random_rules(draw):
     rhs = substitute(rhs, {name: Var("w") for name in unbound})
     names = st.sampled_from(["$x", "$y", "$z"])  # "$z" is never bound
     identical = draw(st.none() | st.tuples(names, names))
-    return Rule("random", lhs, rhs, "fact", identical)
+    return Rule("random", lhs, rhs, identical=identical)
 
 
 small_terms = st.recursive(
@@ -370,20 +368,20 @@ def test_compiled_rule_matches_interpreter_on_rule_sets(rule_sets, which, data, 
 
 def test_compiled_rule_checks_identical_pair():
     # the identical pair may name variables the left-hand side does not bind
-    rule = Rule("eq", parse_pattern("Eq <$a,$b>"), P1, "fact", identical=("$a", "$c"))
+    rule = Rule("eq", parse_pattern("Eq <$a,$b>"), P1, identical=("$a", "$c"))
     assert rule_match(rule, parse("Eq <x,x>")) is None
-    rule = Rule("eq", parse_pattern("Eq <$a,$b>"), P1, "fact", identical=("$c", "$d"))
+    rule = Rule("eq", parse_pattern("Eq <$a,$b>"), P1, identical=("$c", "$d"))
     assert rule_match(rule, parse("Eq <x,y>")) == P1
 
 
 def test_rules_with_equal_spelling_share_a_compiled_function():
     lhs, rhs = parse_pattern("P1 $x"), parse_pattern("<$x, Zed>")
-    first, second = Rule("a", lhs, rhs, "fact"), Rule("b", parse_pattern("P1 $x"), rhs, "fact")
+    first, second = Rule("a", lhs, rhs), Rule("b", parse_pattern("P1 $x"), rhs)
     assert rule_match(first, parse("P1 y")) == rule_match(second, parse("P1 y"))
     assert first._fire is second._fire
     # a variable and a declared name print alike but must not share one
-    var_rule = Rule("v", App(Var("m"), PatVar("$x")), PatVar("$x"), "fact")
-    name_rule = Rule("n", App(Defined("m"), PatVar("$x")), PatVar("$x"), "fact")
+    var_rule = Rule("v", App(Var("m"), PatVar("$x")), PatVar("$x"))
+    name_rule = Rule("n", App(Defined("m"), PatVar("$x")), PatVar("$x"))
     assert render(var_rule.lhs) == render(name_rule.lhs)
     assert rule_match(var_rule, App(Var("m"), P1)) == P1
     assert rule_match(name_rule, App(Var("m"), P1)) is None
@@ -392,7 +390,7 @@ def test_rules_with_equal_spelling_share_a_compiled_function():
 
 def test_compiled_rule_replaces_variables_as_substitute_does():
     # ``substitute`` also replaces an object variable named like a bound pattern variable
-    rule = Rule("odd", PatVar("x"), App(Var("x"), PatVar("x")), "fact")
+    rule = Rule("odd", PatVar("x"), App(Var("x"), PatVar("x")))
     assert rule_match(rule, P1) == interpreted_match(rule, P1) == App(P1, P1)
 
 
@@ -405,10 +403,10 @@ def _nest(depth, t):
 def test_deep_rule_compiles_and_fires():
     # ``==`` on these nests recurses, so they are compared by rendering
     depth = 2000
-    rule = Rule("deep", _nest(depth, PatVar("$x")), _nest(depth, App(P1, PatVar("$x"))), "fact")
+    rule = Rule("deep", _nest(depth, PatVar("$x")), _nest(depth, App(P1, PatVar("$x"))))
     assert render(rule_match(rule, _nest(depth, Var("a")))) == render(_nest(depth, parse("P1 a")))
     assert rule_match(rule, _nest(depth - 1, Var("a"))) is None
-    ground = Rule("ground", _nest(depth, Var("a")), _nest(depth, Var("b")), "fact")
+    ground = Rule("ground", _nest(depth, Var("a")), _nest(depth, Var("b")))
     assert rule_match(ground, _nest(depth, Var("a"))) is ground.rhs
     got = normalize(_nest(depth, Var("a")), RuleSet((ground,), EngineConfig()))
     assert render(got.result) == render(_nest(depth, Var("b"))) and len(got.trace) == 1
@@ -429,8 +427,8 @@ def test_deep_rewrite_makes_far_ancestor_a_redex(core, text, first, root_rule, r
 
 def test_candidates_keep_rule_order_and_wildcards(core):
     rs = core.extended([
-        Rule("any", PatVar("$w"), PatVar("$w"), "fact"),
-        Rule("any-app", parse_pattern("$f $x"), parse_pattern("$x"), "fact"),
+        Rule("any", PatVar("$w"), PatVar("$w")),
+        Rule("any-app", parse_pattern("$f $x"), parse_pattern("$x")),
     ])
 
     def names(text):
@@ -466,8 +464,9 @@ def test_ext_equal_projections_unknown(core):
 
 
 def test_ext_equal_depth_zero_is_syntactic(core):
-    assert ext_equal(parse("k(x) y"), Var("x"), core, ext_depth=0).equal
-    assert not ext_equal(parse("Abst x"), parse("Abst (Abst (Abst x))"), core, ext_depth=0).equal
+    shallow = core_rules(EngineConfig(ext_depth=0))
+    assert ext_equal(parse("k(x) y"), Var("x"), shallow).equal
+    assert not ext_equal(parse("Abst x"), parse("Abst (Abst (Abst x))"), shallow).equal
 
 
 def test_evidence_replays(core):
@@ -475,12 +474,19 @@ def test_evidence_replays(core):
     assert evidence.equal
     final = evidence.levels[-1]
     assert final.left.result == final.right.result
-    # every step of every level's trace validates against the rule set
+    # every step of every level's trace validates against the rule set,
+    # from the level's input: the previous level's results applied to its fresh variable
     by_name = {r.name: r for r in core.rules}
+    inputs = (parse("Abst (Abst k(x))"), parse("k(x)"))
     for level in evidence.levels:
-        for side in (level.left, level.right):
+        if level.fresh is not None:
+            inputs = tuple(App(t, Var(level.fresh)) for t in inputs)
+        for current, side in zip(inputs, (level.left, level.right)):
             for step in side.trace:
-                assert interpreted_rewrite_at(step.before, step.position, by_name[step.rule_name]) == step.after
+                current = interpreted_rewrite_at(current, step.position, by_name[step.rule_name])
+                assert current == step.after
+            assert current == side.result
+        inputs = (level.left.result, level.right.result)
 
 
 def test_fixed_point_refuter_shape(core):

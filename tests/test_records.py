@@ -309,7 +309,7 @@ def test_validation_still_runs_on_construction():
     with pytest.raises(ValueError):
         engine.EngineConfig(fuel=0)
     with pytest.raises(engine.RuleError):
-        engine.Rule("r", terms.PatVar("$x"), terms.PatVar("$y"), "axiom")
+        engine.Rule("r", terms.PatVar("$x"), terms.PatVar("$y"))
 
 
 def test_rule_set_equality_ignores_its_index():
