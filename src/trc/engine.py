@@ -10,11 +10,17 @@ Redexes are found through a per-rule-set index keyed by a term's root shape
 (its constructor and, for an application, the head of its function side), so
 only rules whose left-hand side can match are tried at a position.
 ``normalize`` is one preorder scan over an explicit stack of subterms still to
-scan, which keeps the path from the root to the subterm in hand.  A rewrite
-rebuilds the path's ancestors and re-checks them from the root down; the first
-that became a redex is contracted next, and otherwise the scan resumes at the
-contractum and then the subterms to the right of the path.  The subterms to
-the left of the path are unchanged and were already found redex-free.
+scan.  It keeps the path from the root to the subterm in hand as a zipper
+(Huet, "The Zipper", JFP 1997): a rewrite rebuilds only the parent, and an
+ancestor above it is rebuilt when a match needs it, when the scan moves to a
+right sibling, or at the end.  The ancestors of a redex are redex-free, so a
+rule can newly match one only within its reach of the rewrite (the depth of
+its left-hand side's deepest non-variable node), unless it compares subterms
+(an ``identical`` pair or a repeated pattern variable); the index lists each
+shape's rules by reach.  The first ancestor that became a redex is contracted
+next; otherwise the scan resumes at the contractum, then right of the path
+(the left of it is unchanged and redex-free).  A trace step builds its
+position and the term after it when they are read.
 
 Each rule is compiled, on first use, into one generated Python function that
 takes a term and returns the contractum at its root (the instantiated
@@ -40,13 +46,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, takewhile
 from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from .terms import (
     ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
     App, Const, Defined, KWrap, Pair, PatVar, Record, Term, TrcError, Var,
     expand_defined, format_position, free_vars, fresh_var, nodes, pattern_vars,
-    render, with_child, Position,
+    render, replace_at, with_child, Position,
 )
 # Not called here: the reference path that compiled rules reproduce, and a
 # name bench/tracer.py patches to count first-order matches.
@@ -84,18 +91,42 @@ class Rule(Record):
     rhs: Term
     identical: Optional[tuple[str, str]] = None
     _fire: Callable[[Term], Optional[Term]]  # the compiled rule, set on first use
+    # how far above a rewrite the rule can newly match: the depth of the
+    # deepest non-variable node of ``lhs``, or None (unbounded) when a match
+    # also compares subterms, for an ``identical`` pair or a repeated variable
+    _reach: Optional[int]
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
-        extra = pattern_vars(self.rhs) - pattern_vars(self.lhs)
+        deepest, names = _lhs_walk(self.lhs)
+        extra = pattern_vars(self.rhs).difference(names)
         if extra:
             raise RuleError(f"rule {self.name}: rhs pattern variables {sorted(extra)} not bound by lhs")
+        unbounded = self.identical is not None or len(names) != len(set(names))
+        object.__setattr__(self, "_reach", None if unbounded else deepest)
 
     def __getattr__(self, name: str) -> Callable[[Term], Optional[Term]]:
         if name != "_fire":  # the one slot left unset, until its first use
             raise AttributeError(name)
         object.__setattr__(self, "_fire", _compiled(_RuleKey(self)))
         return self._fire
+
+
+def _lhs_walk(lhs: Term) -> tuple[int, list[str]]:
+    """The depth of the deepest non-variable node of ``lhs``, and the names
+    of its pattern-variable occurrences."""
+    deepest, names, todo = 0, [], [(lhs, 0)]
+    while todo:
+        sub, depth = todo.pop()
+        cls = type(sub)
+        if cls is PatVar:
+            names.append(sub.name)
+            continue
+        if depth > deepest:
+            deepest = depth
+        for field in _FIELDS.get(cls, ()):
+            todo.append((getattr(sub, field), depth + 1))
+    return deepest, names
 
 
 # child fields of each compound constructor, in preorder
@@ -223,8 +254,12 @@ def lhs_fits(lhs: Term, key: object) -> bool:
 class RuleSet(Record):
     rules: tuple[Rule, ...]
     config: EngineConfig
-    # shape key -> the rules that can match a term of that shape, filled on use
-    _index: dict[object, tuple[Rule, ...]]
+    # shape key -> its entry, filled on use: entry[0] holds the rules that can
+    # match a term of that shape, in rule-set order; entry[g], for g up to the
+    # largest finite reach, those of them whose reach is at least g (None
+    # until ``normalize`` needs it); and the last, the unbounded ones
+    _index: dict[object, list]
+    _width: int  # the largest finite reach of a rule
     # key -> this rule set extended by the rules it names, built on first use
     _extensions: dict[Hashable, "RuleSet"]
     __slots__ = ("__weakref__",)  # weakly referable, so its lifetime can be observed
@@ -235,6 +270,7 @@ class RuleSet(Record):
         if len(names) != len(set(names)):
             raise RuleError("rule names must be unique")
         object.__setattr__(self, "_index", {})
+        object.__setattr__(self, "_width", max([r._reach or 0 for r in rules], default=0))
         object.__setattr__(self, "_extensions", {})
 
     def extended(self, more: Iterable[Rule]) -> "RuleSet":
@@ -251,10 +287,14 @@ class RuleSet(Record):
     def candidates(self, t: Term) -> tuple[Rule, ...]:
         """The rules that can match at the root of ``t``, in rule-set order."""
         key = root_shape(t)
-        found = self._index.get(key)
-        if found is None:
-            found = self._index[key] = tuple(r for r in self.rules if lhs_fits(r.lhs, key))
-        return found
+        return (self._index.get(key) or self._entry(key))[0]
+
+    def _entry(self, key: object) -> list:
+        """Build and keep the index entry of shape ``key``."""
+        rules = tuple(r for r in self.rules if lhs_fits(r.lhs, key))
+        unbounded = tuple(r for r in rules if r._reach is None) if rules else ()
+        entry = self._index[key] = [rules, *[None] * self._width, unbounded]
+        return entry
 
 
 def _pv(name: str) -> PatVar:
@@ -290,12 +330,41 @@ def rule_match(rule: Rule, t: Term) -> Optional[Term]:
 
 
 class TraceStep(Record):
+    """One rewrite: ``rule_name`` contracted the redex at ``position``, giving
+    ``after``.  A step that ``normalize`` records holds the redex's scan frame,
+    the contractum and the step before it (or the input term), and builds
+    ``position`` and ``after`` when either is first read: ``after`` by one
+    forward ``replace_at`` replay from the last step whose ``after`` is built."""
+
     position: Position
     rule_name: str
     after: Term
+    _lazy: Optional[tuple]  # (frame, contractum, the step before), None once built
+
+    def __getattr__(self, name: str) -> object:
+        if name not in ("position", "after"):
+            raise AttributeError(name)
+        pending, before = [], self
+        while type(before) is TraceStep and before._lazy is not None:
+            pending.append(before)
+            before = before._lazy[2]
+        term = before.after if type(before) is TraceStep else before
+        for step in reversed(pending):
+            sels, frame = [], step._lazy[0]
+            while frame[0] is not None:
+                sels.append(frame[1])
+                frame = frame[0]
+            object.__setattr__(step, "position", tuple(reversed(sels)))
+            term = replace_at(term, step.position, step._lazy[1])
+            object.__setattr__(step, "after", term)
+            object.__setattr__(step, "_lazy", None)
+        return getattr(self, name)
 
     def line(self, number: int) -> str:
         return f"{number} {format_position(self.position)} {self.rule_name} ⊢ {render(self.after)}"
+
+
+_set_rule_name, _set_lazy = TraceStep.rule_name.__set__, TraceStep._lazy.__set__
 
 
 # Still a dataclass: the benchmark's tests copy it with ``dataclasses.replace``.
@@ -310,60 +379,114 @@ class NormalizeResult:
         return [step.line(i) for i, step in enumerate(self.trace, start=1)]
 
 
+def _rebuild(path: list[Term], frames: list[tuple], stale: int, upto: int) -> int:
+    """Rebuild ``path[upto:stale]`` bottom-up; returns the new stale mark."""
+    for i in range(stale - 1, upto - 1, -1):
+        path[i] = with_child(path[i], frames[i + 1][1], path[i + 1])
+    return min(stale, upto)
+
+
 def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
     """Rewrite ``t`` leftmost-outermost until no rule applies or ``fuel`` steps
     are taken; ``exhausted`` tells whether a redex remains."""
     limit = rs.config.fuel if fuel is None else fuel
+    index, width = rs._index, rs._width
     trace: list[TraceStep] = []
-    todo: list[tuple[int, str, Term]] = [(0, "", t)]  # subterms still to scan: (depth, selector, subterm)
-    # the path from the root down to the subterm last popped: the node at
-    # each depth and the selector into it ("" at the root)
-    ancestors: list[Term] = []
-    sels: list[str] = []
+    step: object = t  # the last step taken, or the input term
+    todo = [(None, "", t, 0)]  # subterms still to scan, as frames: (parent's frame, selector, subterm, depth)
+    # The path from the root to the subterm in hand, as a zipper: the node,
+    # frame and index entry at each depth, and the depths whose entry holds an
+    # unbounded rule.  The nodes above depth ``stale`` may hold an old child.
+    path: list[Term] = []
+    frames: list[tuple] = []
+    entries: list = []
+    far: list[int] = []
+    stale = 0
     while todo:
-        depth, sel, sub = todo.pop()
-        del ancestors[depth:], sels[depth:]
-        ancestors.append(sub)
-        sels.append(sel)
-        for rule in rs.candidates(sub):
-            new = rule_match(rule, sub)
-            if new is not None:
-                break
-        else:
-            depth += 1
-            if type(sub) is App:
-                todo.append((depth, ARG, sub.arg))
-                todo.append((depth, FN, sub.fn))
-            elif type(sub) is Pair:
-                todo.append((depth, RIGHT, sub.right))
-                todo.append((depth, LEFT, sub.left))
-            elif type(sub) is KWrap:
-                todo.append((depth, KBODY, sub.body))
-            continue
-        # A redex ends the path.  Contract it, then re-check the rebuilt
-        # ancestors from the root down: the first one that became a redex
-        # ends the path in turn, and the scan entries below it are dropped.
-        while new is not None:
-            if len(trace) == limit:
-                return NormalizeResult(ancestors[0], tuple(trace), True)
-            ancestors[depth] = new
-            for i in range(depth, 0, -1):
-                ancestors[i - 1] = with_child(ancestors[i - 1], sels[i], ancestors[i])
-            trace.append(TraceStep(tuple(sels[1:]), rule.name, ancestors[0]))
-            new = None
-            for up in range(depth):
-                for rule in rs.candidates(ancestors[up]):
-                    new = rule_match(rule, ancestors[up])
-                    if new is not None:
-                        break
+        frame = todo.pop()
+        _, _, sub, depth = frame
+        if depth < len(path):  # a right sibling: cut the path above it
+            if stale >= depth:
+                stale = _rebuild(path, frames, stale, depth - 1)
+            del path[depth:], frames[depth:], entries[depth:]
+            while far and far[-1] >= depth:
+                far.pop()
+        key = root_shape(sub)
+        entry = index.get(key) or rs._entry(key)
+        path.append(sub)
+        frames.append(frame)
+        entries.append(entry)
+        while True:  # the subterm at ``depth`` is registered: contract it while it is a redex
+            if entry[-1]:
+                far.append(depth)
+            for rule in entry[0]:
+                new = rule_match(rule, sub)
                 if new is not None:
-                    depth = up
-                    del ancestors[up + 1:], sels[up + 1:]
-                    while todo and todo[-1][0] > up:  # depths never decrease toward the top
-                        todo.pop()
                     break
-        todo.append((depth, sels[depth], ancestors[depth]))
-    return NormalizeResult(ancestors[0], tuple(trace), False)
+            else:
+                break
+            # Contract, re-register the parent (its shape follows its function
+            # side) and re-check the ancestors top-down: within the widest
+            # finite reach for the rules that reach the rewrite, above it for
+            # the unbounded rules only.  The ancestors were redex-free, and a
+            # rule that reaches no deeper than the rewrite still fails there.
+            # The first that became a redex is contracted next.
+            while new is not None:
+                if len(trace) == limit:
+                    _rebuild(path, frames, stale, 0)
+                    return NormalizeResult(path[0], tuple(trace), True)
+                path[depth] = new
+                step, before = object.__new__(TraceStep), step
+                _set_rule_name(step, rule.name)
+                _set_lazy(step, (frames[depth], new, before))
+                trace.append(step)
+                stale = depth
+                while far and far[-1] >= depth - 1:
+                    far.pop()
+                if depth:
+                    path[depth - 1] = with_child(path[depth - 1], frames[depth][1], new)
+                    stale = depth - 1
+                    key = root_shape(path[depth - 1])
+                    entries[depth - 1] = entry = index.get(key) or rs._entry(key)
+                    if entry[-1]:
+                        far.append(depth - 1)
+                new = None
+                lo = depth - width if depth > width else 0
+                ups = range(lo, depth)
+                if far and far[0] < lo:
+                    ups = chain(takewhile(lo.__gt__, far), ups)
+                for up in ups:
+                    entry, g = entries[up], (depth - up if up >= lo else -1)
+                    rules = entry[g]
+                    if rules is None:
+                        rules = entry[g] = tuple(r for r in entry[0] if r._reach is None or r._reach >= g)
+                    if rules and stale > up:
+                        stale = _rebuild(path, frames, stale, up)
+                    for rule in rules:
+                        new = rule_match(rule, path[up])
+                        if new is not None:
+                            break
+                    if new is not None:
+                        depth = up
+                        del path[up + 1:], frames[up + 1:], entries[up + 1:]
+                        while todo and todo[-1][3] > up:  # depths never decrease toward the top
+                            todo.pop()
+                        break
+            sub, frame = path[depth], frames[depth]
+            key = root_shape(sub)
+            entries[depth] = entry = index.get(key) or rs._entry(key)
+        depth += 1
+        if type(sub) is App:
+            todo.append((frame, ARG, sub.arg, depth))
+            todo.append((frame, FN, sub.fn, depth))
+        elif type(sub) is Pair:
+            todo.append((frame, RIGHT, sub.right, depth))
+            todo.append((frame, LEFT, sub.left, depth))
+        elif type(sub) is KWrap:
+            todo.append((frame, KBODY, sub.body, depth))
+    if stale:
+        _rebuild(path, frames, stale, 0)
+    return NormalizeResult(path[0], tuple(trace), False)
 
 
 # ---------------------------------------------------------------------------

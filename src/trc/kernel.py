@@ -25,7 +25,7 @@ Step repertoire:
   in-scope equality, which is ground, justifies exactly the site it states.
   A citation keeps the justifications it names (``K``, ``I`` or
   ``definition:I``, ``H`` or ``fact:H``).
-* ``normalize``: both sides reach one normal form within fuel.
+* ``normalize``: both sides reach one normal form within fuel (``fuel N``, N >= 1).
 * ``ext K``: both sides applied to K fresh variables reach one normal form.
 * ``cases Eq <a,b>``: classical dichotomy; branch one assumes a = b and
   ``Eq <a,b> = P1``, branch two assumes a != b and ``Eq <a,b> = P2``; both
@@ -600,6 +600,8 @@ class _Checker:
         goal = step.goal
         if not isinstance(goal, Equal):
             raise _StepFailure("normalize proves equalities only")
+        if step.fuel is not None and step.fuel < 1:
+            raise _StepFailure("normalize fuel must be >= 1")
         self._same_normal_form(step.label, self.expand(goal.lhs), self.expand(goal.rhs),
                                step.fuel, "normal forms")
         return goal

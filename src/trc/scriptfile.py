@@ -12,7 +12,7 @@ A script file holds one or more theorem blocks::
       qed by contradiction e n
     }
 
-Proof methods: ``chain [t0, ..., tn]``, ``normalize`` (optional ``fuel N``),
+Proof methods: ``chain [t0, ..., tn]``, ``normalize`` (optional ``fuel N``, N >= 1),
 ``ext K``, ``theorem ID with v := term, ...``, ``contradiction as H { ... }``
 (derive false from the assumed equality), ``contradiction EQ NEQ`` (falsum
 from two facts), ``cases Eq <a,b> as (C, D) { p1 => { ... } p2 => { ... } }``,

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trc import engine
 from trc.corpus import BASE_DEFINITIONS, standard_context
 from trc.engine import (
     EngineConfig, NormalizeResult, Rule, RuleError, RuleSet, TraceStep,
     core_rules, ext_equal, normalize, rule_match,
 )
 from trc.terms import (
-    ABST, EQ, P1, P2, App, Defined, KWrap, Pair, PatVar, Var, free_vars,
+    ABST, EQ, P1, P2, App, Defined, KWrap, Pair, PatVar, Var, format_position, free_vars,
     match_pattern, navigate, parse, parse_pattern, pattern_vars, rebuild,
     render, replace_at, substitute, subterms, term_size,
 )
@@ -254,6 +255,30 @@ def redex_rich_terms(*atoms):
 redex_rich = redex_rich_terms()
 
 
+@st.composite
+def buried_redexes(draw):
+    """A redex ``r`` that contracts to ``u``, under three to ten levels of a
+    context ``C`` of applications (some to ``F`` and ``G``), pairs and
+    ``k(-)``, in ``Eq <C[r], C[u]>``, ``<P1 C[r], P2 C[u]>``, ``D <C[r], C[u]>``,
+    ``D C[r] C[u]`` or alone.  Contracting ``r`` can make the nonlinear
+    ancestor a redex; half the time ``r`` is ``k(G) b`` in
+    ``F (G (G (r o)))``, whose contraction makes the deep-linear rule match
+    four levels up."""
+    a, b = draw(terms), draw(terms)
+    head = draw(st.sampled_from([ABST, EQ, P1, P2, Defined("F"), Defined("G"), Defined("D")]))
+    deep = draw(st.booleans())
+    r, u = (App(KWrap(Defined("G")), b), Defined("G")) if deep else draw(st.sampled_from([
+        (App(KWrap(a), b), a), (App(P1, Pair(a, b)), a), (App(P2, Pair(a, b)), b), (App(KWrap(head), b), head)]))
+    wraps = {"fn": lambda x, o: App(x, o), "arg": lambda x, o: App(o, x), "k": lambda x, o: KWrap(x),
+             "left": lambda x, o: Pair(x, o), "right": lambda x, o: Pair(o, x),
+             "F": lambda x, o: App(Defined("F"), x), "G": lambda x, o: App(Defined("G"), x)}
+    for name in ["fn", "G", "G", "F"] * deep + draw(st.lists(st.sampled_from(sorted(wraps)), min_size=3, max_size=6)):
+        other = draw(closed_terms)
+        r, u = wraps[name](r, other), wraps[name](u, other)
+    return draw(st.sampled_from([App(EQ, Pair(r, u)), Pair(App(P1, r), App(P2, u)), App(Defined("D"), Pair(r, u)),
+                                 App(App(Defined("D"), r), u), r]))
+
+
 @pytest.fixture(scope="module")
 def rule_sets():
     return {
@@ -262,12 +287,18 @@ def rule_sets():
         "standard": standard_context()[1],
         # nonterminating: fuel can run out in the middle of an ancestor re-check
         "self-application": core_rules().extended([hyp_rule("M", "M $x", "$x $x")]),
+        # a linear rule that reaches deeper than Abst
+        "deep-linear": core_rules().extended([hyp_rule("deep", "F (G (G (G $x)))", "$x")]),
+        # a repeated pattern variable without an identical pair
+        "repeated": core_rules().extended([hyp_rule("D", "D $x $x", "P1")]),
     }
 
 
-@pytest.mark.parametrize("which", ["core", "printed", "standard", "self-application"])
+@pytest.mark.parametrize("which", ["core", "printed", "standard", "self-application", "deep-linear", "repeated"])
 @settings(max_examples=150, deadline=None)
-@given(t=st.one_of(terms, closed_terms, redex_rich_terms(Defined("M"))), fuel=st.integers(0, 40))
+@given(t=st.one_of(terms, closed_terms, redex_rich_terms(Defined("M"), Defined("F"), Defined("G"), Defined("D")),
+                   buried_redexes()),
+       fuel=st.integers(0, 40))
 def test_normalize_matches_reference_finder(rule_sets, which, t, fuel):
     rs = rule_sets[which]
     got = normalize(t, rs, fuel)
@@ -417,12 +448,57 @@ def test_deep_rule_compiles_and_fires():
     ("Eq <k(P1 <a,b>), k(a)>", (("argument", "pair-left", "k-body"), "P1-proj"), "Eq-refl", "P1"),
     ("<P1 k(k(x) y), P2 k(x)>", (("pair-left", "argument", "k-body"), "K"), "surjective-pairing",
      "k(x)"),
+    ("<P1 (f (g (k(x) y))), P2 (f (g x))>", (("pair-left", "argument", "argument", "argument"), "K"),
+     "surjective-pairing", "f (g x)"),
 ])
 def test_deep_rewrite_makes_far_ancestor_a_redex(core, text, first, root_rule, result):
     got = normalize(parse(text), core)
     assert [(s.position, s.rule_name) for s in got.trace] == [first, ((), root_rule)]
     assert got.result == parse(result)
     assert got == reference_normalize(parse(text), core, core.config.fuel)
+
+
+def test_a_root_that_changed_shape_is_rechecked_far_above_a_rewrite(core):
+    # the first step makes the root an Eq application; the second, four levels down, makes it Eq-refl's redex
+    text = "k(Eq) P2 <f (g (k(x) y)), f (g x)>"
+    got = normalize(parse(text), core)
+    assert [(format_position(s.position), s.rule_name) for s in got.trace] == [
+        ("function", "K"), ("argument.pair-left.argument.argument", "K"), ("root", "Eq-refl")]
+    assert got.result == P1
+    assert got == reference_normalize(parse(text), core, core.config.fuel)
+
+
+def pair_spine(n):
+    """<P1,P2> x1 ... xn"""
+    t = Pair(P1, P2)
+    for i in range(1, n + 1):
+        t = App(t, Var(f"x{i}"))
+    return t
+
+
+def abst_tower(n):
+    """Abst Abst ... Abst x1 x2 x3, with n copies of Abst"""
+    t = ABST
+    for _ in range(n - 1):
+        t = App(t, ABST)
+    for i in range(1, 4):
+        t = App(t, Var(f"x{i}"))
+    return t
+
+
+@pytest.mark.parametrize("family", [pair_spine, abst_tower])
+def test_rule_attempts_per_step_do_not_grow_with_the_term(core, monkeypatch, family):
+    # counted as the benchmark's tracer counts them: through the module's rule_match
+    calls = []
+    original = engine.rule_match
+    monkeypatch.setattr(engine, "rule_match", lambda rule, t: calls.append(1) or original(rule, t))
+    per_step = []
+    for n in (100, 800):
+        calls.clear()
+        got = normalize(family(n), core)
+        assert got.trace and not got.exhausted
+        per_step.append(len(calls) / len(got.trace))
+    assert per_step[1] <= 2 * per_step[0], per_step
 
 
 def test_candidates_keep_rule_order_and_wildcards(core):

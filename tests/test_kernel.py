@@ -564,6 +564,8 @@ APPLIED = "have l : k(P1) z = P1 by normalize have r : k(P2) z = P2 by normalize
     ("k(P1) != k(P2)", "qed by contradiction as h { have e : a = a by chain [a] qed by contradiction h e }",
      "FAIL 3 step 1 (_qed1): step 3 (_qed2): falsum needs an equality and a disequality"),
     ("k(P1) z = P1", "have l : k(P1) z = P1 by normalize fuel 0 qed by l",
+     "FAIL 1 step 1 (l): normalize fuel must be >= 1"),
+    ("k(k(P1) x) y = P1", "have l : k(k(P1) x) y = P1 by normalize fuel 1 qed by l",
      "FAIL 1 step 1 (l): normalization exhausted its fuel"),
     ("a = a", "qed by application [z] (l, r, w)", "FAIL 1 step 1 (_qed1): application proves disequalities"),
     ("k(P1) != k(P2)", APPLIED + "qed by application [z] (r, l, r)",

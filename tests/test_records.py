@@ -299,6 +299,8 @@ def test_replace_changes_only_the_named_fields():
 @pytest.mark.parametrize("record", [
     terms.parse("k(<x, P1>) Y"), kernel.Equal(terms.P1, terms.P2), engine.core_rules(),
     kernel.ChainStep("s", kernel.FALSUM, (terms.P1,)),
+    # a step as normalize records it, with its position and result not yet built
+    engine.normalize(terms.parse("k(x) (k(y) z)"), engine.core_rules()).trace[-1],
 ])
 def test_records_copy_and_pickle(record):
     for copied in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
