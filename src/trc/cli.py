@@ -4,8 +4,9 @@ Commands: ``parse``, ``normalize``, ``eq``, ``stratify``, ``abstract``,
 ``compile``, ``check``, ``corpus``.  Exit codes: 0 on success or a passing
 check, 1 on a mathematical failure (failed or unknown verdicts, rejected
 abstraction, exhausted normalization), 2 on usage or syntax errors, including
-input nested too deeply for term equality, ``--optimize`` or the nested blocks
-of a proof script.
+malformed proof scripts (an undeclared name, a duplicate label, a hypothesis
+not headed by its constant) and input nested too deeply for term equality,
+``--optimize`` or the nested blocks of a proof script.
 
 The commands that rewrite terms (``normalize``, ``eq``, ``compile``,
 ``check``, ``corpus``) take the engine configuration from ``--fuel``,
@@ -296,12 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (TrcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except TrcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MATH_FAILURE
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
         return USAGE_ERROR

@@ -16,8 +16,8 @@ ancestor above it is rebuilt when a match needs it, when the scan moves to a
 right sibling, or at the end.  The ancestors of a redex are redex-free, so a
 rule can newly match one only within its reach of the rewrite (the depth of
 its left-hand side's deepest non-variable node), unless it compares subterms
-(an ``identical`` pair or a repeated pattern variable); the index lists each
-shape's rules by reach.  The first ancestor that became a redex is contracted
+(a repeated pattern variable, as in ``Eq-refl``); the index lists each shape's
+rules by reach.  The first ancestor that became a redex is contracted
 next; otherwise the scan resumes at the contractum, then right of the path
 (the left of it is unchanged and redex-free).  A trace step builds its
 position and the term after it when they are read.
@@ -25,12 +25,11 @@ position and the term after it when they are read.
 Each rule is compiled, on first use, into one generated Python function that
 takes a term and returns the contractum at its root (the instantiated
 right-hand side), or None: a straight-line check per left-hand-side node, the
-repeated-pattern-variable and ``identical`` comparisons in the same preorder as
+repeated-pattern-variable comparisons in the same preorder as
 ``terms.match_pattern``, and one assignment per right-hand-side node, with the
 rule's ground subterms passed in as constants.  Compiled functions are shared
-through one bounded cache keyed by the rule's two sides and ``identical``, so
-the rules the kernel rebuilds for every script are not compiled again for
-every script.
+through one bounded cache keyed by the rule's two sides, so the rules the
+kernel rebuilds for every script are not compiled again for every script.
 ``rule_match`` is the one call point.
 
 Two of the core rules exist in a corrected and an uncorrected variant (see
@@ -80,20 +79,17 @@ class EngineConfig(Record):
 
 
 class Rule(Record):
-    """Oriented schematic equation.
-
-    ``identical`` names two pattern variables that must bind syntactically
-    identical subterms for the rule to fire (only used by the Eq rule).
-    """
+    """Oriented schematic equation.  A pattern variable that occurs more
+    than once in ``lhs`` must bind syntactically equal subterms at each
+    occurrence for the rule to fire."""
 
     name: str
     lhs: Term
     rhs: Term
-    identical: Optional[tuple[str, str]] = None
     _fire: Callable[[Term], Optional[Term]]  # the compiled rule, set on first use
     # how far above a rewrite the rule can newly match: the depth of the
     # deepest non-variable node of ``lhs``, or None (unbounded) when a match
-    # also compares subterms, for an ``identical`` pair or a repeated variable
+    # also compares subterms, for a repeated variable
     _reach: Optional[int]
 
     def __init__(self, *args: object, **kwargs: object) -> None:
@@ -102,8 +98,7 @@ class Rule(Record):
         extra = pattern_vars(self.rhs).difference(names)
         if extra:
             raise RuleError(f"rule {self.name}: rhs pattern variables {sorted(extra)} not bound by lhs")
-        unbounded = self.identical is not None or len(names) != len(set(names))
-        object.__setattr__(self, "_reach", None if unbounded else deepest)
+        object.__setattr__(self, "_reach", deepest if len(names) == len(set(names)) else None)
 
     def __getattr__(self, name: str) -> Callable[[Term], Optional[Term]]:
         if name != "_fire":  # the one slot left unset, until its first use
@@ -146,13 +141,13 @@ def _spelling(t: Term) -> tuple:
 
 
 class _RuleKey:
-    """A rule's sides and ``identical`` pair, compared by their spelling."""
+    """A rule's two sides, compared by their spelling."""
 
-    __slots__ = ("lhs", "rhs", "identical", "_spelled", "_hash")
+    __slots__ = ("lhs", "rhs", "_spelled", "_hash")
 
     def __init__(self, rule: Rule) -> None:
-        self.lhs, self.rhs, self.identical = rule.lhs, rule.rhs, rule.identical
-        self._spelled = (_spelling(rule.lhs), _spelling(rule.rhs), rule.identical)
+        self.lhs, self.rhs = rule.lhs, rule.rhs
+        self._spelled = (_spelling(rule.lhs), _spelling(rule.rhs))
         self._hash = hash(self._spelled)
 
     def __hash__(self) -> int:
@@ -190,9 +185,6 @@ def _compiled(key: _RuleKey) -> Callable[[Term], Optional[Term]]:
             todo.extend((getattr(pattern, f), f"{subject}.{f}") for f in reversed(_FIELDS[cls]))
         else:
             lines.append(f"    if type({subject}) is not {cls.__name__} or {subject}.name != {pattern.name!r}: return None")
-    if key.identical is not None:
-        p, q = key.identical
-        lines.append(f"    if {bound.get(p, 'None')} != {bound.get(q, 'None')}: return None")
     # The right-hand side bottom-up: one assignment per node above a bound
     # variable, ground subterms as constants.  Nested expressions would hit
     # the parser's nesting limit on deep rules.
@@ -320,7 +312,7 @@ def core_rules(config: EngineConfig | None = None) -> RuleSet:
         rules.append(Rule("pair-application", App(Pair(x, y), z), Pair(App(x, y), App(x, z))))
         rules.append(Rule("Abst", App(App(App(ABST, x), y), z), App(App(x, KWrap(y)), App(y, z))))
     if cfg.eq_reflexivity:
-        rules.append(Rule("Eq-refl", App(EQ, Pair(a, b)), P1, identical=("$a", "$b")))
+        rules.append(Rule("Eq-refl", App(EQ, Pair(a, a)), P1))
     return RuleSet(tuple(rules), cfg)
 
 

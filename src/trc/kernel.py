@@ -23,14 +23,12 @@ Step repertoire:
   two terms, and at each such site only the rules the rule set's index
   offers for it.  A definition is looked up by the name at the site; an
   in-scope equality, which is ground, justifies exactly the site it states.
-  A citation keeps the justifications it names (``K``, ``I`` or
-  ``definition:I``, ``H`` or ``fact:H``).
 * ``normalize``: both sides reach one normal form within fuel (``fuel N``, N >= 1).
 * ``ext K``: both sides applied to K fresh variables reach one normal form.
 * ``cases Eq <a,b>``: classical dichotomy; branch one assumes a = b and
   ``Eq <a,b> = P1``, branch two assumes a != b and ``Eq <a,b> = P2``; both
   branches must prove the goal, and both fix the variables of a and b.  With
-  syntactically identical arguments the second branch may be omitted.
+  syntactically equal arguments the second branch may be omitted.
 * ``theorem ID``: instantiate a registered statement; for a registered
   refutation, the instantiated hypothesis equations must be discharged by
   facts already proved (or by the script's own hypothesis), and the
@@ -140,7 +138,6 @@ class ChainStep(Record):
     label: str
     goal: Judgment
     terms: tuple[Term, ...]
-    citations: Optional[tuple[Optional[str], ...]] = None  # one per link when given
 
 
 class NormalizeStep(Record):
@@ -386,7 +383,7 @@ class _Scope:
             raise ScriptError(f"duplicate label {label!r}")
         self.facts[label] = judgment
 
-    def iter_equalities(self) -> Iterator[tuple[str, Equal, frozenset[str]]]:
+    def iter_equalities(self) -> Iterator[tuple[Equal, frozenset[str]]]:
         """Each equality in scope, with the variables fixed where it was proved."""
         seen: set[str] = set()
         scope: Optional[_Scope] = self
@@ -394,7 +391,7 @@ class _Scope:
             for label, fact in scope.facts.items():
                 if label not in seen and isinstance(fact, Equal):
                     seen.add(label)
-                    yield label, fact, scope.fixed
+                    yield fact, scope.fixed
             scope = scope.parent
 
 
@@ -405,7 +402,7 @@ def _link_sites(a: Term, b: Term) -> list[tuple[Term, Term]]:
     A rewrite at one position leaves everything outside it unchanged, so it
     must sit on the root path down to the lowest position covering every
     difference between ``a`` and ``b``; there the rewritten subterm of ``a``
-    has to equal that of ``b``.  When ``a`` and ``b`` are identical, every
+    has to equal that of ``b``.  When ``a`` and ``b`` are equal, every
     position qualifies.
     """
     if a == b:
@@ -418,12 +415,6 @@ def _link_sites(a: Term, b: Term) -> list[tuple[Term, Term]]:
         a, b = differing[0]
         sites.append((a, b))
     return sites
-
-
-def _cites(citation: Optional[str], name: str) -> bool:
-    """Whether ``citation`` (None cites anything) names the justification
-    ``name``, in full or by its part after the first colon."""
-    return citation is None or citation == name or name.split(":", 1)[-1] == citation
 
 
 class _StepFailure(Exception):
@@ -493,26 +484,24 @@ class _Checker:
 
     # -- chain link justification
 
-    def _one_step(self, sites: list[tuple[Term, Term]], facts: list[Equal],
-                  citation: Optional[str]) -> bool:
+    def _one_step(self, sites: list[tuple[Term, Term]], facts: list[Equal]) -> bool:
         """Whether one justification rewrites some source site into its target."""
         for sub, want in sites:
             for rule in self.rules.candidates(sub):
-                if _cites(citation, rule.name) and rule_match(rule, sub) == want:
+                if rule_match(rule, sub) == want:
                     return True
-            if type(sub) is Defined and _cites(citation, "definition:" + sub.name) \
-                    and self.defs.get(sub.name) == want:
+            if type(sub) is Defined and self.defs.get(sub.name) == want:
                 return True
             # facts are ground: one rewrites exactly its left-hand side
             if any(eq.lhs == sub and eq.rhs == want for eq in facts):
                 return True
         return False
 
-    def justify_link(self, a: Term, b: Term, scope: _Scope, citation: Optional[str]) -> None:
-        facts = [fact for label, fact, _ in scope.iter_equalities() if _cites(citation, "fact:" + label)]
+    def justify_link(self, a: Term, b: Term, scope: _Scope) -> None:
+        facts = [fact for fact, _ in scope.iter_equalities()]
         sites = _link_sites(a, b)
-        if not (self._one_step(sites, facts, citation)
-                or self._one_step([(t, s) for s, t in sites], facts, citation)):
+        if not (self._one_step(sites, facts)
+                or self._one_step([(t, s) for s, t in sites], facts)):
             raise _StepFailure(f"no single rule instance relates {render(a)} and {render(b)}")
 
     # -- step execution
@@ -578,11 +567,8 @@ class _Checker:
             raise _StepFailure("chain needs at least one term")
         if terms[0] != goal.lhs or terms[-1] != goal.rhs:
             raise _StepFailure("chain endpoints do not match the stated equality")
-        citations = step.citations or (None,) * (len(terms) - 1)
-        if len(citations) != len(terms) - 1:
-            raise _StepFailure("one citation per chain link is required when citing")
         for i in range(len(terms) - 1):
-            self.justify_link(terms[i], terms[i + 1], scope, citations[i])
+            self.justify_link(terms[i], terms[i + 1], scope)
         return goal
 
     def _same_normal_form(self, label: str, lhs: Term, rhs: Term, fuel: Optional[int], what: str) -> None:
@@ -660,7 +646,7 @@ class _Checker:
         hyp = self.script.hypothesis.equations if self.script.hypothesis else ()
         if any(self.canonical(Equal(eq.lhs, eq.rhs), frozenset()) == want_c for eq in hyp):
             return True
-        return any(self.canonical(fact, fixed) == want_c for _, fact, fixed in scope.iter_equalities())
+        return any(self.canonical(fact, fixed) == want_c for fact, fixed in scope.iter_equalities())
 
     def _contradiction(self, step: ContradictionStep, scope: _Scope) -> Judgment:
         goal = step.goal

@@ -51,11 +51,11 @@ def _step_mutants(step: Step) -> Iterator[tuple[str, Step]]:
         if len(step.terms) >= 2:
             for i in range(len(step.terms)):
                 dropped = step.terms[:i] + step.terms[i + 1 :]
-                yield f"chain element {i} dropped", ChainStep(step.label, step.goal, dropped, None)
+                yield f"chain element {i} dropped", ChainStep(step.label, step.goal, dropped)
         for i, term in enumerate(step.terms):
             for desc, mutated in _term_mutants(term):
                 terms = step.terms[:i] + (mutated,) + step.terms[i + 1 :]
-                yield f"chain term {i}: {desc}", ChainStep(step.label, step.goal, terms, step.citations)
+                yield f"chain term {i}: {desc}", ChainStep(step.label, step.goal, terms)
     elif isinstance(step, TheoremStep):
         for i, (name, value) in enumerate(step.subst):
             for desc, mutated in _term_mutants(value):

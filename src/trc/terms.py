@@ -255,17 +255,27 @@ def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
             stack.append((pos + (sel,), child))
 
 
+# selector -> the constructor it applies to and the child field it names
+_SELECTED = {FN: (App, "fn"), ARG: (App, "arg"), KBODY: (KWrap, "body"),
+             LEFT: (Pair, "left"), RIGHT: (Pair, "right")}
+
+
+def _descend(t: Term, pos: Position) -> list[Term]:
+    """The nodes of ``t`` from the root down to the subterm at ``pos``;
+    raises PositionError on the first bad selector."""
+    path = [t]
+    for i, sel in enumerate(pos):
+        cls, field = _SELECTED.get(sel, (None, ""))
+        if type(t) is not cls:
+            raise PositionError(sel, pos[:i])
+        t = getattr(t, field)
+        path.append(t)
+    return path
+
+
 def navigate(t: Term, pos: Position) -> Term:
     """Subterm of ``t`` at ``pos``; raises PositionError on the first bad selector."""
-    cur = t
-    for i, sel in enumerate(pos):
-        for s, child in children(cur):
-            if s == sel:
-                cur = child
-                break
-        else:
-            raise PositionError(sel, pos[:i])
-    return cur
+    return _descend(t, pos)[-1]
 
 
 def with_child(t: Term, sel: str, child: Term) -> Term:
@@ -286,14 +296,8 @@ def with_child(t: Term, sel: str, child: Term) -> Term:
 
 def replace_at(t: Term, pos: Position, s: Term) -> Term:
     """``t`` with exactly the subterm at ``pos`` replaced by ``s``."""
-    ancestors = []
-    for i, sel in enumerate(pos):
-        ancestors.append(t)
-        try:
-            t = navigate(t, (sel,))
-        except PositionError:
-            raise PositionError(sel, pos[:i]) from None
-    for node, sel in zip(reversed(ancestors), reversed(pos)):
+    path = _descend(t, pos)
+    for node, sel in zip(reversed(path[:-1]), reversed(pos)):
         s = with_child(node, sel, s)
     return s
 
@@ -391,7 +395,7 @@ def match_pattern(pattern: Term, t: Term) -> Optional[dict[str, Term]]:
     """First-order match of ``pattern`` against ``t``.
 
     Pattern variables bind subterms; repeated pattern variables must match
-    syntactically identical subterms.  Everything else (including object
+    syntactically equal subterms.  Everything else (including object
     variables) matches literally.  Returns the binding map, or None.
     """
     bindings: dict[str, Term] = {}

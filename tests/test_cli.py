@@ -49,6 +49,14 @@ def test_normalize_identity(capsys):
     assert code == 0 and out.strip() == "x"
 
 
+@pytest.mark.parametrize("argv, out", [
+    (("Eq <x,x>",), "P1"),
+    (("--no-eq-refl", "Eq <x,x>"), "Eq <x,x>"),
+])
+def test_normalize_eq_refl_toggle(capsys, argv, out):
+    assert run(capsys, "normalize", *argv) == (0, out + "\n", "")
+
+
 def test_eq_example(capsys):
     code, out, _ = run(capsys, "eq", "Abst I", "k(I)")
     assert code == 0
@@ -95,6 +103,14 @@ def test_stratify_output_is_pinned(capsys, text, code, out):
 def test_abstract_identity(capsys):
     code, out, _ = run(capsys, "abstract", "x", "x")
     assert code == 0 and out.strip() == "I"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("x", "k(P1) x"), "Abst k(k(P1)) I"),
+    (("--optimize", "x", "k(P1) x"), "k(k(P1)) I"),
+])
+def test_abstract_optimize_is_opt_in(capsys, argv, out):
+    assert run(capsys, "abstract", *argv) == (0, out + "\n", "")
 
 
 def test_abstract_rejects(capsys):
@@ -169,6 +185,20 @@ def test_check_command(tmp_path, capsys):
     assert "THEOREM user-1 PASS" in out
 
 
+@pytest.mark.parametrize("body, error", [
+    ("prove Q = Q\n  qed by chain [Q]", "user-3: undeclared names ['Q']"),
+    ("prove P1 = P1\n  have a : P1 = P1 by chain [P1]\n  have a : P1 = P1 by chain [P1]\n  qed by chain [P1]",
+     "duplicate label 'a'"),
+    ("hypothesis M : P1 $x = $x $x\n  prove false\n  qed by chain [P1]",
+     "hypothesis equation for M is not headed by it"),
+])
+def test_a_malformed_script_is_usage_error(tmp_path, capsys, body, error):
+    # malformed, not a failed proof: exit 1 is kept for verdicts
+    f = tmp_path / "bad.trc"
+    f.write_text(f'theorem user-3 "malformed" {{\n  {body}\n}}\n')
+    assert run(capsys, "check", str(f)) == (2, "", f"error: {error}\n")
+
+
 def test_check_reports_failures(tmp_path, capsys):
     f = tmp_path / "bad.trc"
     f.write_text('''
@@ -208,10 +238,12 @@ SPECS = Path(__file__).parent.parent / "src" / "trc" / "corpus" / "specs.trc"
 @pytest.mark.parametrize("golden, flags", [
     ("compile_specs.txt", ()),
     ("compile_specs_optimized.txt", ("--optimize",)),
+    ("compile_specs_printed.txt", ("--printed-axioms",)),
 ])
 def test_compile_matches_golden(capsys, golden, flags):
     # the committed output pins the compiled terms, byte for byte; most
-    # specs are not stratified, so the command exits 1
+    # specs are not stratified, so the command exits 1.  Under the printed
+    # axioms the stratified ones fail their self-test instead of compiling.
     code, out, _ = run(capsys, "compile", str(SPECS), *flags)
     assert code == 1
     assert out.encode("utf-8") == (GOLDEN_TRACE.parent / golden).read_bytes()
@@ -274,6 +306,12 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "engine.conf"
+    conf.write_text("-- a comment line\nfuel\n")
+    assert run(capsys, "normalize", "--config", str(conf), "x") == (2, "", "error: bad config line: 'fuel'\n")
 
 
 @pytest.mark.parametrize("key", ["printed-axioms", "surjective-pairing", "eq-reflexivity"])

@@ -188,15 +188,9 @@ def test_stability_under_substitution(t, s):
 
 def interpreted_match(rule, t):
     """The contractum of ``rule`` at the root of ``t`` by interpretation:
-    ``match_pattern``, the ``identical`` check, then ``substitute``."""
+    ``match_pattern``, then ``substitute``."""
     subst = match_pattern(rule.lhs, t)
-    if subst is None:
-        return None
-    if rule.identical is not None:
-        p, q = rule.identical
-        if subst.get(p) != subst.get(q):
-            return None
-    return substitute(rule.rhs, subst)
+    return None if subst is None else substitute(rule.rhs, subst)
 
 
 def interpreted_rewrite_at(t, pos, rule):
@@ -289,7 +283,7 @@ def rule_sets():
         "self-application": core_rules().extended([hyp_rule("M", "M $x", "$x $x")]),
         # a linear rule that reaches deeper than Abst
         "deep-linear": core_rules().extended([hyp_rule("deep", "F (G (G (G $x)))", "$x")]),
-        # a repeated pattern variable without an identical pair
+        # a repeated pattern variable in a rule of its own
         "repeated": core_rules().extended([hyp_rule("D", "D $x $x", "P1")]),
     }
 
@@ -341,9 +335,7 @@ def random_rules(draw):
     rhs = draw(patterns)
     unbound = pattern_vars(rhs) - pattern_vars(lhs)
     rhs = substitute(rhs, {name: Var("w") for name in unbound})
-    names = st.sampled_from(["$x", "$y", "$z"])  # "$z" is never bound
-    identical = draw(st.none() | st.tuples(names, names))
-    return Rule("random", lhs, rhs, identical=identical)
+    return Rule("random", lhs, rhs)
 
 
 small_terms = st.recursive(
@@ -395,14 +387,6 @@ def test_compiled_rule_matches_interpreter_on_random_rules(data, rule, small):
 def test_compiled_rule_matches_interpreter_on_rule_sets(rule_sets, which, data, small):
     for rule in rule_sets[which].rules:
         assert_same_contractum(rule, data.draw(subjects(rule, small)))
-
-
-def test_compiled_rule_checks_identical_pair():
-    # the identical pair may name variables the left-hand side does not bind
-    rule = Rule("eq", parse_pattern("Eq <$a,$b>"), P1, identical=("$a", "$c"))
-    assert rule_match(rule, parse("Eq <x,x>")) is None
-    rule = Rule("eq", parse_pattern("Eq <$a,$b>"), P1, identical=("$c", "$d"))
-    assert rule_match(rule, parse("Eq <x,y>")) == P1
 
 
 def test_rules_with_equal_spelling_share_a_compiled_function():

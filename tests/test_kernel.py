@@ -11,7 +11,7 @@ from trc.corpus import BASE_DEFINITIONS
 from trc.engine import Rule, RuleError, core_rules, normalize
 from trc.kernel import (
     FALSUM, ApplicationStep, CasesStep, ChainStep, CheckReport, ContradictionStep,
-    Equal, FalsumStep, HypEquation, Hypothesis, NormalizeStep, NotEqual,
+    Equal, HypEquation, Hypothesis, NormalizeStep, NotEqual,
     ProofScript, Registry, RegistryError, ScriptError, TheoremRecord, TheoremStep, check_script,
     judgment_vars, map_judgment, map_step, record_for,
 )
@@ -164,21 +164,18 @@ def test_chain_link_through_a_nonlinear_rule(core, registry, left, right, ok):
         assert "no single rule" in report.reason
 
 
-def reference_link(a, b, rules, defs=None, facts=(), citation=None):
+def reference_link(a, b, rules, defs=None, facts=()):
     """Whether one justification rewrites a to b, or b to a, at any one
     position, found by interpreting every justification at every position.
 
     The justifications are the rules of ``rules``, each definition
     ``n := body`` as the rule ``n -> body`` and each ``(label, l = r)`` of
-    ``facts`` as the rule ``l -> r``.  A citation keeps those it names in
-    full or by the part after the first colon."""
+    ``facts`` as the rule ``l -> r``."""
     candidates = [
         *rules.rules,
         *(Rule(f"definition:{n}", Defined(n), body) for n, body in (defs or {}).items()),
         *(Rule(f"fact:{label}", eq.lhs, eq.rhs) for label, eq in facts),
     ]
-    if citation is not None:
-        candidates = [r for r in candidates if citation in (r.name, r.name.split(":", 1)[-1])]
     return any(
         interpreted_rewrite_at(x, pos, rule) == y
         for x, y in ((a, b), (b, a))
@@ -203,12 +200,6 @@ link_terms = st.recursive(
     max_leaves=12,
 )
 
-LINK_CITATIONS = [
-    "K", "P1-proj", "pair-application", "hypothesis:M.0", "M.0", "definition:I", "I",
-    "definition:t", "t", "fact:H", "H", "fact:C", "C", "D", "nope",
-]
-
-
 def link_facts(scope, left, right):
     """The equalities in scope of the link, one list per branch it runs in."""
     if scope == "contradiction":
@@ -219,11 +210,11 @@ def link_facts(scope, left, right):
     return [[]]
 
 
-def link_script(a, b, scope, left, right, citation):
+def link_script(a, b, scope, left, right):
     """A refutation script whose step ``link`` is the chain link a = b, run
     in a scope of the kind ``scope``.  The script fails at that step, or
     later: its blocks never conclude their goals."""
-    link = ChainStep("link", Equal(a, b), (a, b), None if citation is None else (citation,))
+    link = ChainStep("link", Equal(a, b), (a, b))
     if scope == "contradiction":
         body = (ContradictionStep("outer", NotEqual(left, right), "H", (link,)),)
     elif scope == "cases":
@@ -256,59 +247,18 @@ def test_chain_link_verdict_matches_reference(registry, data, a, scope):
         for rule in justifications:
             got = interpreted_rewrite_at(a, pos, rule)
             if got is not None:
-                rewrites.setdefault(rule.name.split(":")[0], []).append((got, rule.name))
-    b, name = data.draw(st.one_of(
+                rewrites.setdefault(rule.name.split(":")[0], []).append(got)
+    b = data.draw(st.one_of(
         st.sampled_from(sorted(rewrites)).flatmap(lambda kind: st.sampled_from(rewrites[kind]))
         if rewrites else st.nothing(),
-        st.tuples(st.just(a), st.just("K")),
-        st.tuples(link_terms, st.just("K")),
+        st.just(a),
+        link_terms,
     ))
     if data.draw(st.booleans()):
         a, b = b, a
-    citation = data.draw(st.one_of(
-        st.none(), st.sampled_from([name, name.split(":", 1)[-1]]), st.sampled_from(LINK_CITATIONS),
-    ))
-    report = check_script(link_script(a, b, scope, left, right, citation), registry, rules, BASE_DEFINITIONS)
+    report = check_script(link_script(a, b, scope, left, right), registry, rules, BASE_DEFINITIONS)
     accepted = "(link): no single rule instance" not in report.reason
-    assert accepted == all(
-        reference_link(a, b, with_hyp, LINK_DEFS, facts, citation) for facts in fact_sets
-    )
-
-
-def cited_definition(citation):
-    a, b = parse("I x"), parse("<P1, P2> x")
-    return ProofScript("cite", "a cited definition", None, Equal(a, b), (),
-                       (ChainStep("l", Equal(a, b), (a, b), (citation,)),))
-
-
-def cited_fact(citation):
-    # inside the contradiction, H : P1 = P2 rewrites k(P1) w to k(P2) w
-    a, b = parse("k(P1) w"), parse("k(P2) w")
-    goal = NotEqual(P1, P2)
-    body = (
-        ChainStep("l", Equal(a, b), (a, b), (citation,)),
-        TheoremStep("v", goal, "VIII"),
-        FalsumStep("f", FALSUM, "H", "v"),
-    )
-    return ProofScript("cite", "a cited fact", None, goal, (), (ContradictionStep("c", goal, "H", body),))
-
-
-@pytest.mark.parametrize("script", [
-    cited_definition("I"), cited_definition("definition:I"), cited_fact("H"), cited_fact("fact:H"),
-])
-def test_a_link_citing_its_justification_is_accepted(core, registry, script):
-    report = check_script(script, registry, core, BASE_DEFINITIONS)
-    assert report.ok, report.reason
-
-
-@pytest.mark.parametrize("script", [
-    cited_definition("K"), cited_definition("fact:I"), cited_definition("H"),
-    cited_fact("I"), cited_fact("definition:H"), cited_fact("K"),
-])
-def test_a_link_citing_another_justification_is_rejected(core, registry, script):
-    report = check_script(script, registry, core, BASE_DEFINITIONS)
-    assert not report.ok
-    assert "(l): no single rule instance" in report.reason
+    assert accepted == all(reference_link(a, b, with_hyp, LINK_DEFS, facts) for facts in fact_sets)
 
 
 def test_a_fact_holding_a_pattern_variable_is_matched_literally(core, registry):
@@ -350,7 +300,7 @@ def test_checks_under_one_hypothesis_share_its_rule_set(core, registry, monkeypa
     calls = []
     rules = Hypothesis.rules
     monkeypatch.setattr(Hypothesis, "rules", lambda self: calls.append(self) or rules(self))
-    script = link_script(Defined("t"), Pair(P2, P1), "none", P1, P2, None)
+    script = link_script(Defined("t"), Pair(P2, P1), "none", P1, P2)
     for _ in range(3):
         assert "block concludes" in check_script(script, registry, core, BASE_DEFINITIONS).reason
     assert len(calls) == 1

@@ -82,7 +82,6 @@ class ChainStep:
     label: str
     goal: object
     terms: tuple
-    citations: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,7 @@ judgments = st.one_of(
     st.just(kernel.FALSUM),
 )
 leaf_steps = st.one_of(
-    st.builds(kernel.ChainStep, labels, judgments, term_tuples,
-              st.none() | st.lists(st.none() | labels, max_size=2).map(tuple)),
+    st.builds(kernel.ChainStep, labels, judgments, term_tuples),
     st.builds(kernel.NormalizeStep, labels, judgments, st.none() | st.integers(1, 9)),
     st.builds(kernel.ExtStep, labels, judgments, st.integers(0, 3)),
     st.builds(kernel.TheoremStep, labels, judgments, labels,
@@ -279,7 +277,7 @@ def test_keyword_construction_and_defaults():
     assert terms.App(fn=x, arg=y) == terms.App(x, y)
     assert terms.Pair(x, right=y) == terms.Pair(x, y)
     goal = kernel.Equal(lhs=x, rhs=x)
-    assert kernel.ChainStep(label="s", goal=goal, terms=(x,)) == kernel.ChainStep("s", goal, (x,), None)
+    assert kernel.NormalizeStep(label="s", goal=goal) == kernel.NormalizeStep("s", goal, None)
     assert engine.EngineConfig(fuel=5) == engine.EngineConfig(5, 4, True, True, True)
     for args, kwargs in [(("s",), {"source": "t"}), (("s", goal, "t"), {"fuel": 3}),
                          (("s", goal, "t", "u"), {}), (("s", goal), {"label": "t", "source": "t"})]:

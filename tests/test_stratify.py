@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trc.corpus import BASE_DEFINITIONS
-from trc.engine import ext_equal, rule_match
+from trc.engine import EngineConfig, core_rules, ext_equal, rule_match
 from trc.stratify import (
-    _HEAD_RULES, IDENTITY, CombinatorSpec, NotAbstractable, StratifyResult, _conflict_cycle,
+    _HEAD_RULES, IDENTITY, CombinatorSpec, CompileError, NotAbstractable, StratifyResult, _conflict_cycle,
     abstract, abstraction_levels, compile_combinator, optimize, replay_conflict, stratify,
     term_constraints,
 )
@@ -450,6 +450,21 @@ def test_compile_rejects_self_application(full_rules):
     with pytest.raises(NotAbstractable) as err:
         compile_combinator(spec("m", "x", "x x"), full_rules, BASE_DEFINITIONS)
     assert err.value.parameter == "x"
+
+
+def test_compile_self_test_rejects_under_the_printed_axioms():
+    # b abstracts, but with the misprinted rules its compiled term applied
+    # to fresh variables never reaches the body's normal form
+    printed = core_rules(EngineConfig(corrected_axioms=False))
+    with pytest.raises(CompileError) as err:
+        compile_combinator(spec("b", "x y z", "y (x y z)"), printed, BASE_DEFINITIONS)
+    compiled = abstract("x", abstract("y", abstract("z", parse("y (x y z)"))))
+    last = ext_equal(app(compiled, Var("x"), Var("y"), Var("z")), parse("y (x y z)"), printed,
+                     defs=BASE_DEFINITIONS).levels[-1]
+    assert render(last.right.result) == "y (x y z) v0 v1 v2 v3"
+    assert last.left.result != last.right.result
+    assert err.value.diagnostics == (
+        f"applied form normalizes to {render(last.left.result)}, body to {render(last.right.result)}")
 
 
 def test_compiled_output_is_closed(full_rules):
