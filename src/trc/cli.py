@@ -16,7 +16,10 @@ The commands that rewrite terms (``normalize``, ``eq``, ``compile``,
 flags.  The rewriting commands first check the bundled equality theorems
 in-process and use the derived rules they justify; with the uncorrected
 axiom variants most of those theorems fail, and only the surviving rules are
-used.
+used.  ``check`` also checks the bundled refutations, whose theorems scripts
+may cite, and skips the corpus's compile checks, which register nothing.
+When a compiled definition fails its self-test, ``compile`` says so on stdout
+and prints the two normal forms that differed on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import sys
 from pathlib import Path
 
 from .corpus import (
-    BASE_DEFINITIONS, list_theorems, load_corpus, run_corpus, standard_context,
+    BASE_DEFINITIONS, EQUALITY_ENTRY_IDS, REFUTATION_ENTRY_IDS, list_theorems, load_corpus,
+    run_corpus, standard_context,
 )
 from .engine import EngineConfig, ext_equal, normalize
 from .kernel import check_script
@@ -192,15 +196,16 @@ def cmd_compile(args) -> int:
         except NotAbstractable as exc:
             failures += 1
             print(f"{spec.name} FAILED: {exc.reason} (parameter {exc.parameter})")
-        except CompileError:
+        except CompileError as exc:
             failures += 1
             print(f"{spec.name} FAILED: self-test rejected the output")
+            print(f"{spec.name}: {exc.diagnostics}", file=sys.stderr)
     return MATH_FAILURE if failures else 0
 
 
 def cmd_check(args) -> int:
     config = build_config(args)
-    report = run_corpus(load_corpus(), config)
+    report = run_corpus(load_corpus(EQUALITY_ENTRY_IDS + REFUTATION_ENTRY_IDS), config)
     registry, ruleset = report.registry, report.ruleset
     failures = 0
     for path in args.files:

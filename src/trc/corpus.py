@@ -169,15 +169,13 @@ class EntryResult:
         return self.status == "pass"
 
     def lines(self, trace: bool = False) -> list[str]:
-        out: list[str] = []
         if self.entry.kind.startswith("compile"):
             word = "PASS" if self.ok else ("BLOCKED" if self.status == "blocked" else "FAIL")
             detail = f" {self.detail}" if self.detail else ""
-            out.append(f"COMPILE {self.entry.ident} {word}{detail}")
-            return out
+            return [f"COMPILE {self.entry.ident} {word}{detail}"]
         if self.status == "blocked":
-            out.append(f"THEOREM {self.entry.ident} BLOCKED {self.detail}")
-            return out
+            return [f"THEOREM {self.entry.ident} BLOCKED {self.detail}"]
+        out: list[str] = []
         for report in self.reports:
             out.append(report.line())
             if trace:
@@ -211,9 +209,10 @@ class CorpusReport(Record):
             present = [i for i in ids if i in status]
             ok = bool(present) and all(status[i] for i in present)
             out.append(f"COVERAGE {item} {' '.join(ids)} {'OK' if ok else 'INCOMPLETE'}")
-        if not self.config.corrected_axioms:
+        failed = "/".join(r.entry.ident for r in self.results if r.status == "fail")
+        if failed and not self.config.corrected_axioms:
             out.append(
-                "NOTE uncorrected-axiom run: failures of I-is-identity/2.1a/2.1b/2.1d/2.2a/2.2c/2.3a"
+                f"NOTE uncorrected-axiom run: failures of {failed}"
                 " reproduce the documented misprint in the pair-application and abstraction"
                 " rules; the entries depending on them are blocked"
             )

@@ -28,8 +28,9 @@ right-hand side), or None: a straight-line check per left-hand-side node, the
 repeated-pattern-variable comparisons in the same preorder as
 ``terms.match_pattern``, and one assignment per right-hand-side node, with the
 rule's ground subterms passed in as constants.  Compiled functions are shared
-through one bounded cache keyed by the rule's two sides, so the rules the
-kernel rebuilds for every script are not compiled again for every script.
+through one dict keyed by the spelling of the rule's two sides and emptied
+when it holds 1,024 of them, so the rules the kernel rebuilds for every script
+are not compiled again for every script.
 ``rule_match`` is the one call point.
 
 Two of the core rules exist in a corrected and an uncorrected variant (see
@@ -44,7 +45,6 @@ they are inconsistent with the corrected theory's own derivations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, takewhile
 from typing import Callable, Hashable, Iterable, Mapping, Optional
 
@@ -103,8 +103,14 @@ class Rule(Record):
     def __getattr__(self, name: str) -> Callable[[Term], Optional[Term]]:
         if name != "_fire":  # the one slot left unset, until its first use
             raise AttributeError(name)
-        object.__setattr__(self, "_fire", _compiled(_RuleKey(self)))
-        return self._fire
+        key = (_spelling(self.lhs), _spelling(self.rhs))
+        fire = _COMPILED.get(key)
+        if fire is None:
+            if len(_COMPILED) >= _COMPILED_MAX:
+                _COMPILED.clear()
+            fire = _COMPILED[key] = _compile(self.lhs, self.rhs)
+        object.__setattr__(self, "_fire", fire)
+        return fire
 
 
 def _lhs_walk(lhs: Term) -> tuple[int, list[str]]:
@@ -140,33 +146,19 @@ def _spelling(t: Term) -> tuple:
     return tuple(out)
 
 
-class _RuleKey:
-    """A rule's two sides, compared by their spelling."""
-
-    __slots__ = ("lhs", "rhs", "_spelled", "_hash")
-
-    def __init__(self, rule: Rule) -> None:
-        self.lhs, self.rhs = rule.lhs, rule.rhs
-        self._spelled = (_spelling(rule.lhs), _spelling(rule.rhs))
-        self._hash = hash(self._spelled)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _RuleKey) and self._spelled == other._spelled
+# compiled rules by the spelling of their two sides, cleared when full
+_COMPILED: dict[tuple[tuple, tuple], Callable[[Term], Optional[Term]]] = {}
+_COMPILED_MAX = 1024
 
 
-@lru_cache(maxsize=1024)
-def _compiled(key: _RuleKey) -> Callable[[Term], Optional[Term]]:
-    """The generated match-and-instantiate function of a rule, shared by
-    every rule with the same key."""
+def _compile(lhs: Term, rhs: Term) -> Callable[[Term], Optional[Term]]:
+    """The generated match-and-instantiate function of the rule ``lhs -> rhs``."""
     lines = ["def fire(t):"]
     namespace: dict[str, object] = {c.__name__: c for c in (App, Pair, KWrap, Var, Const, Defined)}
     bound: dict[str, str] = {}  # pattern variable -> local holding its binding
     # The left-hand side in the preorder of ``match_pattern``, so repeated
     # pattern variables are compared at the same points in the same order.
-    todo: list[tuple[Term, str]] = [(key.lhs, "t")]  # (pattern node, expression of its subject)
+    todo: list[tuple[Term, str]] = [(lhs, "t")]  # (pattern node, expression of its subject)
     while todo:
         pattern, subject = todo.pop()
         if subject != "t":  # load a child into a local of its own
@@ -189,7 +181,7 @@ def _compiled(key: _RuleKey) -> Callable[[Term], Optional[Term]]:
     # variable, ground subterms as constants.  Nested expressions would hit
     # the parser's nesting limit on deep rules.
     done: list[tuple[Optional[str], Term]] = []  # finished subterms: (expression or None when ground, node)
-    pending: list = [key.rhs]  # subterms to visit, or (node,) once its children are done
+    pending: list = [rhs]  # subterms to visit, or (node,) once its children are done
     while pending:
         sub = pending.pop()
         cls = type(sub)
@@ -219,7 +211,7 @@ def _compiled(key: _RuleKey) -> Callable[[Term], Optional[Term]]:
     expr, _ = done[0]
     if expr is None:
         expr = "rhs"
-        namespace[expr] = key.rhs
+        namespace[expr] = rhs
     lines.append(f"    return {expr}")
     exec(compile("\n".join(lines), "<rule>", "exec"), namespace)
     return namespace["fire"]  # type: ignore[return-value]

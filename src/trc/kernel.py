@@ -13,7 +13,9 @@ facts are generalized is the discharge of a cited refutation's hypothesis
 equations, which compares them with facts up to renaming every variable that
 is not fixed (see ``_Checker.canonical``).
 
-Step repertoire:
+Each proof step is a ``Step`` record: the ``label`` that names what it
+proves and its ``goal`` judgment, followed by the fields of its kind.  Step
+repertoire:
 
 * ``chain``: adjacent terms must be related by one rule instance (core rule,
   registered derived rule, hypothesis equation, definition, or an in-scope
@@ -54,7 +56,7 @@ from .engine import NormalizeResult, Rule, RuleSet, RuleError, normalize, rule_m
 from .terms import (
     EQ, P1, P2,
     App, Defined, KWrap, Pair, PatVar, Record, Term, TrcError, Var,
-    children, defined_names, expand_defined, free_vars, fresh_var, nodes,
+    app, children, defined_names, expand_defined, free_vars, fresh_var, nodes,
     pattern_vars, rebuild, render, replace_defined, substitute, to_pattern,
 )
 
@@ -71,20 +73,22 @@ class RegistryError(TrcError):
 # Judgments
 # ---------------------------------------------------------------------------
 
-class Equal(Record):
+class _Sides(Record):
+    """A judgment between two terms, printed with the class's ``sign``."""
+
     lhs: Term
     rhs: Term
 
     def render(self) -> str:
-        return f"{render(self.lhs)} = {render(self.rhs)}"
+        return f"{render(self.lhs)} {self.sign} {render(self.rhs)}"
 
 
-class NotEqual(Record):
-    lhs: Term
-    rhs: Term
+class Equal(_Sides):
+    sign = "="
 
-    def render(self) -> str:
-        return f"{render(self.lhs)} != {render(self.rhs)}"
+
+class NotEqual(_Sides):
+    sign = "!="
 
 
 class Falsum(Record):
@@ -134,41 +138,36 @@ class Hypothesis(Record):
 
 # Proof steps ---------------------------------------------------------------
 
-class ChainStep(Record):
+class Step(Record):
+    """A proof step: it proves ``goal`` and names the result ``label``."""
+
     label: str
     goal: Judgment
+
+
+class ChainStep(Step):
     terms: tuple[Term, ...]
 
 
-class NormalizeStep(Record):
-    label: str
-    goal: Judgment
+class NormalizeStep(Step):
     fuel: Optional[int] = None
 
 
-class ExtStep(Record):
-    label: str
-    goal: Judgment
+class ExtStep(Step):
     arity: int
 
 
-class TheoremStep(Record):
-    label: str
-    goal: Judgment
+class TheoremStep(Step):
     theorem_id: str
     subst: tuple[tuple[str, Term], ...] = ()
 
 
-class ContradictionStep(Record):
-    label: str
-    goal: Judgment  # NotEqual
+class ContradictionStep(Step):  # goal: NotEqual
     assume_label: str
     body: "Block"
 
 
-class CasesStep(Record):
-    label: str
-    goal: Judgment
+class CasesStep(Step):
     left: Term
     right: Term
     case_label: str   # Eq <a,b> = P_i in each branch
@@ -177,40 +176,28 @@ class CasesStep(Record):
     branch_not_equal: Optional["Block"]
 
 
-class KInjectStep(Record):
-    label: str
-    goal: Judgment
+class KInjectStep(Step):
     source: str
 
 
-class ApplicationStep(Record):
-    label: str
-    goal: Judgment  # NotEqual
+class ApplicationStep(Step):  # goal: NotEqual
     args: tuple[Term, ...]
     left_label: str
     right_label: str
     neq_label: str
 
 
-class FalsumStep(Record):
-    label: str
-    goal: Judgment  # Falsum
+class FalsumStep(Step):  # goal: Falsum
     eq_label: str
     neq_label: str
 
 
-class RefStep(Record):
+class RefStep(Step):
     """Restates an already-proved fact (the ``qed by LABEL`` form)."""
 
-    label: str
-    goal: Judgment
     source: str
 
 
-Step = Union[
-    ChainStep, NormalizeStep, ExtStep, TheoremStep, ContradictionStep,
-    CasesStep, KInjectStep, ApplicationStep, FalsumStep, RefStep,
-]
 Block = tuple[Step, ...]
 
 
@@ -263,11 +250,6 @@ class TheoremRecord(Record):
     dependencies: tuple[str, ...]
     source: str = ""
 
-    def equation_sides(self) -> Optional[tuple[Term, Term]]:
-        if self.hypothesis is None and isinstance(self.statement, Equal):
-            return self.statement.lhs, self.statement.rhs
-        return None
-
 
 class CheckReport(Record):
     theorem_id: str
@@ -299,9 +281,8 @@ class Registry:
     """Append-only map of checked theorems; seeded with the primitive fact P1 != P2."""
 
     def __init__(self) -> None:
-        self._records: dict[str, TheoremRecord] = {}
         seed = TheoremRecord(AXIOM_NEQ_ID, NotEqual(P1, P2), None, (), source="builtin")
-        self._records[AXIOM_NEQ_ID] = seed
+        self._records: dict[str, TheoremRecord] = {AXIOM_NEQ_ID: seed}
 
     def __contains__(self, theorem_id: str) -> bool:
         return theorem_id in self._records
@@ -347,11 +328,11 @@ class Registry:
         """``rs`` extended by the registered equality ``theorem_id``, oriented
         left to right, as a rule named ``theorem_id``.  Registered equalities
         are the only source of derived rules."""
-        sides = self.get(theorem_id).equation_sides()
-        if sides is None:
+        record = self.get(theorem_id)
+        eq = record.statement
+        if record.hypothesis is not None or not isinstance(eq, Equal):
             raise RuleError(f"theorem {theorem_id} is not an equality")
-        lhs, rhs = sides
-        return rs.extended([Rule(theorem_id, to_pattern(lhs), to_pattern(rhs))])
+        return rs.extended([Rule(theorem_id, to_pattern(eq.lhs), to_pattern(eq.rhs))])
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +581,11 @@ class _Checker:
             raise _StepFailure("ext arity must be >= 1")
         lhs, rhs = self.expand(goal.lhs), self.expand(goal.rhs)
         avoid = free_vars(lhs) | free_vars(rhs)
-        applied_l, applied_r = lhs, rhs
+        fresh: list[Term] = []
         for _ in range(step.arity):
-            name = fresh_var(avoid)
-            avoid.add(name)
-            applied_l = App(applied_l, Var(name))
-            applied_r = App(applied_r, Var(name))
-        self._same_normal_form(step.label, applied_l, applied_r, None, "applied normal forms")
+            fresh.append(Var(fresh_var(avoid)))
+            avoid.add(fresh[-1].name)
+        self._same_normal_form(step.label, app(lhs, *fresh), app(rhs, *fresh), None, "applied normal forms")
         return goal
 
     def _theorem(self, step: TheoremStep, scope: _Scope) -> Judgment:
@@ -693,16 +672,10 @@ class _Checker:
         left_fact = self.fact(scope, step.left_label)
         right_fact = self.fact(scope, step.right_label)
         neq_fact = self.fact(scope, step.neq_label)
-        if not (isinstance(left_fact, Equal) and isinstance(right_fact, Equal)):
+        if not (isinstance(left_fact, Equal) and isinstance(right_fact, Equal)
+                and isinstance(neq_fact, NotEqual)):
             raise _StepFailure("application needs two equalities and a disequality")
-        if not isinstance(neq_fact, NotEqual):
-            raise _StepFailure("application needs two equalities and a disequality")
-        want_left = goal.lhs
-        want_right = goal.rhs
-        for u in step.args:
-            want_left = App(want_left, u)
-            want_right = App(want_right, u)
-        if left_fact.lhs != want_left or right_fact.lhs != want_right:
+        if left_fact.lhs != app(goal.lhs, *step.args) or right_fact.lhs != app(goal.rhs, *step.args):
             raise _StepFailure("application facts do not apply the stated sides to the arguments")
         if (neq_fact.lhs, neq_fact.rhs) not in ((left_fact.rhs, right_fact.rhs), (right_fact.rhs, left_fact.rhs)):
             raise _StepFailure("the disequality is not about the two application results")

@@ -65,22 +65,18 @@ def _step_mutants(step: Step) -> Iterator[tuple[str, Step]]:
             subst = step.subst[:i] + ((name, wrong),) + step.subst[i + 1 :]
             yield f"instantiation {name} replaced", TheoremStep(step.label, step.goal, step.theorem_id, subst)
     elif isinstance(step, CasesStep):
-        for desc, mutated in _term_mutants(step.left):
-            yield f"cases left scrutinee: {desc}", step.replace(left=mutated)
-        for desc, mutated in _term_mutants(step.right):
-            yield f"cases right scrutinee: {desc}", step.replace(right=mutated)
+        for side in ("left", "right"):
+            for desc, mutated in _term_mutants(getattr(step, side)):
+                yield f"cases {side} scrutinee: {desc}", step.replace(**{side: mutated})
         if step.branch_not_equal is not None:
             yield ("cases branches swapped",
                    step.replace(branch_equal=step.branch_not_equal, branch_not_equal=step.branch_equal))
-        for i, sub in enumerate(step.branch_equal):
-            for desc, mutated in _step_mutants(sub):
-                block = step.branch_equal[:i] + (mutated,) + step.branch_equal[i + 1 :]
-                yield f"p1 branch step {i}: {desc}", step.replace(branch_equal=block)
-        if step.branch_not_equal is not None:
-            for i, sub in enumerate(step.branch_not_equal):
+        for name, field in (("p1", "branch_equal"), ("p2", "branch_not_equal")):
+            branch = getattr(step, field) or ()
+            for i, sub in enumerate(branch):
                 for desc, mutated in _step_mutants(sub):
-                    block = step.branch_not_equal[:i] + (mutated,) + step.branch_not_equal[i + 1 :]
-                    yield f"p2 branch step {i}: {desc}", step.replace(branch_not_equal=block)
+                    block = branch[:i] + (mutated,) + branch[i + 1 :]
+                    yield f"{name} branch step {i}: {desc}", step.replace(**{field: block})
     elif isinstance(step, ContradictionStep):
         for i, sub in enumerate(step.body):
             for desc, mutated in _step_mutants(sub):
@@ -93,8 +89,7 @@ def enumerate_mutations(script: ProofScript) -> Iterator[tuple[str, ProofScript]
     for i, step in enumerate(script.body):
         for desc, mutated in _step_mutants(step):
             body = script.body[:i] + (mutated,) + script.body[i + 1 :]
-            yield f"step {i}: {desc}", ProofScript(script.theorem_id, script.title, script.hypothesis,
-                                                   script.statement, script.lets, body, script.source)
+            yield f"step {i}: {desc}", script.replace(body=body)
     # statement-level projection flips, propagated into step goals that
     # restate the statement (the whole script now claims something false)
     if not isinstance(script.statement, Falsum):

@@ -388,10 +388,9 @@ def optimize(t: Term) -> Term:
             v = Pair(go(u.left), go(u.right))
         else:
             v = u
-        if v != u:
-            head = _head_simplify(v)
-            if head is not None:
-                return go(head)
+        head = _head_simplify(v)
+        if head is not None:
+            return go(head)
         if isinstance(v, App) and v.fn == ABST and isinstance(v.arg, Pair):
             candidate = go(Pair(App(ABST, v.arg.left), App(ABST, v.arg.right)))
             if term_size(candidate) <= term_size(v):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from trc import corpus as corpus_module
 from trc.cli import build_config, main, make_parser
 from trc.engine import EngineConfig
 
@@ -61,6 +63,11 @@ def test_eq_example(capsys):
     code, out, _ = run(capsys, "eq", "Abst I", "k(I)")
     assert code == 0
     assert out.startswith("EQUAL")
+    # --trace adds each level's two normal forms after the summary
+    assert run(capsys, "eq", "--trace", "Abst I", "k(I)") == (0, out + (
+        "level 0: Abst <P1,P2> vs k(<P1,P2>)\n"
+        "level 1 (applied v0): Abst <P1,P2> v0 vs <P1,P2>\n"
+        "level 2 (applied v1): v1 vs v1\n"), "")
 
 
 def test_eq_unknown_exits_one(capsys):
@@ -247,6 +254,23 @@ def test_compile_matches_golden(capsys, golden, flags):
     code, out, _ = run(capsys, "compile", str(SPECS), *flags)
     assert code == 1
     assert out.encode("utf-8") == (GOLDEN_TRACE.parent / golden).read_bytes()
+
+
+def test_compile_prints_the_failed_self_test_on_stderr(capsys):
+    # stdout is the golden above; stderr says which normal forms differed
+    code, _, err = run(capsys, "compile", str(SPECS), "--printed-axioms")
+    assert code == 1
+    (b_line,) = (line for line in err.splitlines() if line.startswith("b: "))
+    assert "applied form normalizes to" in b_line
+    assert b_line.endswith("body to y (x y z) v0 v1 v2 v3")
+
+
+def test_check_runs_no_compile_checks(capsys):
+    # compile entries register no theorem and no rule, so check skips them
+    with mock.patch.object(corpus_module, "compile_combinator") as compiled:
+        result = run(capsys, "check", str(SPECS.parent / "17-2.6.trc"))
+    compiled.assert_not_called()
+    assert result == (0, "THEOREM 2.6 PASS\n", "")
 
 
 def test_corpus_printed_axioms_fails(capsys):

@@ -6,7 +6,7 @@ from unittest import mock
 
 from trc import corpus as corpus_module
 from trc.corpus import (
-    BASE_DEFINITIONS, Corpus, CorpusError, EQUALITY_ENTRY_IDS, CATALOG_COVERAGE,
+    BASE_DEFINITIONS, Corpus, CorpusEntry, CorpusError, EQUALITY_ENTRY_IDS, CATALOG_COVERAGE,
     REFUTATION_ENTRY_IDS, list_theorems, load_corpus, parse_index, run_corpus,
     standard_context,
 )
@@ -142,6 +142,14 @@ def test_printed_axioms_break_the_documented_entries(corpus):
     note = [ln for ln in report.lines() if ln.startswith("NOTE")]
     assert note and "misprint" in note[0]
     assert "I-is-identity/2.1a/2.1b/2.1d/2.2a/2.2c/2.3a" in note[0]
+    # alone, a stratified compile check runs and fails its self-test, and the note names it
+    alone = Corpus((CorpusEntry("compile-b", "compile-success", "spec:b"),), {}, corpus.specs)
+    lines = run_corpus(alone, EngineConfig(corrected_axioms=False)).lines()
+    assert lines[0] == "COMPILE compile-b FAIL self-test failed"
+    assert lines[-2].startswith("NOTE uncorrected-axiom run: failures of compile-b reproduce")
+    # with no failure there is nothing to explain
+    lines = run_corpus(load_corpus(["2.1c"]), EngineConfig(corrected_axioms=False)).lines()
+    assert lines[0] == "THEOREM 2.1c PASS" and not [ln for ln in lines if ln.startswith("NOTE")]
 
 
 def test_standard_context_registers_rules():

@@ -648,6 +648,11 @@ def test_registry_id_conflict(registry):
     report = CheckReport("2.4a", True)
     with pytest.raises(RegistryError):
         registry.snapshot().register(record_for(script, ()), report)
+    # the same statement again is a no-op: the first record stays
+    copy = registry.snapshot()
+    first = copy.get("2.4a")
+    copy.register(first.replace(dependencies=(), source="again"), report)
+    assert copy.get("2.4a") is first and copy.ids() == registry.ids()
 
 
 def test_registry_rejects_failing_report(registry):

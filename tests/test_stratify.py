@@ -496,6 +496,11 @@ def test_optimize_rewrites_a_head_its_children_made():
     assert optimize(parse("Abst (Abst I)")) == Defined("I")
 
 
+def test_optimize_distributes_abst_over_a_pair_when_that_shrinks():
+    # the pair's halves collapse once Abst is pushed into them
+    assert render(optimize(parse("Abst <Abst k(I),k(P1)> k(z)"))) == "<k(I),P1> k(z)"
+
+
 @pytest.mark.parametrize("rule", _HEAD_RULES, ids=lambda rule: rule.name)
 def test_each_head_rule_is_sound_and_matches_alone(full_rules, rule):
     # its left-hand side with object variables for the pattern variables
