@@ -52,7 +52,7 @@ from .terms import (
     ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
     App, Const, Defined, KWrap, Pair, PatVar, Record, Term, TrcError, Var,
     expand_defined, format_position, free_vars, fresh_var, nodes, pattern_vars,
-    render, replace_at, with_child, Position,
+    render, replace_at, subterms, with_child, Position,
 )
 # Not called here: the reference path that compiled rules reproduce, and a
 # name bench/tracer.py patches to count first-order matches.
@@ -94,10 +94,11 @@ class Rule(Record):
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
-        deepest, names = _lhs_walk(self.lhs)
+        names = [sub.name for sub in nodes(self.lhs) if type(sub) is PatVar]
         extra = pattern_vars(self.rhs).difference(names)
         if extra:
             raise RuleError(f"rule {self.name}: rhs pattern variables {sorted(extra)} not bound by lhs")
+        deepest = max((len(pos) for pos, sub in subterms(self.lhs) if type(sub) is not PatVar), default=0)
         object.__setattr__(self, "_reach", deepest if len(names) == len(set(names)) else None)
 
     def __getattr__(self, name: str) -> Callable[[Term], Optional[Term]]:
@@ -111,23 +112,6 @@ class Rule(Record):
             fire = _COMPILED[key] = _compile(self.lhs, self.rhs)
         object.__setattr__(self, "_fire", fire)
         return fire
-
-
-def _lhs_walk(lhs: Term) -> tuple[int, list[str]]:
-    """The depth of the deepest non-variable node of ``lhs``, and the names
-    of its pattern-variable occurrences."""
-    deepest, names, todo = 0, [], [(lhs, 0)]
-    while todo:
-        sub, depth = todo.pop()
-        cls = type(sub)
-        if cls is PatVar:
-            names.append(sub.name)
-            continue
-        if depth > deepest:
-            deepest = depth
-        for field in _FIELDS.get(cls, ()):
-            todo.append((getattr(sub, field), depth + 1))
-    return deepest, names
 
 
 # child fields of each compound constructor, in preorder

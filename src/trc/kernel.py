@@ -14,8 +14,10 @@ equations, which compares them with facts up to renaming every variable that
 is not fixed (see ``_Checker.canonical``).
 
 Each proof step is a ``Step`` record: the ``label`` that names what it
-proves and its ``goal`` judgment, followed by the fields of its kind.  Step
-repertoire:
+proves and its ``goal`` judgment, followed by the fields of its kind.
+``map_terms`` applies a function to every term in a judgment, a step or a
+tuple of these by rebuilding each record from its field values, so it names
+no step kind; instantiation and the script parser use it.  Step repertoire:
 
 * ``chain``: adjacent terms must be related by one rule instance (core rule,
   registered derived rule, hypothesis equation, definition, or an in-scope
@@ -50,7 +52,7 @@ alongside a passing report, and its dependency graph is acyclic.
 from __future__ import annotations
 
 import time
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union, get_args
 
 from .engine import NormalizeResult, Rule, RuleSet, RuleError, normalize, rule_match
 from .terms import (
@@ -201,32 +203,21 @@ class RefStep(Step):
 Block = tuple[Step, ...]
 
 
-def map_judgment(j: Judgment, fn) -> Judgment:
-    if isinstance(j, Falsum):
-        return j
-    return type(j)(fn(j.lhs), fn(j.rhs))
+_TERM_CLASSES = get_args(Term)
 
 
-def map_step(step: Step, fn) -> Step:
-    """Rebuild ``step`` with ``fn`` applied to every embedded term."""
-    goal = map_judgment(step.goal, fn)
-    if isinstance(step, ChainStep):
-        return step.replace(goal=goal, terms=tuple(fn(t) for t in step.terms))
-    if isinstance(step, TheoremStep):
-        return step.replace(goal=goal, subst=tuple((k, fn(v)) for k, v in step.subst))
-    if isinstance(step, ContradictionStep):
-        return step.replace(goal=goal, body=tuple(map_step(s, fn) for s in step.body))
-    if isinstance(step, CasesStep):
-        branch2 = step.branch_not_equal
-        return step.replace(
-            goal=goal, left=fn(step.left), right=fn(step.right),
-            branch_equal=tuple(map_step(s, fn) for s in step.branch_equal),
-            branch_not_equal=None if branch2 is None else tuple(map_step(s, fn) for s in branch2))
-    if isinstance(step, ApplicationStep):
-        return step.replace(goal=goal, args=tuple(fn(t) for t in step.args))
-    if isinstance(step, (NormalizeStep, ExtStep, KInjectStep, FalsumStep, RefStep)):
-        return step.replace(goal=goal)
-    raise ScriptError(f"unknown step {step!r}")
+def map_terms(value: object, fn: Callable[[Term], Term]) -> object:
+    """``value`` with ``fn`` applied to every term in it.  ``value`` is a
+    term, a record (a judgment or a step) or a tuple of these; a record or
+    tuple is rebuilt from its mapped field values, and any other value (a
+    label, an id, a number, None) is kept."""
+    if isinstance(value, _TERM_CLASSES):
+        return fn(value)
+    if isinstance(value, tuple):
+        return tuple(map_terms(v, fn) for v in value)
+    if isinstance(value, Record):
+        return type(value)(*map_terms(value._values(value), fn))
+    return value
 
 
 class ProofScript(Record):
@@ -322,7 +313,7 @@ class Registry:
         stray = set(subst) - judgment_vars(record.statement)
         if stray:
             raise RegistryError(f"substitution binds variables {sorted(stray)} not free in {theorem_id}")
-        return map_judgment(record.statement, lambda t: substitute(t, subst))
+        return map_terms(record.statement, lambda t: substitute(t, subst))
 
     def derived_rule(self, rs: RuleSet, theorem_id: str) -> RuleSet:
         """``rs`` extended by the registered equality ``theorem_id``, oriented
@@ -449,13 +440,14 @@ class _Checker:
         numbered by first occurrence.  Fixed variables stay variables, so no
         placeholder meets a name from the script.  Two equalities have one
         canonical form exactly when they differ only by such a renaming."""
-        lhs, rhs = self.expand(eq.lhs), self.expand(eq.rhs)
         mapping: dict[Term, Term] = {}
-        for t in (lhs, rhs):
-            for sub in nodes(t):
-                if type(sub) is PatVar or type(sub) is Var and sub.name not in fixed:
-                    mapping.setdefault(sub, PatVar(f"${len(mapping)}"))
-        return Equal(*(rebuild(t, lambda a: mapping.get(a, a)) for t in (lhs, rhs)))
+
+        def leaf(a: Term) -> Term:  # called on the atoms in preorder, lhs first
+            if type(a) is PatVar or type(a) is Var and a.name not in fixed:
+                return mapping.setdefault(a, PatVar(f"${len(mapping)}"))
+            return a
+
+        return Equal(*(rebuild(self.expand(t), leaf) for t in (eq.lhs, eq.rhs)))
 
     def fact(self, scope: _Scope, label: str) -> Judgment:
         fact = scope.lookup(label)

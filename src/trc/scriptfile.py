@@ -34,7 +34,7 @@ from .kernel import (
     ApplicationStep, Block, CasesStep, ChainStep, ContradictionStep, Equal,
     ExtStep, FALSUM, FalsumStep, HypEquation, Hypothesis, Judgment,
     KInjectStep, NormalizeStep, NotEqual, ProofScript, RefStep, Step,
-    TheoremStep, map_judgment, map_step,
+    TheoremStep, map_terms,
 )
 from .stratify import CombinatorSpec
 from .terms import (
@@ -84,9 +84,11 @@ def _parse_judgment(ts: TokenStream) -> Judgment:
 def _parse_subst(ts: TokenStream) -> tuple[tuple[str, Term], ...]:
     pairs: list[tuple[str, Term]] = []
     while True:
-        name = ts.expect("WORD").text
+        tok = ts.expect("WORD")
+        if any(tok.text == name for name, _ in pairs):
+            raise ParseError(f"{tok.text} is bound twice", tok.line, tok.col)
         ts.expect(":=")
-        pairs.append((name, _term(ts)))
+        pairs.append((tok.text, _term(ts)))
         if ts.peek().kind == ",":
             ts.next()
             continue
@@ -141,10 +143,7 @@ class _ScriptParser:
         declared = {name: Defined(name) for name, _ in lets}
         declared.update({name: Defined(name) for name in constants})
         if declared:
-            reclass = lambda t: substitute(t, declared)  # noqa: E731
-            statement = map_judgment(statement, reclass)
-            lets = tuple((name, reclass(body_)) for name, body_ in lets)
-            body = tuple(map_step(s, reclass) for s in body)
+            statement, lets, body = map_terms((statement, lets, body), lambda t: substitute(t, declared))
         return ProofScript(ident, title, hypothesis, statement, lets, body, self.source)
 
     def parse_block_items(self, goal: Judgment) -> tuple[tuple[tuple[str, Term], ...], Block]:

@@ -198,6 +198,11 @@ def test_check_command(tmp_path, capsys):
      "duplicate label 'a'"),
     ("hypothesis M : P1 $x = $x $x\n  prove false\n  qed by chain [P1]",
      "hypothesis equation for M is not headed by it"),
+    ("hypothesis N : N $x = $x\n  hypothesis M : N $x = $x\n  prove false\n  qed by chain [P1]",
+     "hypothesis equation for M is not headed by it"),
+    ("hypothesis M : M $x = $y\n  prove false\n  qed by chain [P1]",
+     "hypothesis for M: rhs has unbound pattern variables"),
+    ("prove Eq <P2,P2> != P2\n  qed by theorem 2.4a with x := P1, x := P2", "3:37: x is bound twice"),
 ])
 def test_a_malformed_script_is_usage_error(tmp_path, capsys, body, error):
     # malformed, not a failed proof: exit 1 is kept for verdicts

@@ -11,14 +11,14 @@ from trc.corpus import BASE_DEFINITIONS
 from trc.engine import Rule, RuleError, core_rules, normalize
 from trc.kernel import (
     FALSUM, ApplicationStep, CasesStep, ChainStep, CheckReport, ContradictionStep,
-    Equal, HypEquation, Hypothesis, NormalizeStep, NotEqual,
-    ProofScript, Registry, RegistryError, ScriptError, TheoremRecord, TheoremStep, check_script,
-    judgment_vars, map_judgment, map_step, record_for,
+    Equal, ExtStep, FalsumStep, HypEquation, Hypothesis, KInjectStep, NormalizeStep, NotEqual,
+    ProofScript, RefStep, Registry, RegistryError, ScriptError, Step, TheoremRecord, TheoremStep,
+    _Checker, check_script, judgment_vars, map_terms, record_for,
 )
 from trc.scriptfile import parse_scripts
 from trc.terms import (
     ABST, EQ, P1, P2, App, Defined, KWrap, Pair, ParseError, PatVar, Var,
-    free_vars, parse, parse_pattern, render, substitute, subterms,
+    free_vars, nodes, parse, parse_pattern, rebuild, render, substitute, subterms,
 )
 
 from test_engine import interpreted_rewrite_at, redex_rich
@@ -601,6 +601,11 @@ def test_instantiate_rejects_stray_variables(registry):
         registry.instantiate("2.4a", {"zz": P1})
 
 
+def test_instantiate_rejects_a_refutation(registry):
+    with pytest.raises(RegistryError, match="2.6 is a refutation; it has no instantiable statement"):
+        registry.instantiate("2.6", {})
+
+
 def registered(theorem_id, statement):
     """A fresh registry holding ``statement`` under ``theorem_id``."""
     fresh = Registry()
@@ -764,10 +769,8 @@ def test_a_fact_about_fixed_values_does_not_discharge_a_hypothesis(registry, ful
 
 def map_script(script, fn):
     """``script`` with ``fn`` applied to every term it states."""
-    return script.replace(
-        statement=map_judgment(script.statement, fn),
-        lets=tuple((name, fn(body)) for name, body in script.lets),
-        body=tuple(map_step(step, fn) for step in script.body))
+    statement, lets, body = map_terms((script.statement, script.lets, script.body), fn)
+    return script.replace(statement=statement, lets=lets, body=body)
 
 
 def script_vars(script):
@@ -815,3 +818,66 @@ def test_renaming_variables_never_changes_a_verdict(corpus, corpus_report, regis
         renamed = map_script(script, lambda t: substitute(t, renaming))
         report = check_script(renamed, context_registry, context_rules, BASE_DEFINITIONS)
         assert report.ok == ok, (script.theorem_id, renaming, report.reason)
+
+
+# ---------------------------------------------------------------------------
+# map_terms, and the one-pass canonical form against its two-pass definition
+# ---------------------------------------------------------------------------
+
+def test_map_terms_maps_every_term_of_every_step_kind_and_keeps_the_rest():
+    a, b, c, d = (Var(n) for n in "abcd")
+    k = KWrap
+    inner, k_inner = (ChainStep("i", Equal(c, d), (c, d)),), (ChainStep("i", Equal(k(c), k(d)), (k(c), k(d))),)
+    before_after = [
+        (ChainStep("s", Equal(a, b), (a, c, b)), ChainStep("s", Equal(k(a), k(b)), (k(a), k(c), k(b)))),
+        (NormalizeStep("s", Equal(a, b), 7), NormalizeStep("s", Equal(k(a), k(b)), 7)),
+        (ExtStep("s", Equal(a, b), 2), ExtStep("s", Equal(k(a), k(b)), 2)),
+        (TheoremStep("s", Equal(a, b), "2.4a", (("x", c),)),
+         TheoremStep("s", Equal(k(a), k(b)), "2.4a", (("x", k(c)),))),
+        (ContradictionStep("s", NotEqual(a, b), "h", inner),
+         ContradictionStep("s", NotEqual(k(a), k(b)), "h", k_inner)),
+        (CasesStep("s", Equal(a, b), c, d, "C", "D", inner, None),
+         CasesStep("s", Equal(k(a), k(b)), k(c), k(d), "C", "D", k_inner, None)),
+        (CasesStep("s", Equal(a, b), c, d, "C", "D", inner, inner),
+         CasesStep("s", Equal(k(a), k(b)), k(c), k(d), "C", "D", k_inner, k_inner)),
+        (KInjectStep("s", Equal(a, b), "e"), KInjectStep("s", Equal(k(a), k(b)), "e")),
+        (ApplicationStep("s", NotEqual(a, b), (c, d), "l", "r", "n"),
+         ApplicationStep("s", NotEqual(k(a), k(b)), (k(c), k(d)), "l", "r", "n")),
+        (FalsumStep("s", FALSUM, "e", "n"), FalsumStep("s", FALSUM, "e", "n")),
+        (RefStep("s", Equal(a, b), "e"), RefStep("s", Equal(k(a), k(b)), "e")),
+    ]
+    assert {type(step) for step, _ in before_after} == set(Step.__subclasses__())
+    before, after = zip(*before_after)
+    lets = (("t", a), ("u", d))
+    assert map_terms((before, lets), KWrap) == (after, (("t", k(a)), ("u", k(d))))
+
+
+def two_pass_canonical(checker, eq, fixed):
+    """The definition ``_Checker.canonical`` computes in one pass per side:
+    number the renamed atoms over both expanded sides, then rename them."""
+    lhs, rhs = checker.expand(eq.lhs), checker.expand(eq.rhs)
+    mapping = {}
+    for t in (lhs, rhs):
+        for sub in nodes(t):
+            if type(sub) is PatVar or type(sub) is Var and sub.name not in fixed:
+                mapping.setdefault(sub, PatVar(f"${len(mapping)}"))
+    return Equal(*(rebuild(t, lambda a: mapping.get(a, a)) for t in (lhs, rhs)))
+
+
+# placeholder-named pattern variables, and definitions that hold variables
+canonical_terms = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(["x", "y", "z"])), st.builds(PatVar, st.sampled_from(["$x", "$0", "$1"])),
+              st.sampled_from([P1, Defined("I"), Defined("t")])),
+    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub)),
+    max_leaves=12,
+)
+CANONICAL_DEFS = {**BASE_DEFINITIONS, "t": Pair(Var("y"), App(Defined("I"), Var("x")))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_terms, canonical_terms, st.frozensets(st.sampled_from(["x", "y", "z"])))
+def test_canonical_agrees_with_its_two_pass_definition(lhs, rhs, fixed):
+    script = ProofScript("c", "", None, Equal(P1, P1), (), ())
+    checker = _Checker(script, Registry(), core_rules(), CANONICAL_DEFS)
+    eq = Equal(lhs, rhs)
+    assert checker.canonical(eq, fixed) == two_pass_canonical(checker, eq, fixed)

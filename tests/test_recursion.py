@@ -103,7 +103,7 @@ def call_cycles() -> set[frozenset[str]]:
 def test_only_the_known_functions_call_themselves():
     assert self_calling_functions() == {
         "terms.expand_defined",  # through definition bodies only
-        "kernel.map_step",
+        "kernel.map_terms",
         "mutate._step_mutants",
         "stratify.optimize.go",
     }
@@ -113,7 +113,7 @@ def test_only_the_known_call_cycles():
     # mutual recursion, which the self-call check above cannot see
     assert call_cycles() == {
         frozenset({"terms.expand_defined"}),
-        frozenset({"kernel.map_step"}),
+        frozenset({"kernel.map_terms"}),
         frozenset({"mutate._step_mutants"}),
         frozenset({"stratify.optimize.go"}),
         # the proof checker: a contradiction or cases step runs a block.  Kept
