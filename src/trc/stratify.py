@@ -10,7 +10,8 @@ components share its type; a subterm's type is then its level shifted by a
 constant.  Types live in all of the integers (the assignment is
 shift-invariant); the reported assignment is shifted so its minimum is 0.
 An unstratified term is explained by a cycle of difference constraints whose
-offsets do not cancel.
+offsets do not cancel, found in time linear in the subterms walked up to the
+first conflict plus the size of the cycle.
 
 ``abstract`` builds, for an admissible variable ``x`` and term ``t``, a term
 ``l`` in which ``x`` does not occur and which behaves like the function
@@ -29,15 +30,14 @@ output.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterator, Mapping, Optional
+from collections import deque, namedtuple
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .engine import Rule, RuleSet, ext_equal, rule_match
 from .terms import (
     ABST, ARG, FN, KBODY, LEFT, RIGHT,
     App, Defined, KWrap, Pair, Record, Term, TrcError, Var,
-    Position, app, children, format_position, free_vars, nodes, parse_pattern, render,
-    subterms, term_size,
+    Position, app, children, format_position, free_vars, nodes, parse_pattern, render, term_size,
 )
 
 IDENTITY = Defined("I")
@@ -66,14 +66,6 @@ class CompileError(TrcError):
 _LEVEL_STEP = {FN: 1, KBODY: -1}  # argument and pair positions keep the level
 
 
-def _position(link: tuple) -> Position:
-    sels: list[str] = []
-    while link:
-        sel, link = link
-        sels.append(sel)
-    return tuple(reversed(sels))
-
-
 # ---------------------------------------------------------------------------
 # Stratification (a level walk; difference constraints explain a conflict)
 # ---------------------------------------------------------------------------
@@ -96,42 +88,62 @@ class StratifyResult(Record):
         return self.assignment is not None
 
 
-def _node_key(pos: Position) -> str:
-    return "node:" + format_position(pos)
+_Edge = namedtuple("_Edge", "a b offset at")  # over numbered unknowns, at a subterm's number
+
+
+def _constraints(t: Term, walked: int = -1, pick: Callable[[list], Iterable] = list) -> list[Constraint]:
+    """As records, the constraints that ``pick`` selects from the ``_Edge``s of
+    the first ``walked`` subterms of ``t`` in preorder (all by default), whose
+    node unknowns are numbered when their parent is walked, the root 0."""
+    out, up, stack = [], [(-1, "")], [(t, 0)]  # up: number -> (parent's number, selector)
+    while walked and stack:
+        walked -= 1
+        sub, n = stack.pop()
+        cls, c = type(sub), len(up)
+        if cls is Var:
+            out.append(_Edge(n, "var:" + sub.name, 0, n))
+        elif cls is App:
+            up += (n, FN), (n, ARG)
+            out += _Edge(c, c + 1, 1, n), _Edge(n, c + 1, 0, n)
+            stack += (sub.arg, c + 1), (sub.fn, c)
+        elif cls is KWrap:
+            up.append((n, KBODY))
+            out.append(_Edge(n, c, 1, n))
+            stack.append((sub.body, c))
+        elif cls is Pair:
+            up += (n, LEFT), (n, RIGHT)
+            out += _Edge(n, c, 0, n), _Edge(n, c + 1, 0, n)
+            stack += (sub.right, c + 1), (sub.left, c)
+        # constants and defined names: fresh unconstrained unknown per occurrence
+    positions: dict[int, Position] = {0: ()}  # each built once, from the nearest built ancestor's
+
+    def position(n: int) -> Position:
+        sels, m = [], n
+        while m not in positions:
+            m, sel = up[m]
+            sels.append(sel)
+        positions[n] = positions[m] + tuple(reversed(sels))
+        return positions[n]
+
+    def key(u: int | str) -> str:
+        return u if type(u) is str else "node:" + format_position(position(u))
+
+    return [Constraint(key(e.a), key(e.b), e.offset, position(e.at)) for e in pick(out)]
 
 
 def term_constraints(t: Term) -> list[Constraint]:
-    """The difference constraints of the typing discipline, one unknown per
-    variable (shared across occurrences) and per subterm occurrence."""
-    out: list[Constraint] = []
-    for pos, sub in subterms(t):
-        key = _node_key(pos)
-        if isinstance(sub, Var):
-            out.append(Constraint(key, "var:" + sub.name, 0, pos))
-        elif isinstance(sub, App):
-            fk = _node_key(pos + (FN,))
-            ak = _node_key(pos + (ARG,))
-            out.append(Constraint(fk, ak, 1, pos))
-            out.append(Constraint(key, ak, 0, pos))
-        elif isinstance(sub, KWrap):
-            bk = _node_key(pos + (KBODY,))
-            out.append(Constraint(key, bk, 1, pos))
-        elif isinstance(sub, Pair):
-            lk = _node_key(pos + (LEFT,))
-            rk = _node_key(pos + (RIGHT,))
-            out.append(Constraint(key, lk, 0, pos))
-            out.append(Constraint(key, rk, 0, pos))
-        # constants and defined names: fresh unconstrained unknown per occurrence
-    return out
+    """The difference constraints of the typing discipline, one unknown per variable
+    (shared across occurrences) and per subterm occurrence; linear in the output."""
+    return _constraints(t)
 
 
-def _conflict_cycle(constraints: list[Constraint], bad: Constraint) -> tuple[Constraint, ...]:
+def _conflict_cycle(constraints: list[_Edge] | list[Constraint], bad: _Edge | Constraint) -> tuple:
     """A walk from bad.a to bad.b through earlier constraints, closed by ``bad``.
 
     Replaying the cycle sums its offsets to a nonzero value, the witness of
     unsatisfiability (an equation a = a + c with c != 0).
     """
-    adj: dict[str, list[tuple[str, Constraint]]] = {}
+    adj: dict = {}
     for c in constraints:
         if c is bad:
             continue
@@ -139,7 +151,7 @@ def _conflict_cycle(constraints: list[Constraint], bad: Constraint) -> tuple[Con
         adj.setdefault(c.b, []).append((c.a, c))
     seen = {bad.a: None}
     queue = deque([bad.a])
-    parents: dict[str, tuple[str, Constraint]] = {}
+    parents: dict = {}
     while queue:
         cur = queue.popleft()
         if cur == bad.b:
@@ -149,7 +161,7 @@ def _conflict_cycle(constraints: list[Constraint], bad: Constraint) -> tuple[Con
                 seen[nxt] = None
                 parents[nxt] = (cur, c)
                 queue.append(nxt)
-    path: list[Constraint] = []
+    path: list = []
     cur = bad.b
     while cur != bad.a:
         prev, c = parents[cur]
@@ -193,23 +205,23 @@ def stratify(t: Term) -> StratifyResult:
     level; the assignment is those levels shifted so their minimum is 0.
     Otherwise the walk stops at the first diverging occurrence in preorder,
     and the conflict is the cycle of ``term_constraints`` closed by that
-    occurrence's constraint.
+    occurrence's constraint, found over numbered unknowns in time linear in the
+    subterms walked; only the cycle's constraints spell out their positions.
     """
     first: dict[str, int] = {}  # variable -> level of its first occurrence
-    stack: list[tuple[Term, int, tuple]] = [(t, 0, ())]
+    stack: list[tuple[Term, int]] = [(t, 0)]
+    walked = 0
     while stack:
-        sub, level, link = stack.pop()
+        sub, level = stack.pop()
+        walked += 1
         if type(sub) is Var:
             if first.setdefault(sub.name, level) != level:
                 # a tree's node constraints never conflict, so the first
                 # contradiction in constraint order is this occurrence's
-                pos = _position(link)
-                constraints = term_constraints(t)
-                i = constraints.index(Constraint(_node_key(pos), "var:" + sub.name, 0, pos))
-                return StratifyResult(None, _conflict_cycle(constraints[: i + 1], constraints[i]))
+                return StratifyResult(None, tuple(_constraints(t, walked, lambda e: _conflict_cycle(e, e[-1]))))
             continue
         for sel, child in reversed(children(sub)):
-            stack.append((child, level + _LEVEL_STEP.get(sel, 0), (sel, link)))
+            stack.append((child, level + _LEVEL_STEP.get(sel, 0)))
     low = min(first.values(), default=0)
     return StratifyResult({name: first[name] - low for name in sorted(first)}, None)
 
@@ -242,7 +254,11 @@ def _level_walk(x: str, t: Term, every: bool) -> Iterator[tuple[Term, int, tuple
         sub, level, link = stack.pop()
         if id(sub) in held and (level < 0 or type(sub) is Var and level != 0):
             reason = "negative-level" if level < 0 else "x-at-nonzero-level"
-            raise NotAbstractable(_position(link), reason, x)
+            sels = []  # the position, read off the link chain
+            while link:
+                sel, link = link
+                sels.append(sel)
+            raise NotAbstractable(tuple(reversed(sels)), reason, x)
         yield sub, level, link
         for sel, child in children(sub):
             if every or id(child) in held:
@@ -252,8 +268,16 @@ def _level_walk(x: str, t: Term, every: bool) -> Iterator[tuple[Term, int, tuple
 def abstraction_levels(x: str, t: Term) -> dict[Position, int]:
     """Level of every subterm position, walking from the root at level 0;
     raises NotAbstractable unless every occurrence of ``x`` sits at level
-    exactly 0 and no subterm containing ``x`` has a negative level."""
-    return {_position(link): level for _, level, link in _level_walk(x, t, True)}
+    exactly 0 and no subterm containing ``x`` has a negative level.  Linear in
+    the size of the output, each position built once from its parent's;
+    nothing in the package calls it."""
+    levels: dict[Position, int] = {}
+    spelled: dict[int, tuple] = {}  # id of a link -> (the link, held so its id stays unique; position)
+    for _, level, link in _level_walk(x, t, True):
+        pos = spelled[id(link[1])][1] + (link[0],) if link else ()
+        spelled[id(link)] = link, pos
+        levels[pos] = level
+    return levels
 
 
 def abstract(x: str, t: Term) -> Term:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -383,6 +387,29 @@ def test_stratify_deep_chain(tmp_path, capsys):
     code, out, err = run(capsys, "stratify", "--file", str(f))
     assert code == 0 and not err
     assert out == "y:0 " + " ".join(f"{name}:1" for name in sorted(f"f{i}" for i in range(DEPTH))) + "\n"
+
+
+def test_stratify_deep_conflict_is_linear(tmp_path):
+    # f (f (... (x x))) at depth 20,000: building every node's key string
+    # would take minutes and gigabytes, so the run gets a time and memory cap
+    depth = 20_000
+    f = tmp_path / "chain.trc"
+    f.write_text("f (" * depth + "x x" + ")" * depth)
+
+    def cap_memory():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "trc.cli", "stratify", "--file", str(f)],
+                          capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory)
+    at = "argument." * depth
+    assert (done.returncode, done.stdout, done.stderr) == (1, (
+        "unsatisfiable\n"
+        f"  node:{at}function = node:{at}argument + 1\n"
+        f"  node:{at}function = var:x + 0\n"
+        f"  node:{at}argument = var:x + 0\n"
+        "  net offset 1\n"), "")
 
 
 def test_deep_equality_is_usage_error(capsys):

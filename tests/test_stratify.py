@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import random
 import types
 
@@ -7,16 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import trc.stratify as stratify_module
 from trc.corpus import BASE_DEFINITIONS
 from trc.engine import EngineConfig, core_rules, ext_equal, rule_match
 from trc.stratify import (
-    _HEAD_RULES, IDENTITY, CombinatorSpec, CompileError, NotAbstractable, StratifyResult, _conflict_cycle,
-    abstract, abstraction_levels, compile_combinator, optimize, replay_conflict, stratify,
-    term_constraints,
+    _HEAD_RULES, IDENTITY, CombinatorSpec, CompileError, Constraint, NotAbstractable, StratifyResult,
+    _conflict_cycle, abstract, abstraction_levels, compile_combinator, optimize, replay_conflict,
+    stratify, term_constraints,
 )
 from trc.terms import (
-    ABST, EQ, P1, P2, App, Defined, KWrap, Pair, Var, app, children, free_vars,
-    parse, pattern_vars, render, substitute, term_size,
+    ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT, App, Defined, KWrap, Pair, Var, app, children,
+    format_position, free_vars, parse, pattern_vars, render, subterms, substitute, term_size,
 )
 
 
@@ -172,6 +174,94 @@ def test_level_walk_matches_the_union_find(t):
     got, want = stratify(t), oracle_stratify(t)
     assert got.assignment == want.assignment
     assert got.conflict == want.conflict
+
+
+# term_constraints as it was defined, per subterm with every key spelled from
+# the subterm's position, kept as the reference for the numbered walk
+
+def oracle_term_constraints(t):
+    def key(pos):
+        return "node:" + format_position(pos)
+
+    out = []
+    for pos, sub in subterms(t):
+        if isinstance(sub, Var):
+            out.append(Constraint(key(pos), "var:" + sub.name, 0, pos))
+        elif isinstance(sub, App):
+            out.append(Constraint(key(pos + (FN,)), key(pos + (ARG,)), 1, pos))
+            out.append(Constraint(key(pos), key(pos + (ARG,)), 0, pos))
+        elif isinstance(sub, KWrap):
+            out.append(Constraint(key(pos), key(pos + (KBODY,)), 1, pos))
+        elif isinstance(sub, Pair):
+            out.append(Constraint(key(pos), key(pos + (LEFT,)), 0, pos))
+            out.append(Constraint(key(pos), key(pos + (RIGHT,)), 0, pos))
+    return out
+
+
+@settings(max_examples=300)
+@given(st.one_of(stratify_terms, stratify_doubles))
+@example(parse("x (y x)"))
+@example(parse("k(B x) <I, y x>"))
+def test_term_constraints_match_the_per_subterm_definition(t):
+    assert term_constraints(t) == oracle_term_constraints(t)
+
+
+def _nest(names, bottom):
+    """``n0 (n1 (... (nk bottom)))`` over the variables named."""
+    for name in reversed(names):
+        bottom = App(Var(name), bottom)
+    return bottom
+
+
+_FS = [f"f{i}" for i in range(2_000)]
+
+
+@pytest.mark.parametrize("t, length", [
+    (_nest(_FS, App(Var("x"), Var("x"))), 3),  # the conflict at the bottom, closed there
+    (App(Var("x"), _nest(_FS[1:], Var("x"))), 2_002),  # closed through the root
+], ids=["short", "long"])
+def test_deep_conflict_cycles_match_the_union_find(t, length):
+    got = stratify(t).conflict
+    assert got == oracle_stratify(t).conflict
+    assert len(got) == length and replay_conflict(got) == 1
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """How many numbered constraints (``_Edge``) and ``Constraint`` records
+    are built, counted through the module's names."""
+    counts = collections.Counter()
+    for name in ("_Edge", "Constraint"):
+        def counted(*args, _name=name, _build=getattr(stratify_module, name)):
+            counts[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(stratify_module, name, counted)
+    return counts
+
+
+def test_a_conflict_near_the_root_builds_the_same_whatever_follows(builds):
+    seen = []
+    for n in (100, 800):
+        builds.clear()
+        got = stratify(App(App(Var("x"), Var("x")), _nest(_FS[:n], Var("y"))))
+        assert len(got.conflict) == 3
+        seen.append(dict(builds))
+    assert seen[0] == seen[1] == {"_Edge": 6, "Constraint": 3}
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: _nest(_FS[:n], App(Var("x"), Var("x"))),
+    lambda n: App(Var("x"), _nest(_FS[1:n], Var("x"))),
+], ids=["short", "long"])
+def test_a_conflict_at_the_bottom_builds_in_proportion_to_the_output(builds, make):
+    # a unit of output: one constraint of the cycle or one selector of its positions
+    per_unit = []
+    for n in (100, 800):
+        builds.clear()
+        cycle = stratify(make(n)).conflict
+        assert builds["Constraint"] == len(cycle)
+        per_unit.append(builds["_Edge"] / sum(1 + len(c.at) for c in cycle))
+    assert per_unit[1] <= 2 * per_unit[0], per_unit
 
 
 # ---------------------------------------------------------------------------
