@@ -103,7 +103,7 @@ def _term_text(args: argparse.Namespace) -> str:
     if args.file:
         if args.term is not None:
             raise ValueError("give the term as an argument or with --file, not both")
-        return Path(args.file).read_text().strip()
+        return Path(args.file).read_text()
     if args.term is None:
         raise ValueError("missing term argument (or use --file)")
     return args.term

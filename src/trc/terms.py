@@ -24,10 +24,12 @@ Term traversal goes through ``subterms`` (preorder, with positions),
 mapping each atom); substitution, definition unfolding, pattern conversion
 and the size and variable queries are built on them.  These three,
 ``render`` and the parser keep their own stacks, so they handle terms of any
-depth.  The tokenizer is one regular expression with an alternative per token
-class.  Terms, like the package's other value classes, are ``Record``s:
-read-only ``__slots__`` objects whose methods are written out, not generated
-at import as a dataclass's are.  Term ``==`` and ``hash`` recurse.
+depth.  The tokenizer is one regular expression: a run of blanks, then an
+alternative per token class, so blanks cost no match of their own.  The term
+parser reads the token list directly, without a method call per token.
+Terms, like the package's other value classes, are ``Record``s: read-only
+``__slots__`` objects whose methods are written out, not generated at import
+as a dataclass's are.  Term ``==`` and ``hash`` recurse.
 """
 
 from __future__ import annotations
@@ -489,42 +491,46 @@ class Token(NamedTuple):
     col: int
 
 
-# One alternative per token class, tried in order at each position; BAD is
-# any other single character.
-_TOKEN_RE = re.compile("|".join([
-    r"(?P<NEWLINE>\n)",
-    r"(?P<SKIP>[ \t\r]+)",
-    r"(?P<COMMENT>--[^\n]*)",
+# A run of blanks, then one alternative per token class, tried in order;
+# BAD is any other single character.  NEWLINE and COMMENT make no token, and
+# a line's trailing blanks match nothing.
+_TOKEN_RE = re.compile(r"[ \t\r]*(?:" + "|".join([
+    r"(?P<WORD>[A-Za-z0-9_][A-Za-z0-9_.'-]*)",
     r"(?P<PUNCT>:=|!=|=>|[()<>,\[\]{}:;=|])",
+    r"(?P<NEWLINE>\n)",
+    r"(?P<COMMENT>--[^\n]*)",
     r'"(?P<STRING>[^"\n]*)"',
     r"(?P<PATVAR>\$[A-Za-z0-9_][A-Za-z0-9_.'-]*)",
-    r"(?P<WORD>[A-Za-z0-9_][A-Za-z0-9_.'-]*)",
-    r"(?P<BAD>.)",
-]))
+    r"(?P<BAD>[^ \t\r])",
+]) + ")")
 # a quote or a '$' is BAD only where its STRING or PATVAR alternative failed
 _BAD_CHARACTERS = {'"': "unterminated string", "$": "'$' must introduce a pattern variable"}
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, line_start = 1, 0  # line number, and the offset where that line starts
+    append, new = toks.append, tuple.__new__
+    line, base = 1, -1  # line number, and the offset just before that line starts
     m = None
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "SKIP" or kind == "COMMENT":
-            continue
-        if kind == "NEWLINE":
+        if kind == "WORD" or kind == "PATVAR":
+            append(new(Token, (kind, m[kind], line, m.start(kind) - base)))
+        elif kind == "PUNCT":
+            value = m[kind]
+            append(new(Token, (value, value, line, m.start(kind) - base)))
+        elif kind == "NEWLINE":
             line += 1
-            line_start = m.end()
-            continue
-        value = m.group(kind)
-        col = m.start() - line_start + 1
-        if kind == "BAD":
-            raise ParseError(_BAD_CHARACTERS.get(value, f"unexpected character {value!r}"), line, col)
-        toks.append(Token(value if kind == "PUNCT" else kind, value, line, col))
+            base = m.end() - 1
+        elif kind == "STRING":  # the group starts after the opening quote
+            append(new(Token, (kind, m[kind], line, m.start(kind) - base - 1)))
+        elif kind == "BAD":
+            value = m[kind]
+            raise ParseError(_BAD_CHARACTERS.get(value, f"unexpected character {value!r}"),
+                             line, m.start(kind) - base)
     # a comment at the very end of the input does not move the end position
-    end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(text)
-    toks.append(Token("EOF", "", line, end - line_start + 1))
+    end = m.start(kind) if m is not None and kind == "COMMENT" else len(text)
+    append(Token("EOF", "", line, end - base))
     return toks
 
 
@@ -570,55 +576,61 @@ def parse_term_tokens(
     Only the outermost term stops at a reserved word: inside brackets it is
     an identifier.  Each open bracket (``k(``, ``(``, ``<`` and the right
     side ``<...,``) is a frame on an explicit stack holding the application
-    folded before the bracket opened, so nesting costs no recursion.
+    folded before the bracket opened, so nesting costs no recursion.  The
+    parser reads ``ts.tokens`` directly and leaves ``ts.i`` at the first
+    token it did not take, whether it returns or raises.
     """
+    tokens, i = ts.tokens, ts.i
+    atoms: dict[str, Term] = dict(CONSTANTS)  # a name's text -> its atom, for this call
     # frames: (opener, the application before it, the left side of a pair)
     stack: list[tuple[str, Optional[Term], Optional[Term]]] = []
     t: Optional[Term] = None  # the application folded so far in the innermost bracket
-    while True:
-        tok = ts.peek()
-        kind = tok.kind
-        if kind in _ATOM_STARTERS and (stack or kind != "WORD" or tok.text not in reserved):
-            ts.next()
-            text = tok.text
-            if kind == "WORD":
-                if text == "k":
-                    ts.expect("(")
-                    stack.append(("k(", t, None))
+    try:
+        while True:
+            kind, text, line, col = tokens[i]
+            if kind in _ATOM_STARTERS and (stack or kind != "WORD" or text not in reserved):
+                atom = atoms.get(text)
+                if atom is None and kind == "PATVAR":
+                    if not pattern:
+                        raise ParseError("pattern variables are only allowed in patterns", line, col)
+                    atom = atoms[text] = PatVar(text)
+                i += 1
+                if atom is None:
+                    if kind == "WORD" and text == "k":
+                        if tokens[i][0] != "(":
+                            ts.i = i  # ts.expect raises at the token ts.i names
+                            ts.expect("(")
+                        i += 1
+                        kind = "k("
+                    if kind != "WORD":  # an opening bracket
+                        stack.append((kind, t, None))
+                        t = None
+                        continue
+                    if not _IDENT_RE.fullmatch(text):
+                        raise ParseError(f"{text!r} is not a valid identifier", line, col)
+                    atom = atoms[text] = Defined(text) if text[0].isupper() else Var(text)
+            elif t is None:
+                if kind == "WORD":  # a reserved word where the outermost term starts
+                    raise ParseError(f"expected a term, got keyword {text!r}", line, col)
+                raise ParseError(f"got {text or kind!r}", line, col, ("identifier", "k(", "<", "("))
+            elif not stack:
+                return t
+            else:
+                opener, before, left = stack.pop()
+                want = "," if opener == "<" else ">" if opener == "<," else ")"
+                if kind != want:
+                    ts.i = i
+                    ts.expect(want)
+                i += 1
+                if opener == "<":
+                    stack.append(("<,", before, t))
                     t = None
                     continue
-                atom = CONSTANTS.get(text)
-                if atom is None:
-                    if not _IDENT_RE.fullmatch(text):
-                        raise ParseError(f"{text!r} is not a valid identifier", tok.line, tok.col)
-                    atom = Defined(text) if text[0].isupper() else Var(text)
-            elif kind == "PATVAR":
-                if not pattern:
-                    raise ParseError("pattern variables are only allowed in patterns", tok.line, tok.col)
-                atom = PatVar(text)
-            else:
-                stack.append((kind, t, None))
-                t = None
-                continue
-        elif t is None:
-            if kind == "WORD":  # a reserved word where the outermost term starts
-                raise ParseError(f"expected a term, got keyword {tok.text!r}", tok.line, tok.col)
-            raise ParseError(
-                f"got {tok.text or kind!r}", tok.line, tok.col, ("identifier", "k(", "<", "("),
-            )
-        elif not stack:
-            return t
-        else:
-            opener, before, left = stack.pop()
-            if opener == "<":
-                ts.expect(",")
-                stack.append(("<,", before, t))
-                t = None
-                continue
-            ts.expect(">" if opener == "<," else ")")
-            atom = KWrap(t) if opener == "k(" else Pair(left, t) if opener == "<," else t
-            t = before
-        t = atom if t is None else App(t, atom)
+                atom = KWrap(t) if opener == "k(" else Pair(left, t) if opener == "<," else t
+                t = before
+            t = atom if t is None else App(t, atom)
+    finally:
+        ts.i = i
 
 
 def parse(text: str, *, pattern: bool = False) -> Term:

@@ -389,6 +389,12 @@ def test_stratify_deep_chain(tmp_path, capsys):
     assert out == "y:0 " + " ".join(f"{name}:1" for name in sorted(f"f{i}" for i in range(DEPTH))) + "\n"
 
 
+def _child_env():
+    """The environment for a child interpreter that imports ``trc`` from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_stratify_deep_conflict_is_linear(tmp_path):
     # f (f (... (x x))) at depth 20,000: building every node's key string
     # would take minutes and gigabytes, so the run gets a time and memory cap
@@ -399,10 +405,8 @@ def test_stratify_deep_conflict_is_linear(tmp_path):
     def cap_memory():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-m", "trc.cli", "stratify", "--file", str(f)],
-                          capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory)
+                          capture_output=True, text=True, env=_child_env(), timeout=60, preexec_fn=cap_memory)
     at = "argument." * depth
     assert (done.returncode, done.stdout, done.stderr) == (1, (
         "unsatisfiable\n"
@@ -436,6 +440,22 @@ def test_normalize_deep_spine(tmp_path, capsys):
     code, out, err = run(capsys, "normalize", "--file", str(f))
     assert code == 0 and not err
     assert out.strip() == _spine_text(3000)
+
+
+def test_file_errors_point_into_the_file(tmp_path, capsys):
+    f = tmp_path / "term.trc"
+    f.write_text("\n\n  (x y\n")
+    code, out, err = run(capsys, "parse", "--file", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: 4:1: got 'EOF' (expected one of: ))\n"
+    f.write_text("\n  x y\n")
+    assert run(capsys, "parse", "--file", str(f)) == (0, "x y\n", "")
+
+
+def test_python_dash_m_trc_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "trc", "parse", "Abst   x (y z)"],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "Abst x (y z)\n", "")
 
 
 @pytest.mark.parametrize("command", ["parse", "normalize", "stratify", "abstract"])

@@ -292,6 +292,41 @@ def test_script_terms_match_the_recursive_parser(goal, hypothesis):
         assert outcome(scriptfile.parse_scripts, text) == want
 
 
+# Every token class after runs of blanks, on the first line and on a later
+# one, then the end position after trailing blanks, a comment or a newline:
+# each column comes from a group start, and a string's group starts after
+# its quote.
+_TOKEN_CLASSES = [
+    "w0rd", "x'.y-z", "$x", "$9'.-", '"a b"', '""', "@", "é", "-", "$", '"open', '"a\nb"',
+    ":=", "!=", "=>", "(", ")", "<", ">", ",", "[", "]", "{", "}", ":", ";", "=", "|",
+]
+_BLANK_RUNS = ["", " ", "   ", "\t", " \t\r ", "\r\r"]
+_ENDINGS = ["", " ", "\t\r ", " -- note", "--", " -- note\n", "\n", "\n \t", " x"]
+
+
+@pytest.mark.parametrize("token", _TOKEN_CLASSES)
+def test_token_columns_match_the_character_lexer(token):
+    for first in ("", "x\n", "\t y\r\n"):
+        for blanks in _BLANK_RUNS:
+            for ending in _ENDINGS:
+                text = first + blanks + token + ending
+                assert outcome(tokenize, text) == outcome(oracle_tokenize, text), repr(text)
+
+
+@settings(max_examples=300)
+@given(token_text, st.integers(0, 3), st.booleans())
+def test_term_parser_leaves_the_stream_where_the_recursive_parser_does(text, start, pattern):
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return
+    ts, oracle_ts = TokenStream(tokens), TokenStream(tokens)
+    ts.i = oracle_ts.i = min(start, len(tokens) - 1)
+    got = outcome(parse_term_tokens, ts, pattern, scriptfile.SCRIPT_RESERVED)
+    want = outcome(oracle_parse_term_tokens, oracle_ts, pattern, scriptfile.SCRIPT_RESERVED)
+    assert (got, ts.i, ts.peek()) == (want, oracle_ts.i, oracle_ts.peek())
+
+
 def test_reserved_words_end_only_the_outermost_term():
     ts = TokenStream(tokenize("x (let by) <qed, y> let"))
     t = parse_term_tokens(ts, reserved=frozenset({"let", "by", "qed"}))
