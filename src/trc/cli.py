@@ -44,6 +44,7 @@ from .terms import ParseError, TrcError, Var, expand_defined, parse, render
 USAGE_ERROR = 2
 MATH_FAILURE = 1
 
+_CONFIG_KEYS = ("fuel", "ext-depth", "printed-axioms", "surjective-pairing", "eq-reflexivity")
 _BOOL_WORDS = {"true": True, "on": True, "1": True, "yes": True,
                "false": False, "off": False, "0": False, "no": False}
 
@@ -57,7 +58,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        out[key] = value.strip()
     return out
 
 

@@ -14,7 +14,9 @@ equations, which compares them with facts up to renaming every variable that
 is not fixed (see ``_Checker.canonical``).
 
 Each proof step is a ``Step`` record: the ``label`` that names what it
-proves and its ``goal`` judgment, followed by the fields of its kind.
+proves and its ``goal`` judgment, followed by the fields of its kind.  A step
+proves exactly its stated goal: a check raises or returns nothing, and a step
+that passes adds its goal to the scope under its label.
 ``map_terms`` applies a function to every term in a judgment, a step or a
 tuple of these by rebuilding each record from its field values, so it names
 no step kind; instantiation and the script parser use it.  Step repertoire:
@@ -39,8 +41,8 @@ no step kind; instantiation and the script parser use it.  Step repertoire:
   conclusion is falsum.
 * ``contradiction as H { ... }``: proves a disequality by deriving falsum
   from the assumed equality, whose variables the block fixes.
-* ``falsum A B``: falsum from an equality and a disequality over the same
-  pair of terms.
+* ``contradiction EQ NEQ``: falsum from an equality and a disequality over
+  the same pair of terms; the step must state ``false``.
 * ``k-injection A``: from k(s) = k(t) conclude s = t.
 * ``application [u...] (A, B, N)``: to prove s != t, exhibit arguments and
   proofs s u... = a, t u... = b, a != b.
@@ -479,59 +481,55 @@ class _Checker:
 
     # -- step execution
 
-    def run_block(self, block: Block, scope: _Scope, goal: Judgment) -> Judgment:
+    def run_block(self, block: Block, scope: _Scope, goal: Judgment) -> None:
         if not block:
             raise ScriptError("empty proof block")
-        concluded: Optional[Judgment] = None
         for step in block:
-            concluded = self.run_step(step, scope)
-        assert concluded is not None
-        if concluded != goal:
+            self.run_step(step, scope)
+        if block[-1].goal != goal:
             raise _StepFailure(
-                f"block concludes {concluded.render()} but its goal is {goal.render()}"
+                f"block concludes {block[-1].goal.render()} but its goal is {goal.render()}"
             )
-        return concluded
 
-    def run_step(self, step: Step, scope: _Scope) -> Judgment:
+    def run_step(self, step: Step, scope: _Scope) -> None:
         self.step_counter += 1
         index = self.step_counter
         try:
-            judgment = self._dispatch(step, scope)
+            self._dispatch(step, scope)
         except _StepFailure as exc:
             raise _StepFailure(f"step {index} ({step.label}): {exc.reason}", exc.step or index) from None
-        scope.add(step.label, judgment)
-        return judgment
+        scope.add(step.label, step.goal)
 
-    def _dispatch(self, step: Step, scope: _Scope) -> Judgment:
+    def _dispatch(self, step: Step, scope: _Scope) -> None:
         if not isinstance(step.goal, Falsum):
             self.check_declared(step.goal.lhs)
             self.check_declared(step.goal.rhs)
         if isinstance(step, ChainStep):
-            return self._chain(step, scope)
-        if isinstance(step, NormalizeStep):
-            return self._normalize(step)
-        if isinstance(step, ExtStep):
-            return self._ext(step)
-        if isinstance(step, TheoremStep):
-            return self._theorem(step, scope)
-        if isinstance(step, ContradictionStep):
-            return self._contradiction(step, scope)
-        if isinstance(step, CasesStep):
-            return self._cases(step, scope)
-        if isinstance(step, KInjectStep):
-            return self._k_inject(step, scope)
-        if isinstance(step, ApplicationStep):
-            return self._application(step, scope)
-        if isinstance(step, FalsumStep):
-            return self._falsum(step, scope)
-        if isinstance(step, RefStep):
+            self._chain(step, scope)
+        elif isinstance(step, NormalizeStep):
+            self._normalize(step)
+        elif isinstance(step, ExtStep):
+            self._ext(step)
+        elif isinstance(step, TheoremStep):
+            self._theorem(step, scope)
+        elif isinstance(step, ContradictionStep):
+            self._contradiction(step, scope)
+        elif isinstance(step, CasesStep):
+            self._cases(step, scope)
+        elif isinstance(step, KInjectStep):
+            self._k_inject(step, scope)
+        elif isinstance(step, ApplicationStep):
+            self._application(step, scope)
+        elif isinstance(step, FalsumStep):
+            self._falsum(step, scope)
+        elif isinstance(step, RefStep):
             fact = self.fact(scope, step.source)
             if fact != step.goal:
                 raise _StepFailure(f"{step.source} states {fact.render()}, not {step.goal.render()}")
-            return fact
-        raise ScriptError(f"unknown step {step!r}")
+        else:
+            raise ScriptError(f"unknown step {step!r}")
 
-    def _chain(self, step: ChainStep, scope: _Scope) -> Judgment:
+    def _chain(self, step: ChainStep, scope: _Scope) -> None:
         goal = step.goal
         if not isinstance(goal, Equal):
             raise _StepFailure("chain proves equalities only")
@@ -540,9 +538,10 @@ class _Checker:
             raise _StepFailure("chain needs at least one term")
         if terms[0] != goal.lhs or terms[-1] != goal.rhs:
             raise _StepFailure("chain endpoints do not match the stated equality")
+        for t in terms[1:-1]:
+            self.check_declared(t)
         for i in range(len(terms) - 1):
             self.justify_link(terms[i], terms[i + 1], scope)
-        return goal
 
     def _same_normal_form(self, label: str, lhs: Term, rhs: Term, fuel: Optional[int], what: str) -> None:
         """Normalize both sides and record the results; fail unless both
@@ -555,7 +554,7 @@ class _Checker:
         if left.result != right.result:
             raise _StepFailure(f"{what} differ: {render(left.result)} vs {render(right.result)}")
 
-    def _normalize(self, step: NormalizeStep) -> Judgment:
+    def _normalize(self, step: NormalizeStep) -> None:
         goal = step.goal
         if not isinstance(goal, Equal):
             raise _StepFailure("normalize proves equalities only")
@@ -563,9 +562,8 @@ class _Checker:
             raise _StepFailure("normalize fuel must be >= 1")
         self._same_normal_form(step.label, self.expand(goal.lhs), self.expand(goal.rhs),
                                step.fuel, "normal forms")
-        return goal
 
-    def _ext(self, step: ExtStep) -> Judgment:
+    def _ext(self, step: ExtStep) -> None:
         goal = step.goal
         if not isinstance(goal, Equal):
             raise _StepFailure("ext proves equalities only")
@@ -578,9 +576,8 @@ class _Checker:
             fresh.append(Var(fresh_var(avoid)))
             avoid.add(fresh[-1].name)
         self._same_normal_form(step.label, app(lhs, *fresh), app(rhs, *fresh), None, "applied normal forms")
-        return goal
 
-    def _theorem(self, step: TheoremStep, scope: _Scope) -> Judgment:
+    def _theorem(self, step: TheoremStep, scope: _Scope) -> None:
         if step.theorem_id not in self.registry:
             raise _StepFailure(f"unknown theorem {step.theorem_id!r}")
         record = self.registry.get(step.theorem_id)
@@ -594,7 +591,7 @@ class _Checker:
                 raise _StepFailure(
                     f"{step.theorem_id} instantiates to {judgment.render()}, not {step.goal.render()}"
                 )
-            return judgment
+            return
         # refutation: discharge its hypothesis equations, conclude falsum
         if not isinstance(step.goal, Falsum):
             raise _StepFailure(f"{step.theorem_id} is a refutation; it concludes false")
@@ -608,7 +605,6 @@ class _Checker:
                 raise _StepFailure(
                     f"hypothesis of {step.theorem_id} not discharged: need {want.render()}"
                 )
-        return FALSUM
 
     def _discharged(self, want: Equal, scope: _Scope) -> bool:
         """Whether the script's hypothesis or a fact in scope states ``want``
@@ -619,17 +615,18 @@ class _Checker:
             return True
         return any(self.canonical(fact, fixed) == want_c for fact, fixed in scope.iter_equalities())
 
-    def _contradiction(self, step: ContradictionStep, scope: _Scope) -> Judgment:
+    def _contradiction(self, step: ContradictionStep, scope: _Scope) -> None:
         goal = step.goal
         if not isinstance(goal, NotEqual):
             raise _StepFailure("contradiction blocks prove disequalities")
         inner = scope.child(self.fixing(goal.lhs, goal.rhs))
         inner.add(step.assume_label, Equal(goal.lhs, goal.rhs))
         self.run_block(step.body, inner, FALSUM)
-        return goal
 
-    def _cases(self, step: CasesStep, scope: _Scope) -> Judgment:
+    def _cases(self, step: CasesStep, scope: _Scope) -> None:
         a, b = step.left, step.right
+        self.check_declared(a)
+        self.check_declared(b)
         eq_term = App(EQ, Pair(a, b))
         fixing = self.fixing(a, b)
         branch1 = scope.child(fixing)
@@ -639,23 +636,21 @@ class _Checker:
         if step.branch_not_equal is None:
             if a != b:
                 raise _StepFailure("cases over distinct terms needs both branches")
-            return step.goal
+            return
         branch2 = scope.child(fixing)
         branch2.add(step.case_label, Equal(eq_term, P2))
         branch2.add(step.dicho_label, NotEqual(a, b))
         self.run_block(step.branch_not_equal, branch2, step.goal)
-        return step.goal
 
-    def _k_inject(self, step: KInjectStep, scope: _Scope) -> Judgment:
+    def _k_inject(self, step: KInjectStep, scope: _Scope) -> None:
         fact = self.fact(scope, step.source)
         if not (isinstance(fact, Equal) and isinstance(fact.lhs, KWrap) and isinstance(fact.rhs, KWrap)):
             raise _StepFailure(f"{step.source} is not an equality of k-wrapped terms")
         got = Equal(fact.lhs.body, fact.rhs.body)
         if got != step.goal:
             raise _StepFailure(f"k-injection yields {got.render()}, not {step.goal.render()}")
-        return got
 
-    def _application(self, step: ApplicationStep, scope: _Scope) -> Judgment:
+    def _application(self, step: ApplicationStep, scope: _Scope) -> None:
         goal = step.goal
         if not isinstance(goal, NotEqual):
             raise _StepFailure("application proves disequalities")
@@ -671,9 +666,10 @@ class _Checker:
             raise _StepFailure("application facts do not apply the stated sides to the arguments")
         if (neq_fact.lhs, neq_fact.rhs) not in ((left_fact.rhs, right_fact.rhs), (right_fact.rhs, left_fact.rhs)):
             raise _StepFailure("the disequality is not about the two application results")
-        return goal
 
-    def _falsum(self, step: FalsumStep, scope: _Scope) -> Judgment:
+    def _falsum(self, step: FalsumStep, scope: _Scope) -> None:
+        if not isinstance(step.goal, Falsum):
+            raise _StepFailure("contradiction EQ NEQ proves false only")
         eq = self.fact(scope, step.eq_label)
         neq = self.fact(scope, step.neq_label)
         if not isinstance(eq, Equal) or not isinstance(neq, NotEqual):
@@ -683,7 +679,6 @@ class _Checker:
             raise _StepFailure(
                 f"{eq.render()} and {neq.render()} are not about the same pair of terms"
             )
-        return FALSUM
 
 
 def check_script(

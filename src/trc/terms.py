@@ -213,7 +213,6 @@ EQ = Const("Eq")
 P1 = Const("P1")
 P2 = Const("P2")
 
-KEYWORDS = {"Abst", "Eq", "P1", "P2", "k"}
 CONSTANTS = {"Abst": ABST, "Eq": EQ, "P1": P1, "P2": P2}
 
 # Position selectors, in child order.

@@ -198,6 +198,10 @@ def test_check_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("body, error", [
     ("prove Q = Q\n  qed by chain [Q]", "user-3: undeclared names ['Q']"),
+    # names in a chain's inner terms and in the terms cases splits on are stated too
+    ("prove a = a\n  qed by chain [a, k(a) Foo, a]", "user-3: undeclared names ['Foo']"),
+    ("prove a = a\n  qed by cases Eq <Foo, Foo> as (C, D) { p1 => { qed by chain [a] } }",
+     "user-3: undeclared names ['Foo']"),
     ("prove P1 = P1\n  have a : P1 = P1 by chain [P1]\n  have a : P1 = P1 by chain [P1]\n  qed by chain [P1]",
      "duplicate label 'a'"),
     ("hypothesis M : P1 $x = $x $x\n  prove false\n  qed by chain [P1]",
@@ -345,6 +349,13 @@ def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
     conf = tmp_path / "engine.conf"
     conf.write_text("-- a comment line\nfuel\n")
     assert run(capsys, "normalize", "--config", str(conf), "x") == (2, "", "error: bad config line: 'fuel'\n")
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "engine.conf"
+    conf.write_text("fule = 3\n")
+    assert run(capsys, "normalize", "--config", str(conf), "k(x) y") == (
+        2, "", "error: unknown config key 'fule'\n")
 
 
 @pytest.mark.parametrize("key", ["printed-axioms", "surjective-pairing", "eq-reflexivity"])

@@ -526,6 +526,10 @@ APPLIED = "have l : k(P1) z = P1 by normalize have r : k(P2) z = P2 by normalize
      "have l : k(P1) z = k(P1) z by chain [k(P1) z] have r : k(P2) z = k(P2) z by chain [k(P2) z] "
      "have w : P1 != P2 by theorem VIII qed by application [z] (l, r, w)",
      "FAIL 4 step 4 (_qed1): the disequality is not about the two application results"),
+    # contradiction EQ NEQ proves false, and a step proves only what it states
+    ("a = a", "qed by cases Eq <P1, P2> as (C, D) { p1 => { have v : P1 != P2 by theorem VIII"
+     " have z : a = b by contradiction D v qed by chain [a] } p2 => { qed by chain [a] } }",
+     "FAIL 3 step 1 (_qed1): step 3 (z): contradiction EQ NEQ proves false only"),
 ])
 def test_a_rejected_step_is_named_with_its_reason(core, registry, goal, body, line):
     assert check_text(theorem_text(goal, body), registry, core).line() == "THEOREM a " + line
@@ -546,12 +550,42 @@ def test_a_rejected_refutation_is_named_with_its_reason(core, registry, hypothes
      "FAIL 1 step 1 (_qed1): cases over distinct terms needs both branches"),
     ("qed by cases Eq <P1, P2> as (C, D) { p1 => { have v : P1 != P2 by theorem VIII"
      " qed by contradiction D v } p2 => { qed by chain [a] } }",
-     "FAIL 1 step 1 (_qed1): block concludes false but its goal is a = a"),
+     "FAIL 3 step 1 (_qed1): step 3 (_qed2): contradiction EQ NEQ proves false only"),
 ])
 def test_failed_step_is_the_step_its_reason_names(core, registry, body, line):
-    # the failure is the cases step's own, not that of the last step its
-    # branch ran
     assert check_text(theorem_text("a = a", body), registry, core).line() == "THEOREM a " + line
+
+
+def test_a_block_that_concludes_another_goal_fails_at_its_step(core, registry):
+    # a parsed block always ends in a qed stating its goal; a built one need
+    # not.  The failure is the cases step's own, not that of the last step
+    # its branch ran
+    a, b = Var("a"), Var("b")
+    branch = (ChainStep("s", Equal(b, b), (b,)),)
+    script = ProofScript("a", "a branch proving another goal", None, Equal(a, a), (),
+                         (CasesStep("_qed1", Equal(a, a), a, a, "C", "D", branch, None),))
+    report = check_script(script, registry, core, BASE_DEFINITIONS)
+    assert report.line() == "THEOREM a FAIL 1 step 1 (_qed1): block concludes b = b but its goal is a = a"
+
+
+A, B = Var("a"), Var("b")
+
+
+@pytest.mark.parametrize("body, message", [
+    # library-only fallbacks: the script parser builds none of these
+    ((Step("s", Equal(A, A)),), "ScriptError: unknown step Step("),
+    ((), "ScriptError: empty proof block"),
+    ((ContradictionStep("c", NotEqual(A, B), "h", ()),), "ScriptError: empty proof block"),
+    ((ChainStep("c", Equal(A, A), ()),), "step 1 (c): chain needs at least one term"),
+])
+def test_library_only_fallbacks(core, registry, body, message):
+    goal = body[0].goal if body else Equal(A, A)
+    script = ProofScript("lib", "built by a library caller", None, goal, (), body)
+    try:
+        got = check_script(script, registry, core, BASE_DEFINITIONS).reason
+    except ScriptError as exc:
+        got = f"ScriptError: {exc}"
+    assert got.startswith(message)
 
 
 def test_application_needs_an_argument(core, registry):
