@@ -28,7 +28,6 @@ Combinator definition files hold one definition per line::
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Optional
 
 from .kernel import (
     ApplicationStep, Block, CasesStep, ChainStep, ContradictionStep, Equal,
@@ -67,17 +66,14 @@ def _parse_int(ts: TokenStream) -> int:
 
 
 def _parse_judgment(ts: TokenStream) -> Judgment:
-    if ts.at_word("false"):
-        ts.next()
+    if ts.accept("false"):
         return FALSUM
     lhs = _term(ts)
-    tok = ts.peek()
-    if tok.kind == "=":
-        ts.next()
+    if ts.accept("="):
         return Equal(lhs, _term(ts))
-    if tok.kind == "!=":
-        ts.next()
+    if ts.accept("!="):
         return NotEqual(lhs, _term(ts))
+    tok = ts.peek()
     raise ParseError(f"got {tok.text or tok.kind!r}", tok.line, tok.col, ("=", "!="))
 
 
@@ -89,17 +85,14 @@ def _parse_subst(ts: TokenStream) -> tuple[tuple[str, Term], ...]:
             raise ParseError(f"{tok.text} is bound twice", tok.line, tok.col)
         ts.expect(":=")
         pairs.append((tok.text, _term(ts)))
-        if ts.peek().kind == ",":
-            ts.next()
-            continue
-        return tuple(pairs)
+        if not ts.accept(","):
+            return tuple(pairs)
 
 
 def _parse_term_list(ts: TokenStream) -> tuple[Term, ...]:
     ts.expect("[")
     terms = [_term(ts)]
-    while ts.peek().kind == ",":
-        ts.next()
+    while ts.accept(","):
         terms.append(_term(ts))
     ts.expect("]")
     return tuple(terms)
@@ -123,8 +116,7 @@ class _ScriptParser:
         ts.expect("{")
         constants: list[str] = []
         equations: list[HypEquation] = []
-        while ts.at_word("hypothesis"):
-            ts.next()
+        while ts.accept("hypothesis"):
             name = ts.expect("WORD").text
             ts.expect(":")
             lhs = _term(ts, pattern=True)
@@ -141,7 +133,6 @@ class _ScriptParser:
         # names bound by let are declared constants from here on, even when
         # spelled lowercase; reclassify their variable occurrences
         declared = {name: Defined(name) for name, _ in lets}
-        declared.update({name: Defined(name) for name in constants})
         if declared:
             statement, lets, body = map_terms((statement, lets, body), lambda t: substitute(t, declared))
         return ProofScript(ident, title, hypothesis, statement, lets, body, self.source)
@@ -152,22 +143,19 @@ class _ScriptParser:
         lets: list[tuple[str, Term]] = []
         steps: list[Step] = []
         while True:
-            if ts.at_word("let"):
-                ts.next()
+            if ts.accept("let"):
                 name = ts.expect("WORD").text
                 ts.expect(":=")
                 lets.append((name, _term(ts)))
                 continue
-            if ts.at_word("have"):
-                ts.next()
+            if ts.accept("have"):
                 label = ts.expect("WORD").text
                 ts.expect(":")
                 judgment = _parse_judgment(ts)
                 ts.expect_word("by")
                 steps.append(self.parse_method(label, judgment))
                 continue
-            if ts.at_word("qed"):
-                ts.next()
+            if ts.accept("qed"):
                 ts.expect_word("by")
                 tok = ts.peek()
                 if tok.kind == "WORD" and tok.text not in _METHOD_WORDS:
@@ -192,40 +180,24 @@ class _ScriptParser:
 
     def parse_method(self, label: str, goal: Judgment) -> Step:
         ts = self.ts
-        tok = ts.peek()
-        if ts.at_word("chain"):
-            ts.next()
+        if ts.accept("chain"):
             return ChainStep(label, goal, _parse_term_list(ts))
-        if ts.at_word("normalize"):
-            ts.next()
-            fuel: Optional[int] = None
-            if ts.at_word("fuel"):
-                ts.next()
-                fuel = _parse_int(ts)
-            return NormalizeStep(label, goal, fuel)
-        if ts.at_word("ext"):
-            ts.next()
+        if ts.accept("normalize"):
+            return NormalizeStep(label, goal, _parse_int(ts) if ts.accept("fuel") else None)
+        if ts.accept("ext"):
             return ExtStep(label, goal, _parse_int(ts))
-        if ts.at_word("theorem"):
-            ts.next()
+        if ts.accept("theorem"):
             ident = ts.expect("WORD").text
-            subst: tuple[tuple[str, Term], ...] = ()
-            if ts.at_word("with"):
-                ts.next()
-                subst = _parse_subst(ts)
-            return TheoremStep(label, goal, ident, subst)
-        if ts.at_word("contradiction"):
-            ts.next()
-            if ts.at_word("as"):
-                ts.next()
+            return TheoremStep(label, goal, ident, _parse_subst(ts) if ts.accept("with") else ())
+        if ts.accept("contradiction"):
+            if ts.accept("as"):
                 assume = ts.expect("WORD").text
                 body = self.parse_inner_block(FALSUM)
                 return ContradictionStep(label, goal, assume, body)
             eq_label = ts.expect("WORD").text
             neq_label = ts.expect("WORD").text
             return FalsumStep(label, goal, eq_label, neq_label)
-        if ts.at_word("cases"):
-            ts.next()
+        if ts.accept("cases"):
             ts.expect_word("Eq")
             ts.expect("<")
             left = _term(ts)
@@ -243,17 +215,14 @@ class _ScriptParser:
             ts.expect("=>")
             branch1 = self.parse_inner_block(goal)
             branch2 = None
-            if ts.at_word("p2"):
-                ts.next()
+            if ts.accept("p2"):
                 ts.expect("=>")
                 branch2 = self.parse_inner_block(goal)
             ts.expect("}")
             return CasesStep(label, goal, left, right, case_label, dicho_label, branch1, branch2)
-        if ts.at_word("k-injection"):
-            ts.next()
+        if ts.accept("k-injection"):
             return KInjectStep(label, goal, ts.expect("WORD").text)
-        if ts.at_word("application"):
-            ts.next()
+        if ts.accept("application"):
             args = _parse_term_list(ts)
             ts.expect("(")
             a = ts.expect("WORD").text
@@ -263,6 +232,7 @@ class _ScriptParser:
             n = ts.expect("WORD").text
             ts.expect(")")
             return ApplicationStep(label, goal, args, a, b, n)
+        tok = ts.peek()
         raise ParseError(
             f"got {tok.text or tok.kind!r}", tok.line, tok.col, tuple(sorted(_METHOD_WORDS)),
         )

@@ -553,15 +553,18 @@ class TokenStream:
             raise ParseError(f"got {tok.text or tok.kind!r}", tok.line, tok.col, (kind,))
         return self.next()
 
-    def at_word(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "WORD" and tok.text == text
+    def accept(self, text: str) -> bool:
+        """Take the next token if it is the word or the punctuation mark ``text``."""
+        kind, tok_text = self.tokens[self.i][:2]
+        if tok_text != text or kind not in ("WORD", text) or kind == "STRING":
+            return False
+        self.i += 1
+        return True
 
-    def expect_word(self, text: str) -> Token:
-        tok = self.peek()
-        if not self.at_word(text):
+    def expect_word(self, text: str) -> None:
+        if not self.accept(text):
+            tok = self.peek()
             raise ParseError(f"got {tok.text or tok.kind!r}", tok.line, tok.col, (text,))
-        return self.next()
 
 
 _ATOM_STARTERS = ("WORD", "PATVAR", "(", "<")

@@ -336,6 +336,17 @@ def test_reserved_words_end_only_the_outermost_term():
         parse_term_tokens(TokenStream(tokenize("let")), reserved=frozenset({"let"}))
 
 
+def test_accept_takes_only_the_word_or_punctuation_mark_asked_for():
+    ts = TokenStream(tokenize('fuel := "fuel" "STRING" $x'))
+    assert not ts.accept("with") and not ts.accept("=") and ts.i == 0
+    assert ts.accept("fuel") and ts.accept(":=") and ts.i == 2
+    assert not ts.accept("fuel") and not ts.accept("STRING") and ts.i == 2  # a string is never a keyword
+    ts.i = 3
+    assert not ts.accept("STRING") and not ts.accept("$x") and not ts.accept("PATVAR")
+    ts.i = 5
+    assert not ts.accept("") and not ts.accept("EOF") and ts.i == 5
+
+
 def test_corpus_files_tokenize_as_before():
     root = Path(trc.__file__).parent / "corpus"
     files = sorted(root.iterdir())
