@@ -6,7 +6,9 @@ check, 1 on a mathematical failure (failed or unknown verdicts, rejected
 abstraction, exhausted normalization), 2 on usage or syntax errors, including
 malformed proof scripts (an undeclared name, a duplicate label, a hypothesis
 not headed by its constant) and input nested too deeply for term equality,
-``--optimize`` or the nested blocks of a proof script.
+``--optimize`` or the nested blocks of a proof script.  The checker finds an
+undeclared name in a step's terms, or a duplicate label, only when it reaches
+that step: a script that fails an earlier step exits 1 with that failure.
 
 The commands that rewrite terms (``normalize``, ``eq``, ``compile``,
 ``check``, ``corpus``) take the engine configuration from ``--fuel``,
@@ -61,6 +63,8 @@ def _read_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
+        if key in out:
+            raise ValueError(f"config key {key!r} is given twice")
         out[key] = value.strip()
     return out
 

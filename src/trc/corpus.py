@@ -187,7 +187,6 @@ class CorpusReport(Record):
     results: tuple[EntryResult, ...]
     registry: Registry
     ruleset: RuleSet
-    config: EngineConfig
     contexts: dict[str, tuple[Registry, RuleSet]]  # entry id -> what it was checked against
 
     @property
@@ -210,7 +209,7 @@ class CorpusReport(Record):
             ok = bool(present) and all(status[i] for i in present)
             out.append(f"COVERAGE {item} {' '.join(ids)} {'OK' if ok else 'INCOMPLETE'}")
         failed = "/".join(r.entry.ident for r in self.results if r.status == "fail")
-        if failed and not self.config.corrected_axioms:
+        if failed and not self.ruleset.config.corrected_axioms:
             out.append(
                 f"NOTE uncorrected-axiom run: failures of {failed}"
                 " reproduce the documented misprint in the pair-application and abstraction"
@@ -314,7 +313,7 @@ def run_corpus(
             theorem_ids[e.ident] = tuple(ids)
         pending = still
     ordered = tuple(results[e.ident] for e in corpus.entries)
-    return CorpusReport(ordered, registry, ruleset, config, contexts)
+    return CorpusReport(ordered, registry, ruleset, contexts)
 
 
 def standard_context(config: EngineConfig | None = None) -> tuple[Registry, RuleSet]:

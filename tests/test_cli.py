@@ -219,6 +219,15 @@ def test_a_malformed_script_is_usage_error(tmp_path, capsys, body, error):
     assert run(capsys, "check", str(f)) == (2, "", f"error: {error}\n")
 
 
+def test_a_malformed_step_after_a_failing_step_exits_1(tmp_path, capsys):
+    # the checker stops at the failing step and never reaches the undeclared name
+    f = tmp_path / "bad.trc"
+    f.write_text('theorem t1 "t" {\n  prove a = a\n  have h : a = b by normalize\n'
+                 '  qed by chain [a, Foo, a]\n}\n')
+    assert run(capsys, "check", str(f)) == (
+        1, "THEOREM t1 FAIL 1 step 1 (h): normal forms differ: a vs b\n", "")
+
+
 def test_check_reports_failures(tmp_path, capsys):
     f = tmp_path / "bad.trc"
     f.write_text('''
@@ -301,6 +310,23 @@ def test_corpus_printed_axioms_trace_matches_golden(capsys):
     assert out.encode("utf-8") == (GOLDEN_TRACE.parent / "corpus_printed_trace.txt").read_bytes()
 
 
+def test_corpus_without_eq_refl_traces_as_the_default(capsys):
+    # Eq-refl fires nowhere in the corpus, so dropping it changes no byte
+    code, out, _ = run(capsys, "corpus", "--no-eq-refl", "--trace")
+    assert code == 0
+    assert out.encode("utf-8") == GOLDEN_TRACE.read_bytes()
+
+
+def test_corpus_without_surjective_pairing_trace_matches_golden(capsys):
+    # the entries that need surjective pairing fail, and those after them are blocked
+    code, out, _ = run(capsys, "corpus", "--no-surjective-pairing", "--trace")
+    assert code == 1
+    assert out.encode("utf-8") == (GOLDEN_TRACE.parent / "corpus_no_surjective_pairing_trace.txt").read_bytes()
+    lines = out.splitlines()
+    assert sum(ln.startswith("THEOREM ") and " FAIL " in ln for ln in lines) == 13
+    assert sum(" BLOCKED " in ln for ln in lines) == 20
+
+
 def test_corpus_list(capsys):
     code, out, _ = run(capsys, "corpus", "--list")
     assert code == 0
@@ -356,6 +382,13 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     conf.write_text("fule = 3\n")
     assert run(capsys, "normalize", "--config", str(conf), "k(x) y") == (
         2, "", "error: unknown config key 'fule'\n")
+
+
+def test_repeated_config_key_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "engine.conf"
+    conf.write_text("fuel = 2\nfuel = 3\n")
+    assert run(capsys, "normalize", "--config", str(conf), "Abst Abst x y z") == (
+        2, "", "error: config key 'fuel' is given twice\n")
 
 
 @pytest.mark.parametrize("key", ["printed-axioms", "surjective-pairing", "eq-reflexivity"])

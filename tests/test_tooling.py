@@ -1,17 +1,21 @@
-"""The names the benchmark's tracer patches exist in the program.
+"""Tooling checks on the program's source.
 
+The names the benchmark's tracer patches exist in the program:
 ``bench/tracer.py`` wraps, for a traced run, the names through which one
 ``trc`` module calls another; a renamed or removed name makes
-``python3 bench/run.py --trace 1`` die with ``AttributeError``.
+``python3 bench/run.py --trace 1`` die with ``AttributeError``.  And no
+module of ``trc`` imports a name it never uses.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -42,3 +46,36 @@ def test_tracer_installs_and_restores():
     finally:
         t.uninstall()
     assert engine.rule_match is original
+
+
+# imports kept although the module never reads them
+UNUSED_ON_PURPOSE = {
+    ("engine", "match_pattern"),  # the attribute bench/tracer.py patches
+}
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module imports and never reads, ``__future__`` imports aside."""
+    imported: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {
+        (path.stem, name)
+        for path in sorted((ROOT / "src" / "trc").glob("*.py")) if path.name != "__init__.py"  # re-exports
+        for name in unused_imports(ast.parse(path.read_text()))
+    }
+    assert found == UNUSED_ON_PURPOSE
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\nimport re, sys\n"
+                     "from typing import Optional as Opt, Union\nx: Union[int, str] = re.escape('')\n")
+    assert unused_imports(tree) == ["os", "sys", "Opt"]
