@@ -554,7 +554,8 @@ class TokenStream:
         return self.next()
 
     def accept(self, text: str) -> bool:
-        """Take the next token if it is the word or the punctuation mark ``text``."""
+        """Take the next token if it is the word or the punctuation mark ``text``;
+        a string or a pattern variable is never taken."""
         kind, tok_text = self.tokens[self.i][:2]
         if tok_text != text or kind not in ("WORD", text) or kind == "STRING":
             return False
