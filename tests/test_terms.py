@@ -5,7 +5,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trc
@@ -267,12 +267,26 @@ token_text = st.lists(
 ).map(lambda parts: "".join(tok + sep for tok, sep in parts))
 
 
+# the front end's edge cases: a comment at the end of the input, with and
+# without a newline, a comment right after a word, a blank between k and its
+# bracket, each bad character, and a carriage return before a newline
+_FRONT_END_EDGES = ["-- note\n ", "x -- c", "x--y", "k (x)", "k", '"open', "$", "x\r\ny", "x\n\n  @"]
+
+
+def edge_examples(test):
+    for text in reversed(_FRONT_END_EDGES):
+        test = example(text)(test)
+    return test
+
+
+@edge_examples
 @settings(max_examples=300)
 @given(st.one_of(token_text, st.text(alphabet=' \t\r\n"$-<>(),:=!|[]{};ab_Z09.\'@é', max_size=30)))
 def test_tokenize_matches_the_character_lexer(text):
     assert outcome(tokenize, text) == outcome(oracle_tokenize, text)
 
 
+@edge_examples
 @settings(max_examples=500)
 @given(token_text)
 def test_term_parser_matches_the_recursive_parser(text):
