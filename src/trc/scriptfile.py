@@ -59,10 +59,10 @@ _METHOD_WORDS = {
 
 
 def _parse_int(ts: TokenStream) -> int:
-    tok = ts.expect("WORD")
-    if not tok.text.isdigit():
-        raise ParseError(f"expected a number, got {tok.text!r}", tok.line, tok.col)
-    return int(tok.text)
+    text = ts.expect("WORD")
+    if not text.isdigit():
+        raise ts.error(f"expected a number, got {text!r}", at=ts.i - 1)
+    return int(text)
 
 
 def _parse_judgment(ts: TokenStream) -> Judgment:
@@ -73,18 +73,17 @@ def _parse_judgment(ts: TokenStream) -> Judgment:
         return Equal(lhs, _term(ts))
     if ts.accept("!="):
         return NotEqual(lhs, _term(ts))
-    tok = ts.peek()
-    raise ParseError(f"got {tok.text or tok.kind!r}", tok.line, tok.col, ("=", "!="))
+    raise ts.error(expected=("=", "!="))
 
 
 def _parse_subst(ts: TokenStream) -> tuple[tuple[str, Term], ...]:
     pairs: list[tuple[str, Term]] = []
     while True:
-        tok = ts.expect("WORD")
-        if any(tok.text == name for name, _ in pairs):
-            raise ParseError(f"{tok.text} is bound twice", tok.line, tok.col)
+        name = ts.expect("WORD")
+        if any(name == bound for bound, _ in pairs):
+            raise ts.error(f"{name} is bound twice", at=ts.i - 1)
         ts.expect(":=")
-        pairs.append((tok.text, _term(ts)))
+        pairs.append((name, _term(ts)))
         if not ts.accept(","):
             return tuple(pairs)
 
@@ -111,13 +110,13 @@ class _ScriptParser:
     def parse_theorem(self) -> ProofScript:
         ts = self.ts
         ts.expect_word("theorem")
-        ident = ts.expect("WORD").text
-        title = ts.expect("STRING").text
+        ident = ts.expect("WORD")
+        title = ts.expect("STRING")
         ts.expect("{")
         constants: list[str] = []
         equations: list[HypEquation] = []
         while ts.accept("hypothesis"):
-            name = ts.expect("WORD").text
+            name = ts.expect("WORD")
             ts.expect(":")
             lhs = _term(ts, pattern=True)
             ts.expect("=")
@@ -144,12 +143,12 @@ class _ScriptParser:
         steps: list[Step] = []
         while True:
             if ts.accept("let"):
-                name = ts.expect("WORD").text
+                name = ts.expect("WORD")
                 ts.expect(":=")
                 lets.append((name, _term(ts)))
                 continue
             if ts.accept("have"):
-                label = ts.expect("WORD").text
+                label = ts.expect("WORD")
                 ts.expect(":")
                 judgment = _parse_judgment(ts)
                 ts.expect_word("by")
@@ -157,24 +156,18 @@ class _ScriptParser:
                 continue
             if ts.accept("qed"):
                 ts.expect_word("by")
-                tok = ts.peek()
-                if tok.kind == "WORD" and tok.text not in _METHOD_WORDS:
-                    ts.next()
-                    steps.append(RefStep(self._auto_label(), goal, tok.text))
+                if ts.peek() == "WORD" and ts.texts[ts.i] not in _METHOD_WORDS:
+                    steps.append(RefStep(self._auto_label(), goal, ts.expect("WORD")))
                 else:
                     steps.append(self.parse_method(self._auto_label(), goal))
                 return tuple(lets), tuple(steps)
-            tok = ts.peek()
-            raise ParseError(
-                f"got {tok.text or tok.kind!r}", tok.line, tok.col, ("let", "have", "qed"),
-            )
+            raise ts.error(expected=("let", "have", "qed"))
 
     def parse_inner_block(self, goal: Judgment) -> Block:
         self.ts.expect("{")
         lets, steps = self.parse_block_items(goal)
         if lets:
-            raise ParseError("let is only allowed at theorem top level",
-                             self.ts.peek().line, self.ts.peek().col)
+            raise self.ts.error("let is only allowed at theorem top level")
         self.ts.expect("}")
         return steps
 
@@ -187,15 +180,15 @@ class _ScriptParser:
         if ts.accept("ext"):
             return ExtStep(label, goal, _parse_int(ts))
         if ts.accept("theorem"):
-            ident = ts.expect("WORD").text
+            ident = ts.expect("WORD")
             return TheoremStep(label, goal, ident, _parse_subst(ts) if ts.accept("with") else ())
         if ts.accept("contradiction"):
             if ts.accept("as"):
-                assume = ts.expect("WORD").text
+                assume = ts.expect("WORD")
                 body = self.parse_inner_block(FALSUM)
                 return ContradictionStep(label, goal, assume, body)
-            eq_label = ts.expect("WORD").text
-            neq_label = ts.expect("WORD").text
+            eq_label = ts.expect("WORD")
+            neq_label = ts.expect("WORD")
             return FalsumStep(label, goal, eq_label, neq_label)
         if ts.accept("cases"):
             ts.expect_word("Eq")
@@ -206,9 +199,9 @@ class _ScriptParser:
             ts.expect(">")
             ts.expect_word("as")
             ts.expect("(")
-            case_label = ts.expect("WORD").text
+            case_label = ts.expect("WORD")
             ts.expect(",")
-            dicho_label = ts.expect("WORD").text
+            dicho_label = ts.expect("WORD")
             ts.expect(")")
             ts.expect("{")
             ts.expect_word("p1")
@@ -221,28 +214,25 @@ class _ScriptParser:
             ts.expect("}")
             return CasesStep(label, goal, left, right, case_label, dicho_label, branch1, branch2)
         if ts.accept("k-injection"):
-            return KInjectStep(label, goal, ts.expect("WORD").text)
+            return KInjectStep(label, goal, ts.expect("WORD"))
         if ts.accept("application"):
             args = _parse_term_list(ts)
             ts.expect("(")
-            a = ts.expect("WORD").text
+            a = ts.expect("WORD")
             ts.expect(",")
-            b = ts.expect("WORD").text
+            b = ts.expect("WORD")
             ts.expect(",")
-            n = ts.expect("WORD").text
+            n = ts.expect("WORD")
             ts.expect(")")
             return ApplicationStep(label, goal, args, a, b, n)
-        tok = ts.peek()
-        raise ParseError(
-            f"got {tok.text or tok.kind!r}", tok.line, tok.col, tuple(sorted(_METHOD_WORDS)),
-        )
+        raise ts.error(expected=tuple(sorted(_METHOD_WORDS)))
 
 
 def parse_scripts(text: str, source: str = "<script>") -> list[ProofScript]:
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     parser = _ScriptParser(ts, source)
     scripts: list[ProofScript] = []
-    while ts.peek().kind != "EOF":
+    while ts.peek() != "EOF":
         scripts.append(parser.parse_theorem())
     if not scripts:
         raise ParseError("no theorem blocks found", 1, 1)
@@ -255,21 +245,20 @@ def parse_combinator_specs(text: str) -> list[CombinatorSpec]:
     for lineno, line in groupby(tokenize(text)[:-1], key=lambda tok: tok.line):
         toks = list(line)
         last = toks[-1]  # the definition ends just after its last token
-        ts = TokenStream(toks + [Token("EOF", "", lineno, last.col + len(last.text))])
+        ts = TokenStream.of_tokens(toks + [Token("EOF", "", lineno, last.col + len(last.text))])
         name = ts.expect("WORD")
-        params: list[Token] = []
-        while ts.peek().kind == "WORD":
-            params.append(ts.next())
+        while ts.peek() == "WORD":
+            ts.expect("WORD")
+        params = toks[1:ts.i]
         ts.expect("=")
         body = _term(ts)
-        tok = ts.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"trailing input in definition on line {lineno}", tok.line, tok.col)
+        if ts.peek() != "EOF":
+            raise ts.error(f"trailing input in definition on line {lineno}")
         for p in params:
             if not p.text[0].islower():
                 raise ParseError(f"parameter {p.text!r} must be a variable", p.line, p.col)
         try:
-            specs.append(CombinatorSpec(name.text, tuple(p.text for p in params), body))
+            specs.append(CombinatorSpec(name, tuple(p.text for p in params), body))
         except ValueError as exc:
-            raise ParseError(str(exc), name.line, name.col) from None
+            raise ParseError(str(exc), toks[0].line, toks[0].col) from None
     return specs

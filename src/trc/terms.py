@@ -24,9 +24,12 @@ Term traversal goes through ``subterms`` (preorder, with positions),
 mapping each atom); substitution, definition unfolding, pattern conversion
 and the size and variable queries are built on them.  These three,
 ``render`` and the parser keep their own stacks, so they handle terms of any
-depth.  The tokenizer is one regular expression: a run of blanks, then an
-alternative per token class, so blanks cost no match of their own.  The term
-parser reads the token list directly, without a method call per token.
+depth.  The front end reads a text's tokens with one ``findall`` of one
+regular expression, whose only group is the token after any blanks, newlines
+and comments; each distinct token text is classified once, by its first
+character.  Lines and columns are worked out, by ``tokenize``, only when an
+error is reported.  The term parser reads the list of token texts directly,
+without a method call per token.
 Terms, like the package's other value classes, are ``Record``s: read-only
 ``__slots__`` objects whose methods are written out, not generated at import
 as a dataclass's are.  Term ``==`` and ``hash`` recurse.
@@ -485,87 +488,130 @@ def render(t: Term) -> str:
 
 class Token(NamedTuple):
     kind: str  # WORD, PATVAR, STRING, EOF, or the punctuation text itself
-    text: str
+    text: str  # a string's without its quotes
     line: int
     col: int
 
 
-# A run of blanks, then one alternative per token class, tried in order;
-# BAD is any other single character.  NEWLINE and COMMENT make no token, and
-# a line's trailing blanks match nothing.
-_TOKEN_RE = re.compile(r"[ \t\r]*(?:" + "|".join([
-    r"(?P<WORD>[A-Za-z0-9_][A-Za-z0-9_.'-]*)",
-    r"(?P<PUNCT>:=|!=|=>|[()<>,\[\]{}:;=|])",
-    r"(?P<NEWLINE>\n)",
-    r"(?P<COMMENT>--[^\n]*)",
-    r'"(?P<STRING>[^"\n]*)"',
-    r"(?P<PATVAR>\$[A-Za-z0-9_][A-Za-z0-9_.'-]*)",
-    r"(?P<BAD>[^ \t\r])",
-]) + ")")
+# Blanks, newlines and comments, then one token's text, the only group: a
+# word, a pattern variable, a string with its quotes, a punctuation mark, any
+# other character (a bad one), or the empty text at the end of the input.
+# So every match starts where the last one ended, and ``findall`` lists the
+# token texts.  A comment is skipped whole: its lookahead fails on a partial
+# one.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:--[^\n]*(?![^\n])[ \t\r\n]*)*"
+    r"""([A-Za-z0-9_][A-Za-z0-9_.'-]*|\$[A-Za-z0-9_][A-Za-z0-9_.'-]*|"[^"\n]*"|:=|!=|=>|[()<>,\[\]{}:;=|]|.|\Z)""")
+_PUNCTUATION = frozenset((":=", "!=", "=>", *"()<>,[]{}:;=|"))
 # a quote or a '$' is BAD only where its STRING or PATVAR alternative failed
 _BAD_CHARACTERS = {'"': "unterminated string", "$": "'$' must introduce a pattern variable"}
 
 
+def _kind(text: str) -> str:
+    """The kind of a token text that ``_TOKEN_RE`` found, from its first
+    character; a one-character text that starts no token is BAD."""
+    if text in _PUNCTUATION:
+        return text
+    first = text[:1]
+    if first.isascii() and (first.isalnum() or first == "_"):
+        return "WORD"
+    if len(text) > 1:
+        return "PATVAR" if first == "$" else "STRING"
+    return "BAD" if text else "EOF"
+
+
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text`` with their lines and columns, ending with EOF;
+    raises ParseError at the first bad character.  Parsing reads only the
+    token texts (see ``TokenStream``) and comes here to place an error."""
     toks: list[Token] = []
-    append, new = toks.append, tuple.__new__
     line, base = 1, -1  # line number, and the offset just before that line starts
-    m = None
+    end = 0  # the end of the last token
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "WORD" or kind == "PATVAR":
-            append(new(Token, (kind, m[kind], line, m.start(kind) - base)))
-        elif kind == "PUNCT":
-            value = m[kind]
-            append(new(Token, (value, value, line, m.start(kind) - base)))
-        elif kind == "NEWLINE":
-            line += 1
-            base = m.end() - 1
-        elif kind == "STRING":  # the group starts after the opening quote
-            append(new(Token, (kind, m[kind], line, m.start(kind) - base - 1)))
-        elif kind == "BAD":
-            value = m[kind]
-            raise ParseError(_BAD_CHARACTERS.get(value, f"unexpected character {value!r}"),
-                             line, m.start(kind) - base)
-    # a comment at the very end of the input does not move the end position
-    end = m.start(kind) if m is not None and kind == "COMMENT" else len(text)
-    append(Token("EOF", "", line, end - base))
+        start, value = m.start(1), m[1]
+        newlines = text.count("\n", end, start)
+        if newlines:
+            line += newlines
+            base = text.rindex("\n", end, start)
+        kind = _kind(value)
+        if kind == "BAD":
+            raise ParseError(_BAD_CHARACTERS.get(value, f"unexpected character {value!r}"), line, start - base)
+        if kind == "EOF":  # a comment on the last line does not move the end position
+            comment = text.find("--", max(end, base + 1))
+            toks.append(Token(kind, "", line, (start if comment < 0 else comment) - base))
+            break
+        toks.append(Token(kind, value[1:-1] if kind == "STRING" else value, line, start - base))
+        end = m.end()
     return toks
 
 
 class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
+    """The tokens of one text, read by index.
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    ``texts`` holds each token's text as written (a string with its quotes),
+    ending with the empty text of EOF, and ``kinds`` maps each distinct text
+    to its kind: one ``findall`` and one classification per distinct text
+    make both.  ``i`` is the index of the next token.  Lines and columns are
+    worked out, by ``tokenize``, only when an error is reported.  A bad
+    character is reported when the stream is made, before any parse error.
+    """
 
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "EOF":
-            self.i += 1
-        return tok
+    def __init__(self, text: str) -> None:
+        texts = _TOKEN_RE.findall(text)
+        if len(texts) > 1 and not texts[-2]:  # trailing blanks end in two empty texts
+            texts.pop()
+        self.kinds = {t: _kind(t) for t in set(texts)}
+        if "BAD" in self.kinds.values():
+            tokenize(text)  # raises at the first bad character
+        self.texts, self.i = texts, 0
+        self._text, self._tokens = text, None
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"got {tok.text or tok.kind!r}", tok.line, tok.col, (kind,))
-        return self.next()
+    @classmethod
+    def of_tokens(cls, tokens: list[Token]) -> "TokenStream":
+        """A stream over ``tokens``, which end with EOF; errors are placed at
+        their positions."""
+        ts = cls.__new__(cls)
+        ts.texts = [f'"{tok.text}"' if tok.kind == "STRING" else tok.text for tok in tokens]
+        ts.kinds = {text: tok.kind for text, tok in zip(ts.texts, tokens)}
+        ts.i, ts._tokens = 0, tokens
+        return ts
+
+    def token(self, i: int) -> Token:
+        """Token ``i`` with its line and column."""
+        if self._tokens is None:
+            self._tokens = tokenize(self._text)
+        return self._tokens[i]
+
+    def error(self, message: str = "", expected: tuple[str, ...] = (), at: Optional[int] = None) -> ParseError:
+        """A ParseError at token ``at``, by default the next one; without a
+        message it names that token."""
+        tok = self.token(self.i if at is None else at)
+        return ParseError(message or f"got {tok.text or tok.kind!r}", tok.line, tok.col, expected)
+
+    def peek(self) -> str:
+        """The next token's kind."""
+        return self.kinds[self.texts[self.i]]
+
+    def expect(self, kind: str) -> str:
+        """Take the next token if it is of ``kind``, and return its text (a
+        string's without its quotes)."""
+        text = self.texts[self.i]
+        if self.kinds[text] != kind:
+            raise self.error(expected=(kind,))
+        self.i += 1
+        return text[1:-1] if kind == "STRING" else text
 
     def accept(self, text: str) -> bool:
         """Take the next token if it is the word or the punctuation mark ``text``;
         a string or a pattern variable is never taken."""
-        kind, tok_text = self.tokens[self.i][:2]
-        if tok_text != text or kind not in ("WORD", text) or kind == "STRING":
+        if self.texts[self.i] != text or self.kinds[text] not in ("WORD", text):
             return False
         self.i += 1
         return True
 
     def expect_word(self, text: str) -> None:
         if not self.accept(text):
-            tok = self.peek()
-            raise ParseError(f"got {tok.text or tok.kind!r}", tok.line, tok.col, (text,))
+            raise self.error(expected=(text,))
 
 
 _ATOM_STARTERS = ("WORD", "PATVAR", "(", "<")
@@ -580,57 +626,60 @@ def parse_term_tokens(
     an identifier.  Each open bracket (``k(``, ``(``, ``<`` and the right
     side ``<...,``) is a frame on an explicit stack holding the application
     folded before the bracket opened, so nesting costs no recursion.  The
-    parser reads ``ts.tokens`` directly and leaves ``ts.i`` at the first
+    parser reads ``ts.texts`` directly, looking up a kind only for a text
+    that is not a name it has already read, and leaves ``ts.i`` at the first
     token it did not take, whether it returns or raises.
     """
-    tokens, i = ts.tokens, ts.i
+    texts, kinds, i = ts.texts, ts.kinds, ts.i
     atoms: dict[str, Term] = dict(CONSTANTS)  # a name's text -> its atom, for this call
     # frames: (opener, the application before it, the left side of a pair)
     stack: list[tuple[str, Optional[Term], Optional[Term]]] = []
     t: Optional[Term] = None  # the application folded so far in the innermost bracket
     try:
         while True:
-            kind, text, line, col = tokens[i]
-            if kind in _ATOM_STARTERS and (stack or kind != "WORD" or text not in reserved):
-                atom = atoms.get(text)
-                if atom is None and kind == "PATVAR":
-                    if not pattern:
-                        raise ParseError("pattern variables are only allowed in patterns", line, col)
-                    atom = atoms[text] = PatVar(text)
-                i += 1
-                if atom is None:
-                    if kind == "WORD" and text == "k":
-                        if tokens[i][0] != "(":
-                            ts.i = i  # ts.expect raises at the token ts.i names
-                            ts.expect("(")
+            text = texts[i]
+            atom = atoms.get(text)
+            if atom is None or not stack and text in reserved:
+                kind = kinds[text]
+                if kind in _ATOM_STARTERS and (stack or kind != "WORD" or text not in reserved):
+                    if kind == "PATVAR":
+                        if not pattern:
+                            raise ts.error("pattern variables are only allowed in patterns", at=i)
+                        atom = atoms[text] = PatVar(text)
+                    elif kind == "WORD" and text != "k":
+                        if not _IDENT_RE.fullmatch(text):
+                            i += 1  # the stream is left past the word
+                            raise ts.error(f"{text!r} is not a valid identifier", at=i - 1)
+                        atom = atoms[text] = Defined(text) if text[0].isupper() else Var(text)
+                    else:  # an opening bracket
                         i += 1
-                        kind = "k("
-                    if kind != "WORD":  # an opening bracket
+                        if kind == "WORD":  # k, which opens with the '(' after it
+                            if texts[i] != "(":
+                                raise ts.error(expected=("(",), at=i)
+                            i += 1
+                            kind = "k("
                         stack.append((kind, t, None))
                         t = None
                         continue
-                    if not _IDENT_RE.fullmatch(text):
-                        raise ParseError(f"{text!r} is not a valid identifier", line, col)
-                    atom = atoms[text] = Defined(text) if text[0].isupper() else Var(text)
-            elif t is None:
-                if kind == "WORD":  # a reserved word where the outermost term starts
-                    raise ParseError(f"expected a term, got keyword {text!r}", line, col)
-                raise ParseError(f"got {text or kind!r}", line, col, ("identifier", "k(", "<", "("))
-            elif not stack:
-                return t
-            else:
-                opener, before, left = stack.pop()
-                want = "," if opener == "<" else ">" if opener == "<," else ")"
-                if kind != want:
-                    ts.i = i
-                    ts.expect(want)
-                i += 1
-                if opener == "<":
-                    stack.append(("<,", before, t))
-                    t = None
-                    continue
-                atom = KWrap(t) if opener == "k(" else Pair(left, t) if opener == "<," else t
-                t = before
+                elif t is None:
+                    if kind == "WORD":  # a reserved word where the outermost term starts
+                        raise ts.error(f"expected a term, got keyword {text!r}", at=i)
+                    raise ts.error(expected=("identifier", "k(", "<", "("), at=i)
+                elif not stack:
+                    return t
+                else:
+                    opener, before, left = stack.pop()
+                    want = "," if opener == "<" else ">" if opener == "<," else ")"
+                    if kind != want:
+                        raise ts.error(expected=(want,), at=i)
+                    if opener == "<":
+                        i += 1
+                        stack.append(("<,", before, t))
+                        t = None
+                        continue
+                    atom = KWrap(t) if opener == "k(" else Pair(left, t) if opener == "<," else t
+                    t = before
+            i += 1
             t = atom if t is None else App(t, atom)
     finally:
         ts.i = i
@@ -638,11 +687,10 @@ def parse_term_tokens(
 
 def parse(text: str, *, pattern: bool = False) -> Term:
     """Parse a single term; raises ParseError with line/column on bad input."""
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     t = parse_term_tokens(ts, pattern)
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col, ("end of input",))
+    if ts.peek() != "EOF":
+        raise ts.error(f"trailing input {ts.token(ts.i).text!r}", ("end of input",))
     return t
 
 

@@ -106,8 +106,9 @@ def test_round_trip(t):
 # the front end against the character-at-a-time lexer and recursive parser
 # ---------------------------------------------------------------------------
 # The oracle is the front end the regex tokenizer and the explicit-stack
-# parser replaced; both must give the same tokens, the same term, or the same
-# ParseError (text, line, column and expected tokens).
+# parser replaced, with the token stream it read; both must give the same
+# tokens, the same term, or the same ParseError (text, line, column and
+# expected tokens).
 
 _ORACLE_PUNCT2 = (":=", "!=", "=>")
 _ORACLE_PUNCT1 = "()<>,[]{}:;=|"
@@ -176,6 +177,27 @@ def oracle_tokenize(text):
     return toks
 
 
+class OracleTokenStream:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        if tok.kind != "EOF":
+            self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"got {tok.text or tok.kind!r}", tok.line, tok.col, (kind,))
+        return self.next()
+
+
 def oracle_classify_ident(name, tok):
     if not _ORACLE_IDENT_RE.fullmatch(name):
         raise ParseError(f"{name!r} is not a valid identifier", tok.line, tok.col)
@@ -236,7 +258,7 @@ def oracle_parse_term_tokens(ts, pattern=False, reserved=frozenset()):
 
 
 def oracle_parse(text, pattern=False):
-    ts = TokenStream(oracle_tokenize(text))
+    ts = OracleTokenStream(oracle_tokenize(text))
     t = oracle_parse_term_tokens(ts, pattern)
     tok = ts.peek()
     if tok.kind != "EOF":
@@ -294,6 +316,24 @@ def test_term_parser_matches_the_recursive_parser(text):
     assert outcome(parse_pattern, text) == outcome(oracle_parse, text, True)
 
 
+class OracleScriptTerms:
+    """The script parser's stream over the oracle's tokens, and the oracle
+    term parser on its own stream over the same tokens, started where the
+    script parser stands and leaving it where it stopped."""
+
+    def stream(self, text):
+        self.tokens = oracle_tokenize(text)
+        return TokenStream.of_tokens(self.tokens)
+
+    def parse_term_tokens(self, ts, pattern=False, reserved=frozenset()):
+        oracle_ts = OracleTokenStream(self.tokens)
+        oracle_ts.i = ts.i
+        try:
+            return oracle_parse_term_tokens(oracle_ts, pattern, reserved)
+        finally:
+            ts.i = oracle_ts.i
+
+
 @settings(max_examples=300)
 @given(token_text, token_text)
 def test_script_terms_match_the_recursive_parser(goal, hypothesis):
@@ -301,8 +341,9 @@ def test_script_terms_match_the_recursive_parser(goal, hypothesis):
     text = (f'theorem t "g" {{\n hypothesis M : M $x = {hypothesis}\n'
             f' prove {goal} = x\n qed by normalize\n}}\n')
     want = outcome(scriptfile.parse_scripts, text)
-    with mock.patch.object(scriptfile, "tokenize", oracle_tokenize), \
-            mock.patch.object(scriptfile, "parse_term_tokens", oracle_parse_term_tokens):
+    oracle = OracleScriptTerms()
+    with mock.patch.object(scriptfile, "TokenStream", oracle.stream), \
+            mock.patch.object(scriptfile, "parse_term_tokens", oracle.parse_term_tokens):
         assert outcome(scriptfile.parse_scripts, text) == want
 
 
@@ -331,27 +372,28 @@ def test_token_columns_match_the_character_lexer(token):
 @given(token_text, st.integers(0, 3), st.booleans())
 def test_term_parser_leaves_the_stream_where_the_recursive_parser_does(text, start, pattern):
     try:
-        tokens = tokenize(text)
+        ts = TokenStream(text)
     except ParseError:
         return
-    ts, oracle_ts = TokenStream(tokens), TokenStream(tokens)
+    tokens = oracle_tokenize(text)
+    oracle_ts = OracleTokenStream(tokens)
     ts.i = oracle_ts.i = min(start, len(tokens) - 1)
     got = outcome(parse_term_tokens, ts, pattern, scriptfile.SCRIPT_RESERVED)
     want = outcome(oracle_parse_term_tokens, oracle_ts, pattern, scriptfile.SCRIPT_RESERVED)
-    assert (got, ts.i, ts.peek()) == (want, oracle_ts.i, oracle_ts.peek())
+    assert (got, ts.i, ts.token(ts.i)) == (want, oracle_ts.i, oracle_ts.peek())
 
 
 def test_reserved_words_end_only_the_outermost_term():
-    ts = TokenStream(tokenize("x (let by) <qed, y> let"))
+    ts = TokenStream("x (let by) <qed, y> let")
     t = parse_term_tokens(ts, reserved=frozenset({"let", "by", "qed"}))
     assert t == app(Var("x"), App(Var("let"), Var("by")), Pair(Var("qed"), Var("y")))
-    assert ts.peek().text == "let"
+    assert ts.texts[ts.i] == "let"
     with pytest.raises(ParseError, match="expected a term, got keyword 'let'"):
-        parse_term_tokens(TokenStream(tokenize("let")), reserved=frozenset({"let"}))
+        parse_term_tokens(TokenStream("let"), reserved=frozenset({"let"}))
 
 
 def test_accept_takes_only_the_word_or_punctuation_mark_asked_for():
-    ts = TokenStream(tokenize('fuel := "fuel" "STRING" $x'))
+    ts = TokenStream('fuel := "fuel" "STRING" $x')
     assert not ts.accept("with") and not ts.accept("=") and ts.i == 0
     assert ts.accept("fuel") and ts.accept(":=") and ts.i == 2
     assert not ts.accept("fuel") and not ts.accept("STRING") and ts.i == 2  # a string is never a keyword
