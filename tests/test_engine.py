@@ -83,6 +83,13 @@ def test_rule_rejects_unbound_rhs_pattern_vars():
         Rule("bad", parse_pattern("$x"), parse_pattern("$x $y"))
 
 
+def test_rule_set_rejects_a_repeated_rule_name(core):
+    with pytest.raises(RuleError, match="rule names must be unique"):
+        RuleSet((hyp_rule("K", "k($x) $y", "$x"), hyp_rule("K", "P1 <$x, $y>", "$x")), EngineConfig())
+    with pytest.raises(RuleError, match="rule names must be unique"):
+        core.extended([hyp_rule("Abst", "M $x", "$x")])
+
+
 # ---------------------------------------------------------------------------
 # single steps
 # ---------------------------------------------------------------------------
@@ -401,6 +408,30 @@ def test_rules_with_equal_spelling_share_a_compiled_function():
     assert rule_match(var_rule, App(Var("m"), P1)) == P1
     assert rule_match(name_rule, App(Var("m"), P1)) is None
     assert rule_match(name_rule, App(Defined("m"), P1)) == P1
+
+
+def test_compiled_rule_cache_is_cleared_when_full():
+    # K-shaped rules over distinct declared names: each compiles once
+    def k_rule(i):
+        return Rule(f"K{i}", App(App(Defined(f"C{i}"), PatVar("$x")), PatVar("$y")), PatVar("$x"))
+
+    full = engine._COMPILED_MAX
+    engine._COMPILED.clear()
+    try:
+        rules = [k_rule(i) for i in range(full + 1)]
+        sizes = []
+        for rule in rules:
+            assert rule._fire is not None
+            sizes.append(len(engine._COMPILED))
+        assert sizes == list(range(1, full + 1)) + [1]
+        # compiled before the clear: the rule keeps its function, and a new
+        # rule of the same spelling compiles again
+        subject = App(App(Defined("C0"), P1), P2)
+        assert rule_match(rules[0], subject) == P1
+        assert rule_match(k_rule(0), subject) == P1
+        assert len(engine._COMPILED) == 2
+    finally:
+        engine._COMPILED.clear()
 
 
 def test_compiled_rule_replaces_variables_as_substitute_does():

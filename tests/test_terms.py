@@ -306,6 +306,14 @@ def edge_examples(test):
 @given(st.one_of(token_text, st.text(alphabet=' \t\r\n"$-<>(),:=!|[]{};ab_Z09.\'@é', max_size=30)))
 def test_tokenize_matches_the_character_lexer(text):
     assert outcome(tokenize, text) == outcome(oracle_tokenize, text)
+    # the parser's texts and kinds, from findall, name the same tokens
+    assert outcome(stream_tokens, text) == outcome(lambda t: [tok[:2] for tok in oracle_tokenize(t)], text)
+
+
+def stream_tokens(text):
+    """(kind, text) of each token of a TokenStream, a string's without its quotes."""
+    ts = TokenStream(text)
+    return [(ts.kinds[t], t[1:-1] if ts.kinds[t] == "STRING" else t) for t in ts.texts]
 
 
 @edge_examples
