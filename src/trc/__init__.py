@@ -29,7 +29,7 @@ from .stratify import (
 from .terms import (
     ABST, App, Const, Defined, EQ, KWrap, P1, P2, Pair, ParseError, PatVar,
     PositionError, Term, TrcError, Var, expand_defined, free_vars, fresh_var,
-    match_pattern, navigate, nodes, parse, parse_pattern, rebuild, render,
+    match_pattern, nodes, parse, parse_pattern, rebuild, render,
     replace_at, substitute, subterms, term_size,
 )
 

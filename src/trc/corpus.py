@@ -82,9 +82,6 @@ class Corpus(Record):
     scripts: dict[str, tuple[ProofScript, ...]]  # entry id -> theorem blocks
     specs: dict[str, CombinatorSpec]
 
-    def without(self, *idents: str) -> "Corpus":
-        return self.replace(entries=tuple(e for e in self.entries if e.ident not in idents))
-
 
 def parse_index(text: str) -> tuple[CorpusEntry, ...]:
     entries: list[CorpusEntry] = []

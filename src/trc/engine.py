@@ -474,10 +474,6 @@ class ExtEvidence(Record):
     def __bool__(self) -> bool:
         return self.equal
 
-    @property
-    def fresh_vars(self) -> tuple[str, ...]:
-        return tuple(lv.fresh for lv in self.levels if lv.fresh is not None)
-
     def summary(self) -> str:
         steps = sum(len(lv.left.trace) + len(lv.right.trace) for lv in self.levels)
         depth = len(self.levels) - 1

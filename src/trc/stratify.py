@@ -19,8 +19,9 @@ first conflict plus the size of the cycle.
 discipline of ``abstraction_levels``: every occurrence of ``x`` must sit at
 level exactly 0 and no subterm containing ``x`` may go negative.  Both
 functions share one explicit-stack walk that reports the first violation it
-meets (root first, right child before left); ``abstract`` then folds the
-images of the subterms holding ``x`` bottom-up.
+meets (root first, right child before left) and scans for ``x`` only the
+first negative-level subterm on a path, so it reads each subterm at most
+twice; ``abstract`` then folds the images of the walked subterms bottom-up.
 
 ``compile_combinator`` iterates ``abstract`` over a parameter list (last
 parameter first) and self-tests the output by applying it to its parameters
@@ -31,7 +32,7 @@ output.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .engine import Rule, RuleSet, ext_equal, rule_match
 from .terms import (
@@ -230,39 +231,45 @@ def stratify(t: Term) -> StratifyResult:
 # Abstraction levels and bracket abstraction
 # ---------------------------------------------------------------------------
 
-def _level_walk(x: str, t: Term, every: bool) -> Iterator[tuple[Term, int, tuple]]:
-    """``(subterm, level, link)`` from the root at level 0, right child first,
-    over every subterm or (``every`` unset) only those holding ``x``.
+def _level_walk(x: str, t: Term, every: bool) -> list[tuple]:
+    """The entries ``(subterm, level, selector, parent's entry, clear)`` of a
+    walk from the root at level 0, in preorder, right child first.
 
-    ``link`` is ``(selector, parent's link)``, or ``()`` at the root.  Raises
-    NotAbstractable at the first subterm holding ``x`` at a negative level or
-    occurrence of ``x`` at a nonzero level.  The marking pass costs a full
-    pass even when the walk stops near the root, but lets ``abstract`` skip
-    the subterms without ``x``: without it, ``abstract`` ran at 0.65x the
-    node rate on the ``bigterms`` benchmark (2-core machine, Python 3.11).
+    Raises NotAbstractable at the first occurrence of ``x`` at a nonzero level
+    or subterm holding ``x`` at a negative level.  Only the first
+    negative-level subterm on a path can be the latter, so the walk scans just
+    that one for ``x``, up to the first occurrence.  Without ``x`` it is clear:
+    nothing below it is checked, and unless ``every`` is set the walk leaves it
+    out.  So each subterm is walked and scanned at most once.
     """
-    held: set[int] = set()  # ids of the subterms holding x, marked children first
-    for sub in reversed(list(nodes(t))):
-        cls = type(sub)
-        if (cls is Var and sub.name == x
-                or cls is App and (id(sub.fn) in held or id(sub.arg) in held)
-                or cls is Pair and (id(sub.left) in held or id(sub.right) in held)
-                or cls is KWrap and id(sub.body) in held):
-            held.add(id(sub))
-    stack: list[tuple[Term, int, tuple]] = [(t, 0, ())] if every or id(t) in held else []
+    up, down = _LEVEL_STEP[FN], _LEVEL_STEP[KBODY]
+    walked: list[tuple] = []
+    stack: list[tuple] = [(t, 0, "", None, False)]
     while stack:
-        sub, level, link = stack.pop()
-        if id(sub) in held and (level < 0 or type(sub) is Var and level != 0):
+        entry = stack.pop()
+        sub, level, _, _, clear = entry
+        cls = type(sub)
+        if clear:
+            pass
+        elif level < 0 and not any(type(u) is Var and u.name == x for u in nodes(sub)):
+            if not every:
+                continue
+            clear = True
+        elif level < 0 or level and cls is Var and sub.name == x:  # a violation
+            sels = []  # the position, read off the chain of parent entries
+            while entry[3] is not None:
+                sels.append(entry[2])
+                entry = entry[3]
             reason = "negative-level" if level < 0 else "x-at-nonzero-level"
-            sels = []  # the position, read off the link chain
-            while link:
-                sel, link = link
-                sels.append(sel)
             raise NotAbstractable(tuple(reversed(sels)), reason, x)
-        yield sub, level, link
-        for sel, child in children(sub):
-            if every or id(child) in held:
-                stack.append((child, level + _LEVEL_STEP.get(sel, 0), (sel, link)))
+        walked.append(entry)
+        if cls is App:
+            stack += (sub.fn, level + up, FN, entry, clear), (sub.arg, level, ARG, entry, clear)
+        elif cls is Pair:
+            stack += (sub.left, level, LEFT, entry, clear), (sub.right, level, RIGHT, entry, clear)
+        elif cls is KWrap:
+            stack.append((sub.body, level + down, KBODY, entry, clear))
+    return walked
 
 
 def abstraction_levels(x: str, t: Term) -> dict[Position, int]:
@@ -272,10 +279,10 @@ def abstraction_levels(x: str, t: Term) -> dict[Position, int]:
     the size of the output, each position built once from its parent's;
     nothing in the package calls it."""
     levels: dict[Position, int] = {}
-    spelled: dict[int, tuple] = {}  # id of a link -> (the link, held so its id stays unique; position)
-    for _, level, link in _level_walk(x, t, True):
-        pos = spelled[id(link[1])][1] + (link[0],) if link else ()
-        spelled[id(link)] = link, pos
+    positions: dict[int, Position] = {}  # id of a walked entry -> its position
+    for entry in _level_walk(x, t, True):
+        _, level, sel, parent, _ = entry
+        pos = positions[id(entry)] = positions[id(parent)] + (sel,) if parent else ()
         levels[pos] = level
     return levels
 
@@ -299,17 +306,21 @@ def abstract(x: str, t: Term) -> Term:
     def f(u: Term) -> Term:
         return image[id(u)] if id(u) in image else KWrap(u)  # rule (i)
 
-    # every subterm holding x after its children
-    for sub, _, _ in reversed(list(_level_walk(x, t, False))):
+    # children before parents; a subterm holds x if it is x or a child does
+    for entry in reversed(_level_walk(x, t, False)):
+        sub = entry[0]
         cls = type(sub)
-        if cls is Var:
-            image[id(sub)] = IDENTITY
+        if cls is App:
+            if id(sub.fn) in image or id(sub.arg) in image:
+                image[id(sub)] = App(App(ABST, f(sub.fn)), f(sub.arg))
         elif cls is Pair:
-            image[id(sub)] = Pair(f(sub.left), f(sub.right))
+            if id(sub.left) in image or id(sub.right) in image:
+                image[id(sub)] = Pair(f(sub.left), f(sub.right))
         elif cls is KWrap:
-            image[id(sub)] = App(ABST, KWrap(f(sub.body)))
-        else:
-            image[id(sub)] = App(App(ABST, f(sub.fn)), f(sub.arg))
+            if id(sub.body) in image:
+                image[id(sub)] = App(ABST, KWrap(f(sub.body)))
+        elif cls is Var and sub.name == x:
+            image[id(sub)] = IDENTITY
     return f(t)
 
 

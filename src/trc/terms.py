@@ -277,11 +277,6 @@ def _descend(t: Term, pos: Position) -> list[Term]:
     return path
 
 
-def navigate(t: Term, pos: Position) -> Term:
-    """Subterm of ``t`` at ``pos``; raises PositionError on the first bad selector."""
-    return _descend(t, pos)[-1]
-
-
 def with_child(t: Term, sel: str, child: Term) -> Term:
     """``t`` with its child under selector ``sel`` replaced by ``child``."""
     cls = type(t)

@@ -110,7 +110,7 @@ def test_a_dependency_cycle_blocks_its_entries(corpus):
 
 
 def test_deleting_a_dependency_blocks_dependents(corpus):
-    report = run_corpus(corpus.without("2.4a"))
+    report = run_corpus(corpus.replace(entries=tuple(e for e in corpus.entries if e.ident != "2.4a")))
     assert not report.ok
     for ident in ("2.6", "2.9b"):
         result = report.result(ident)

@@ -647,6 +647,15 @@ def registered(theorem_id, statement):
     return fresh
 
 
+def test_instantiate_a_hypothesis_free_falsum():
+    # no script registers such a record, so only a library caller reaches
+    # the Falsum case of judgment_vars: false has no variables to bind
+    fresh = registered("bottom", FALSUM)
+    assert fresh.instantiate("bottom", {}) == FALSUM
+    with pytest.raises(RegistryError, match=r"binds variables \['x'\] not free in bottom"):
+        fresh.instantiate("bottom", {"x": P1})
+
+
 def test_derived_rule_rewrites_by_the_registered_equality(core):
     rs = registered("2.2c.1", Equal(parse("P1 x y"), parse("P1 (x y)"))).derived_rule(core, "2.2c.1")
     rule = rs.rules[-1]

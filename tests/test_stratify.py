@@ -431,6 +431,7 @@ violations = st.one_of(
 several_violations = st.builds(
     App, open_terms, st.builds(Pair, violations, st.builds(App, open_terms, violations)))
 _shared = parse("y x")
+_shared_without_x = parse("y z")
 
 
 @settings(max_examples=300)
@@ -440,9 +441,50 @@ _shared = parse("y x")
 @example(parse("k(x) (x (y k(x)))"), "x")
 @example(Pair(_shared, KWrap(_shared)), "x")
 @example(App(_shared, _shared), "x")
+# a negative subterm without x, walked (right first) before the violation
+@example(parse("<x x, k(k(y))>"), "x")
+# a negative subterm holding x, and x itself at a negative level
+@example(parse("k(k(y x))"), "x")
+@example(parse("k(x)"), "x")
+# one object both inside a clear negative subterm and at a nonnegative level
+@example(Pair(App(_shared_without_x, Var("x")), KWrap(KWrap(_shared_without_x))), "x")
 def test_level_walk_matches_two_pass_definition(t, x):
     assert outcome(abstraction_levels, x, t) == outcome(oracle_abstraction_levels, x, t)
     assert outcome(abstract, x, t) == outcome(oracle_abstract, x, t)
+
+
+@pytest.fixture
+def examined(monkeypatch):
+    """How many subterms the module examines.  The level walk, the scan for
+    ``x`` and the fold of ``abstract`` each call ``type`` once per subterm, so
+    a counting ``type`` in the module's namespace counts them."""
+    counts = collections.Counter()
+
+    def counted(obj):
+        counts["subterms"] += 1
+        return type(obj)
+
+    monkeypatch.setattr(stratify_module, "type", counted, raising=False)
+    return counts
+
+
+@pytest.mark.parametrize("fn, oracle", [
+    (abstraction_levels, oracle_abstraction_levels),
+    (abstract, oracle_abstract),
+], ids=["abstraction_levels", "abstract"])
+@pytest.mark.parametrize("bottom", ["x", "y"], ids=["x-at-the-bottom", "no-x"])
+def test_the_level_walk_examines_k_nests_in_linear_work(examined, fn, oracle, bottom):
+    # k(k(...k(bottom))): every k-body is negative, but only the outermost is scanned
+    seen = []
+    for depth in (100, 800):
+        t = Var(bottom)
+        for _ in range(depth):
+            t = KWrap(t)
+        examined.clear()
+        got = outcome(fn, "x", t)
+        seen.append(examined["subterms"])
+        assert got == outcome(oracle, "x", t)
+    assert 0 < seen[1] <= 8 * seen[0], seen
 
 
 DEPTH = 10_000

@@ -15,7 +15,7 @@ from trc.terms import (
     ABST, CONSTANTS, EQ, P1, P2,
     App, Const, Defined, KWrap, Pair, ParseError, PatVar, PositionError,
     Token, TokenStream, TrcError, Var,
-    app, expand_defined, free_vars, fresh_var, match_pattern, navigate, nodes,
+    _descend, app, expand_defined, free_vars, fresh_var, match_pattern, nodes,
     parse, parse_pattern, parse_term_tokens, rebuild, render, replace_at, replace_defined,
     substitute, subterms, term_size, to_pattern, tokenize,
 )
@@ -496,6 +496,11 @@ def test_match_soundness(t):
 # ---------------------------------------------------------------------------
 # positions
 # ---------------------------------------------------------------------------
+
+def navigate(t, pos):
+    """Subterm of ``t`` at ``pos``; raises PositionError on the first bad selector."""
+    return _descend(t, pos)[-1]
+
 
 def test_navigate_examples():
     assert navigate(parse("k(x) y"), ("function", "k-body")) == Var("x")
