@@ -23,14 +23,13 @@ from .corpus import (
 from .scriptfile import parse_combinator_specs, parse_scripts
 from .stratify import (
     CombinatorSpec, CompileError, Constraint, NotAbstractable, StratifyResult,
-    abstract, abstraction_levels, compile_combinator, optimize, replay_conflict,
-    term_constraints,
+    abstract, compile_combinator, optimize, replay_conflict,
 )
 from .terms import (
     ABST, App, Const, Defined, EQ, KWrap, P1, P2, Pair, ParseError, PatVar,
     PositionError, Term, TrcError, Var, expand_defined, free_vars, fresh_var,
-    match_pattern, nodes, parse, parse_pattern, rebuild, render,
-    replace_at, substitute, subterms, term_size,
+    nodes, parse, parse_pattern, rebuild, render, replace_at, substitute,
+    subterms, term_size,
 )
 
 __version__ = "0.1.0"

@@ -71,6 +71,13 @@ class CorpusEntry(Record):
     register_rule: bool = False
     rule_ids: tuple[str, ...] = ()  # empty with register_rule: all theorems
 
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        if self.kind not in ("equality", "refutation", "compile-success", "compile-failure"):
+            raise CorpusError(f"bad entry kind {self.kind!r}")
+        if self.kind.startswith("compile") != self.source.startswith("spec:"):
+            raise CorpusError(f"entry {self.ident}: kind {self.kind} does not fit source {self.source!r}")
+
     def registers(self, theorem_id: str) -> bool:
         if not self.register_rule:
             return False
@@ -92,27 +99,18 @@ def parse_index(text: str) -> tuple[CorpusEntry, ...]:
         words = line.split()
         if len(words) < 3:
             raise CorpusError(f"bad index line: {raw!r}")
-        ident, kind, source = words[:3]
-        rest = words[3:]
-        register = False
-        needs: list[str] = []
-        rule_ids: list[str] = []
-        mode = ""
+        ident, kind, source, *rest = words
+        lists: dict[str, list[str]] = {"rule": [], "needs": []}
+        target = None
         for w in rest:
-            if w == "rule":
-                register = True
-                mode = "rule"
-            elif w == "needs":
-                mode = "needs"
-            elif mode == "needs":
-                needs.append(w)
-            elif mode == "rule":
-                rule_ids.append(w)
-            else:
+            if w in lists:
+                target = lists[w]
+            elif target is None:
                 raise CorpusError(f"bad index token {w!r} in {raw!r}")
-        if kind not in ("equality", "refutation", "compile-success", "compile-failure"):
-            raise CorpusError(f"bad entry kind {kind!r}")
-        entries.append(CorpusEntry(ident, kind, source, tuple(needs), register, tuple(rule_ids)))
+            else:
+                target.append(w)
+        entries.append(CorpusEntry(ident, kind, source, tuple(lists["needs"]), "rule" in rest,
+                                   tuple(lists["rule"])))
     return tuple(entries)
 
 
@@ -223,28 +221,19 @@ def _check_entry(
     ruleset: RuleSet,
 ) -> EntryResult:
     if entry.source.startswith("spec:"):
-        spec = corpus.specs[entry.source[5:]]
         try:
-            compile_combinator(spec, ruleset, defs=BASE_DEFINITIONS)
-            compiled = True
+            compile_combinator(corpus.specs[entry.source[5:]], ruleset, defs=BASE_DEFINITIONS)
             detail = ""
         except NotAbstractable as exc:
-            compiled = False
             detail = f"not abstractable: {exc.reason} (parameter {exc.parameter})"
         except CompileError:
-            compiled = False
             detail = "self-test failed"
         if entry.kind == "compile-success":
-            return EntryResult(entry, "pass" if compiled else "fail", detail)
-        return EntryResult(entry, "pass" if not compiled else "fail",
-                           detail if not compiled else "unexpectedly compiled")
-    reports = []
-    ok = True
-    for script in corpus.scripts[entry.ident]:
-        report = check_script(script, registry, ruleset, BASE_DEFINITIONS)
-        reports.append(report)
-        ok = ok and report.ok
-    return EntryResult(entry, "pass" if ok else "fail", reports=tuple(reports))
+            return EntryResult(entry, "fail" if detail else "pass", detail)
+        return EntryResult(entry, "pass" if detail else "fail", detail or "unexpectedly compiled")
+    reports = tuple(check_script(script, registry, ruleset, BASE_DEFINITIONS)
+                    for script in corpus.scripts[entry.ident])
+    return EntryResult(entry, "pass" if all(r.ok for r in reports) else "fail", reports=reports)
 
 
 def run_corpus(
@@ -273,7 +262,6 @@ def run_corpus(
     while pending:
         wave: list[CorpusEntry] = []
         still: list[CorpusEntry] = []
-        newly_blocked = 0
         for e in pending:
             missing = [d for d in e.needs if d not in known]
             failed = [d for d in e.needs if d in results and not results[d].ok]
@@ -281,13 +269,12 @@ def run_corpus(
                 results[e.ident] = EntryResult(
                     e, "blocked", f"dependency {' '.join(missing + failed)} did not pass"
                 )
-                newly_blocked += 1
             elif all(d in results for d in e.needs):
                 wave.append(e)
             else:
                 still.append(e)
-        if not wave and not newly_blocked:
-            for e in still:  # only reachable through a dependency cycle
+        if len(still) == len(pending):  # nothing scheduled or blocked: a dependency cycle
+            for e in still:
                 results[e.ident] = EntryResult(e, "blocked", "dependency cycle")
             break
         if keep_contexts:
@@ -298,16 +285,13 @@ def run_corpus(
             results[e.ident] = result
             if not result.ok or e.source.startswith("spec:"):
                 continue
-            ids = []
-            for script, report in zip(corpus.scripts[e.ident], result.reports):
-                deps: list[str] = []
-                for need in e.needs:
-                    deps.extend(theorem_ids.get(need, (need,)))
-                registry.register(record_for(script, tuple(deps)), report)
-                ids.append(script.theorem_id)
+            scripts = corpus.scripts[e.ident]
+            deps = tuple(t for need in e.needs for t in theorem_ids.get(need, (need,)))
+            for script, report in zip(scripts, result.reports):
+                registry.register(record_for(script, deps), report)
                 if e.registers(script.theorem_id):
                     ruleset = registry.derived_rule(ruleset, script.theorem_id)
-            theorem_ids[e.ident] = tuple(ids)
+            theorem_ids[e.ident] = tuple(script.theorem_id for script in scripts)
         pending = still
     ordered = tuple(results[e.ident] for e in corpus.entries)
     return CorpusReport(ordered, registry, ruleset, contexts)
@@ -323,15 +307,12 @@ def standard_context(config: EngineConfig | None = None) -> tuple[Registry, Rule
     return report.registry, report.ruleset
 
 
-def list_theorems(corpus: Corpus | None = None, report: CorpusReport | None = None) -> list[str]:
+def list_theorems(corpus: Corpus, report: CorpusReport) -> list[str]:
     """One line per theorem: id, kind, statement, status, dependencies."""
-    corpus = corpus or load_corpus()
-    status: dict[str, str] = {}
-    if report:
-        status = {r.entry.ident: r.status for r in report.results}
+    status = {r.entry.ident: r.status for r in report.results}
     lines: list[str] = []
     for entry in corpus.entries:
-        state = status.get(entry.ident, "unchecked")
+        state = status[entry.ident]
         if entry.source.startswith("spec:"):
             spec = corpus.specs[entry.source[5:]]
             expect = "compiles" if entry.kind == "compile-success" else "must not compile"

@@ -582,6 +582,8 @@ class _Checker:
             raise _StepFailure(f"unknown theorem {step.theorem_id!r}")
         record = self.registry.get(step.theorem_id)
         subst = dict(step.subst)
+        for t in subst.values():
+            self.check_declared(t)
         if record.hypothesis is None:
             try:
                 judgment = self.registry.instantiate(step.theorem_id, subst)
@@ -656,6 +658,8 @@ class _Checker:
             raise _StepFailure("application proves disequalities")
         if not step.args:
             raise _StepFailure("application needs at least one argument")
+        for t in step.args:
+            self.check_declared(t)
         left_fact = self.fact(scope, step.left_label)
         right_fact = self.fact(scope, step.right_label)
         neq_fact = self.fact(scope, step.neq_label)

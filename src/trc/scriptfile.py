@@ -127,7 +127,7 @@ class _ScriptParser:
         hypothesis = Hypothesis(tuple(constants), tuple(equations)) if constants else None
         ts.expect_word("prove")
         statement = _parse_judgment(ts)
-        lets, body = self.parse_block_items(statement)
+        lets, body, _ = self.parse_block_items(statement)
         ts.expect("}")
         # names bound by let are declared constants from here on, even when
         # spelled lowercase; reclassify their variable occurrences
@@ -136,13 +136,16 @@ class _ScriptParser:
             statement, lets, body = map_terms((statement, lets, body), lambda t: substitute(t, declared))
         return ProofScript(ident, title, hypothesis, statement, lets, body, self.source)
 
-    def parse_block_items(self, goal: Judgment) -> tuple[tuple[tuple[str, Term], ...], Block]:
-        """Items of a block up to and including its qed; the block is not brace-delimited."""
+    def parse_block_items(self, goal: Judgment) -> tuple[tuple[tuple[str, Term], ...], Block, int]:
+        """Items of a block up to and including its qed, and the token index of
+        its first let; the block is not brace-delimited."""
         ts = self.ts
         lets: list[tuple[str, Term]] = []
         steps: list[Step] = []
+        first_let = -1
         while True:
             if ts.accept("let"):
+                first_let = first_let if lets else ts.i - 1
                 name = ts.expect("WORD")
                 ts.expect(":=")
                 lets.append((name, _term(ts)))
@@ -160,14 +163,14 @@ class _ScriptParser:
                     steps.append(RefStep(self._auto_label(), goal, ts.expect("WORD")))
                 else:
                     steps.append(self.parse_method(self._auto_label(), goal))
-                return tuple(lets), tuple(steps)
+                return tuple(lets), tuple(steps), first_let
             raise ts.error(expected=("let", "have", "qed"))
 
     def parse_inner_block(self, goal: Judgment) -> Block:
         self.ts.expect("{")
-        lets, steps = self.parse_block_items(goal)
-        if lets:
-            raise self.ts.error("let is only allowed at theorem top level")
+        lets, steps, first_let = self.parse_block_items(goal)
+        if lets:  # raised once the block parses, so that its other faults come first
+            raise self.ts.error("let is only allowed at theorem top level", at=first_let)
         self.ts.expect("}")
         return steps
 

@@ -211,6 +211,10 @@ def test_check_command(tmp_path, capsys):
     ("hypothesis M : M $x = $y\n  prove false\n  qed by chain [P1]",
      "hypothesis for M: rhs has unbound pattern variables"),
     ("prove Eq <P2,P2> != P2\n  qed by theorem 2.4a with x := P1, x := P2", "3:37: x is bound twice"),
+    # so are names in a theorem's instantiation and in application arguments
+    ("prove Eq <a, P2> != a\n  have n : Eq <a, P2> != a by theorem 2.4a with x := Foo\n  qed by n",
+     "user-3: undeclared names ['Foo']"),
+    ("prove a != b\n  qed by application [Foo] (l, r, n)", "user-3: undeclared names ['Foo']"),
 ])
 def test_a_malformed_script_is_usage_error(tmp_path, capsys, body, error):
     # malformed, not a failed proof: exit 1 is kept for verdicts

@@ -88,10 +88,18 @@ def test_index_drift_detected(corpus):
 def test_parse_index_rejects_bad_lines():
     with pytest.raises(CorpusError):
         parse_index("justtwo words")
-    with pytest.raises(CorpusError):
+    with pytest.raises(CorpusError, match="bad entry kind 'unknown-kind'"):
         parse_index("x unknown-kind file.trc")
     with pytest.raises(CorpusError, match="bad index token 'bogus' in 'x equality f.trc bogus'"):
         parse_index("x equality f.trc bogus")
+    # a bad token is reported before a bad kind
+    with pytest.raises(CorpusError, match="bad index token 'bogus'"):
+        parse_index("x unknown-kind f.trc bogus")
+    # a compile check names a spec, and only a compile check does
+    with pytest.raises(CorpusError, match="entry 2.1a: kind compile-success does not fit source '02-2.1a.trc'"):
+        parse_index("2.1a compile-success 02-2.1a.trc")
+    with pytest.raises(CorpusError, match="entry 2.1a: kind equality does not fit source 'spec:b'"):
+        parse_index("2.1a equality spec:b")
 
 
 def test_a_need_outside_the_index_is_rejected(corpus):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -432,6 +434,17 @@ def test_compiled_rule_cache_is_cleared_when_full():
         assert len(engine._COMPILED) == 2
     finally:
         engine._COMPILED.clear()
+
+
+def test_lazy_slots_answer_for_their_own_names_only(core):
+    # ``Rule`` and ``TraceStep`` fill a slot on first read through
+    # ``__getattr__``; any other missing name, such as the ``__deepcopy__``
+    # that ``copy`` looks up, must stay missing
+    rule = hyp_rule("h", "P1 $x", "<$x, $x>")
+    step = normalize(parse("Abst Abst x y z"), core).trace[0]
+    for record in (rule, step):
+        assert copy.deepcopy(record) == record
+        assert not hasattr(record, "other")
 
 
 def test_compiled_rule_replaces_variables_as_substitute_does():

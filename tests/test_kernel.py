@@ -58,6 +58,21 @@ def test_parse_script_rejects_garbage():
         parse_scripts("")
 
 
+@pytest.mark.parametrize("tail, error", [
+    # the error points at the block's first let, not at the brace after the block
+    ("    qed by chain [a]\n  }\n}\n", "5:5: let is only allowed at theorem top level"),
+    ("    qed by chain [a]\n}\n", "5:5: let is only allowed at theorem top level"),
+    # a fault later in the block still comes first
+    ("    qed by chain [a\n  }\n}\n", "8:3: got '}' (expected one of: ])"),
+])
+def test_a_let_in_an_inner_block_is_placed_at_the_let(tail, error):
+    text = ('theorem t "t" {\n  prove a != b\n  qed by contradiction as h {\n'
+            '    have e : a = a by chain [a]\n    let c := a\n    let d := b\n' + tail)
+    with pytest.raises(ParseError) as err:
+        parse_scripts(text)
+    assert str(err.value) == error
+
+
 def test_hypothesis_lhs_must_be_headed_by_constant():
     from trc.kernel import ScriptError
     with pytest.raises(ScriptError):
