@@ -11,10 +11,13 @@ undeclared name in a step's terms, or a duplicate label, only when it reaches
 that step: a script that fails an earlier step exits 1 with that failure.
 
 The commands that rewrite terms (``normalize``, ``eq``, ``compile``,
-``check``, ``corpus``) take the engine configuration from ``--fuel``,
-``--ext-depth``, ``--printed-axioms``, ``--no-surjective-pairing``,
-``--no-eq-refl``, or a line-oriented ``key = value`` file passed with
-``--config``; ``parse``, ``stratify`` and ``abstract`` take none of these
+``check``, ``corpus``) take the engine configuration from a line-oriented
+``key = value`` file passed with ``--config`` and from flags, a flag overriding
+its key: ``--fuel N`` (``fuel``), ``--ext-depth D`` (``ext-depth``),
+``--printed-axioms`` (``printed-axioms = yes``), ``--no-surjective-pairing``
+(``surjective-pairing = no``) and ``--no-eq-refl`` (``eq-reflexivity = no``).
+A boolean key takes ``true``/``on``/``1``/``yes`` or ``false``/``off``/``0``/``no``
+in any case.  ``parse``, ``stratify`` and ``abstract`` take none of these
 flags.  The rewriting commands first check the bundled equality theorems
 in-process and use the derived rules they justify; with the uncorrected
 axiom variants most of those theorems fail, and only the surviving rules are
@@ -46,63 +49,49 @@ from .terms import ParseError, TrcError, Var, expand_defined, parse, render
 USAGE_ERROR = 2
 MATH_FAILURE = 1
 
-_CONFIG_KEYS = ("fuel", "ext-depth", "printed-axioms", "surjective-pairing", "eq-reflexivity")
 _BOOL_WORDS = {"true": True, "on": True, "1": True, "yes": True,
                "false": False, "off": False, "0": False, "no": False}
+_BOOLEAN = "one of " + ", ".join(_BOOL_WORDS)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+def _config_bool(text: str) -> bool:
+    return _BOOL_WORDS[text.lower()]
+
+
+# config-file key -> (EngineConfig field, also its flag's dest; reader; what a valid text is)
+_CONFIG_KEYS = {
+    "fuel": ("fuel", int, "an integer"),
+    "ext-depth": ("ext_depth", int, "an integer"),
+    "printed-axioms": ("corrected_axioms", lambda text: not _config_bool(text), _BOOLEAN),
+    "surjective-pairing": ("surjective_pairing", _config_bool, _BOOLEAN),
+    "eq-reflexivity": ("eq_reflexivity", _config_bool, _BOOLEAN),
+}
+
+
+def build_config(args: argparse.Namespace) -> EngineConfig:
+    """The ``--config`` file's settings, each overridden by its flag when that is given."""
+    conf: dict[str, str] = {}
+    for raw in Path(args.config).read_text().splitlines() if args.config else ():
         line = raw.split("--", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        if key in out:
+        if key in conf:
             raise ValueError(f"config key {key!r} is given twice")
-        out[key] = value.strip()
-    return out
-
-
-def _config_bool(conf: dict[str, str], key: str) -> bool:
-    value = conf[key]
-    try:
-        return _BOOL_WORDS[value.lower()]
-    except KeyError:
-        raise ValueError(
-            f"config key {key}: {value!r} is not one of {', '.join(_BOOL_WORDS)}"
-        ) from None
-
-
-def build_config(args: argparse.Namespace) -> EngineConfig:
+        conf[key] = value
     changes: dict[str, object] = {}
-    if getattr(args, "config", None):
-        conf = _read_config_file(args.config)
-        if "fuel" in conf:
-            changes["fuel"] = int(conf["fuel"])
-        if "ext-depth" in conf:
-            changes["ext_depth"] = int(conf["ext-depth"])
-        if "printed-axioms" in conf:
-            changes["corrected_axioms"] = not _config_bool(conf, "printed-axioms")
-        if "surjective-pairing" in conf:
-            changes["surjective_pairing"] = _config_bool(conf, "surjective-pairing")
-        if "eq-reflexivity" in conf:
-            changes["eq_reflexivity"] = _config_bool(conf, "eq-reflexivity")
-    if args.fuel is not None:
-        changes["fuel"] = args.fuel
-    if args.ext_depth is not None:
-        changes["ext_depth"] = args.ext_depth
-    if args.printed_axioms:
-        changes["corrected_axioms"] = False
-    if args.no_surjective_pairing:
-        changes["surjective_pairing"] = False
-    if args.no_eq_refl:
-        changes["eq_reflexivity"] = False
+    for key, (field, read, wanted) in _CONFIG_KEYS.items():
+        if key in conf:
+            try:
+                changes[field] = read(conf[key])
+            except (KeyError, ValueError):
+                raise ValueError(f"config key {key}: {conf[key]!r} is not {wanted}") from None
+        if getattr(args, field) is not None:
+            changes[field] = getattr(args, field)
     return EngineConfig(**changes)
 
 
@@ -128,11 +117,6 @@ def _variable_name(text: str) -> str:
     return t.name
 
 
-def _rules(config: EngineConfig):
-    _, ruleset = standard_context(config)
-    return ruleset
-
-
 def cmd_parse(args) -> int:
     print(render(parse(_term_text(args))))
     return 0
@@ -140,7 +124,7 @@ def cmd_parse(args) -> int:
 
 def cmd_normalize(args) -> int:
     config = build_config(args)
-    rs = _rules(config)
+    _, rs = standard_context(config)
     t = expand_defined(parse(_term_text(args)), BASE_DEFINITIONS)
     result = normalize(t, rs)
     if args.trace:
@@ -155,7 +139,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_eq(args) -> int:
     config = build_config(args)
-    rs = _rules(config)
+    _, rs = standard_context(config)
     evidence = ext_equal(parse(args.left), parse(args.right), rs, defs=BASE_DEFINITIONS)
     print(evidence.summary())
     if args.trace:
@@ -193,7 +177,7 @@ def cmd_abstract(args) -> int:
 
 def cmd_compile(args) -> int:
     config = build_config(args)
-    rs = _rules(config)
+    _, rs = standard_context(config)
     specs = parse_combinator_specs(Path(args.specfile).read_text())
     failures = 0
     for spec in specs:
@@ -239,10 +223,10 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help=f"rewrite step bound (default {EngineConfig().fuel})")
     p.add_argument("--ext-depth", type=int, default=None,
                    help=f"fresh-variable applications for equality (default {EngineConfig().ext_depth})")
-    p.add_argument("--printed-axioms", action="store_true",
+    p.add_argument("--printed-axioms", dest="corrected_axioms", action="store_const", const=False,
                    help="use the uncorrected rule variants (documented misprint)")
-    p.add_argument("--no-surjective-pairing", action="store_true")
-    p.add_argument("--no-eq-refl", action="store_true")
+    p.add_argument("--no-surjective-pairing", dest="surjective_pairing", action="store_const", const=False)
+    p.add_argument("--no-eq-refl", dest="eq_reflexivity", action="store_const", const=False)
     p.add_argument("--config", default=None, help="key = value engine config file")
 
 

@@ -368,6 +368,42 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert out.strip() == "y (x y z)"
 
 
+# each engine setting: its flag, its config line with the same non-default
+# value, a config line with the other value, and the EngineConfig they build
+ENGINE_SETTINGS = [
+    (["--fuel", "7"], "fuel = 7", "fuel = 3", EngineConfig(fuel=7)),
+    (["--ext-depth", "2"], "ext-depth = 2", "ext-depth = 0", EngineConfig(ext_depth=2)),
+    (["--printed-axioms"], "printed-axioms = yes", "printed-axioms = no", EngineConfig(corrected_axioms=False)),
+    (["--no-surjective-pairing"], "surjective-pairing = off", "surjective-pairing = on",
+     EngineConfig(surjective_pairing=False)),
+    (["--no-eq-refl"], "eq-reflexivity = no", "eq-reflexivity = true", EngineConfig(eq_reflexivity=False)),
+]
+
+
+@pytest.mark.parametrize("flag, line, other, expected", ENGINE_SETTINGS, ids=[s[0][0] for s in ENGINE_SETTINGS])
+def test_a_flag_and_its_config_key_build_the_same_config(tmp_path, flag, line, other, expected):
+    conf = tmp_path / "engine.conf"
+    assert expected != EngineConfig()
+    conf.write_text(line + "\n")
+    assert build_config(make_parser().parse_args(["normalize", "x", *flag])) == expected
+    assert build_config(make_parser().parse_args(["normalize", "x", "--config", str(conf)])) == expected
+    conf.write_text(other + "\n")  # the flag wins over the file
+    assert build_config(make_parser().parse_args(["normalize", "x", "--config", str(conf), *flag])) == expected
+
+
+@pytest.mark.parametrize("line, golden, expected_code", [
+    ("printed-axioms = yes", "corpus_printed_trace.txt", 1),
+    ("surjective-pairing = off", "corpus_no_surjective_pairing_trace.txt", 1),
+    ("eq-reflexivity = no", "corpus_trace.txt", 0),
+])
+def test_corpus_config_trace_matches_the_flag_golden(tmp_path, capsys, line, golden, expected_code):
+    conf = tmp_path / "engine.conf"
+    conf.write_text(line + "\n")
+    code, out, _ = run(capsys, "corpus", "--config", str(conf), "--trace")
+    assert code == expected_code
+    assert out.encode("utf-8") == (GOLDEN_TRACE.parent / golden).read_bytes()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["normalize"]) == 2  # missing term
     capsys.readouterr()
@@ -403,6 +439,21 @@ def test_bad_boolean_config_value_is_usage_error(tmp_path, capsys, key):
     assert code == 2
     assert not out
     assert key in err and "'maybe'" in err
+
+
+@pytest.mark.parametrize("key, value", [("fuel", "abc"), ("ext-depth", "")])
+def test_bad_integer_config_value_is_usage_error(tmp_path, capsys, key, value):
+    conf = tmp_path / "engine.conf"
+    conf.write_text(f"{key} = {value}\n")
+    assert run(capsys, "normalize", "--config", str(conf), "k(x) y") == (
+        2, "", f"error: config key {key}: {value!r} is not an integer\n")
+
+
+def test_integer_config_values_are_read_as_int_reads_them(tmp_path):
+    conf = tmp_path / "engine.conf"
+    conf.write_text("fuel = +1_000\next-depth = 02\n")
+    args = make_parser().parse_args(["normalize", "x", "--config", str(conf)])
+    assert build_config(args) == EngineConfig(fuel=1000, ext_depth=2)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +520,19 @@ def test_deep_equality_is_usage_error(capsys):
     code, _, err = run(capsys, "eq", spine, spine)
     assert code == 2
     assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("depth, expected", [
+    (300, (1, "UNKNOWN (searched ext depth 300, 0 rewrite steps)\n", "")),
+    (400, (2, "", "error: input is nested too deeply\n")),
+])
+def test_eq_ext_depth_bound(depth, expected):
+    # each ext level lengthens both application spines by one, and term
+    # equality recurses down the spine, so a deep enough search is too deep
+    # for two variables; run in a child so that the test's own frames do not count
+    done = subprocess.run([sys.executable, "-m", "trc", "eq", "x", "y", "--ext-depth", str(depth)],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == expected
 
 
 def test_deeply_nested_proof_blocks_are_usage_error(tmp_path, capsys):
