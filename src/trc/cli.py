@@ -187,7 +187,7 @@ def cmd_compile(args) -> int:
             print(f"{spec.name} = {render(compiled)}")
         except NotAbstractable as exc:
             failures += 1
-            print(f"{spec.name} FAILED: {exc.reason} (parameter {exc.parameter})")
+            print(f"{spec.name} FAILED: {exc.reason} (parameter {exc.variable})")
         except CompileError as exc:
             failures += 1
             print(f"{spec.name} FAILED: self-test rejected the output")

@@ -225,7 +225,7 @@ def _check_entry(
             compile_combinator(corpus.specs[entry.source[5:]], ruleset, defs=BASE_DEFINITIONS)
             detail = ""
         except NotAbstractable as exc:
-            detail = f"not abstractable: {exc.reason} (parameter {exc.parameter})"
+            detail = f"not abstractable: {exc.reason} (parameter {exc.variable})"
         except CompileError:
             detail = "self-test failed"
         if entry.kind == "compile-success":

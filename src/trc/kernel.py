@@ -246,18 +246,21 @@ class TheoremRecord(Record):
 
 class CheckReport(Record):
     theorem_id: str
-    ok: bool
-    failed_step: Optional[int] = None
+    failed_step: Optional[int] = None  # None exactly when every step passed
     reason: str = ""
     steps_checked: int = 0
     wall_time: float = 0.0
     # (step label, left result, right result) of each normalize and ext check
     normalizations: tuple[tuple[str, NormalizeResult, NormalizeResult], ...] = ()
 
+    @property
+    def ok(self) -> bool:
+        return self.failed_step is None
+
     def line(self) -> str:
         if self.ok:
             return f"THEOREM {self.theorem_id} PASS"
-        return f"THEOREM {self.theorem_id} FAIL {self.failed_step or 0} {self.reason}"
+        return f"THEOREM {self.theorem_id} FAIL {self.failed_step} {self.reason}"
 
     @property
     def trace_lines(self) -> tuple[str, ...]:
@@ -694,16 +697,16 @@ def check_script(
     """Check every step of ``script``; returns a report, never raises for math."""
     start = time.perf_counter()
     if script.hypothesis is not None and not isinstance(script.statement, Falsum):
-        return CheckReport(script.theorem_id, False, 0, "scripts with hypotheses must prove false")
+        return CheckReport(script.theorem_id, 0, "scripts with hypotheses must prove false")
     if script.hypothesis is None and isinstance(script.statement, Falsum):
-        return CheckReport(script.theorem_id, False, 0, "false is only provable under hypotheses")
+        return CheckReport(script.theorem_id, 0, "false is only provable under hypotheses")
     checker = _Checker(script, registry, rs, defs)
     try:
         checker.run_block(script.body, _Scope(), script.statement)
-        ok, failed_step, reason = True, None, ""
+        failed_step, reason = None, ""
     except _StepFailure as exc:
-        ok, failed_step, reason = False, exc.step or checker.step_counter, exc.reason
-    return CheckReport(script.theorem_id, ok, failed_step, reason, checker.step_counter,
+        failed_step, reason = exc.step or checker.step_counter, exc.reason
+    return CheckReport(script.theorem_id, failed_step, reason, checker.step_counter,
                        time.perf_counter() - start, tuple(checker.normalizations))
 
 

@@ -45,13 +45,11 @@ IDENTITY = Defined("I")
 
 
 class NotAbstractable(TrcError):
-    def __init__(self, position: Position, reason: str, variable: str = "", parameter: str = ""):
+    def __init__(self, position: Position, reason: str, variable: str):
         self.position = position
         self.reason = reason  # "x-at-nonzero-level" | "negative-level"
         self.variable = variable
-        self.parameter = parameter
-        where = format_position(position)
-        super().__init__(f"not abstractable over {variable or '?'}: {reason} at {where}")
+        super().__init__(f"not abstractable over {variable}: {reason} at {format_position(position)}")
 
 
 class CompileError(TrcError):
@@ -357,10 +355,7 @@ def compile_combinator(
     """
     t = spec.body
     for param in reversed(spec.params):
-        try:
-            t = abstract(param, t)
-        except NotAbstractable as exc:
-            raise NotAbstractable(exc.position, exc.reason, exc.variable, parameter=param) from None
+        t = abstract(param, t)
     if optimize_result:
         t = optimize(t)
     applied = app(t, *[Var(p) for p in spec.params])
@@ -418,14 +413,8 @@ def optimize(t: Term) -> Term:
         head = _head_simplify(u)
         if head is not None:
             return go(head)
-        if isinstance(u, App):
-            v: Term = App(go(u.fn), go(u.arg))
-        elif isinstance(u, KWrap):
-            v = KWrap(go(u.body))
-        elif isinstance(u, Pair):
-            v = Pair(go(u.left), go(u.right))
-        else:
-            v = u
+        kids = children(u)
+        v = type(u)(*[go(c) for _, c in kids]) if kids else u
         head = _head_simplify(v)
         if head is not None:
             return go(head)

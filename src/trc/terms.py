@@ -579,9 +579,10 @@ class TokenStream:
 
     def error(self, message: str = "", expected: tuple[str, ...] = (), at: Optional[int] = None) -> ParseError:
         """A ParseError at token ``at``, by default the next one; without a
-        message it names that token."""
-        tok = self.token(self.i if at is None else at)
-        return ParseError(message or f"got {tok.text or tok.kind!r}", tok.line, tok.col, expected)
+        message it names that token as written."""
+        at = self.i if at is None else at
+        tok = self.token(at)
+        return ParseError(message or f"got {self.texts[at] or 'EOF'!r}", tok.line, tok.col, expected)
 
     def peek(self) -> str:
         """The next token's kind."""
@@ -685,7 +686,7 @@ def parse(text: str, *, pattern: bool = False) -> Term:
     ts = TokenStream(text)
     t = parse_term_tokens(ts, pattern)
     if ts.peek() != "EOF":
-        raise ts.error(f"trailing input {ts.token(ts.i).text!r}", ("end of input",))
+        raise ts.error(f"trailing input {ts.texts[ts.i]!r}", ("end of input",))
     return t
 
 

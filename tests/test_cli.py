@@ -15,7 +15,8 @@ from trc import corpus as corpus_module
 from trc.cli import build_config, main, make_parser
 from trc.engine import EngineConfig
 
-GOLDEN_TRACE = Path(__file__).parent / "data" / "corpus_trace.txt"
+REPO = Path(__file__).resolve().parent.parent
+SPECS = REPO / "src" / "trc" / "corpus" / "specs.trc"
 
 
 def run(capsys, *argv):
@@ -258,28 +259,46 @@ def test_corpus_trace_deterministic(capsys):
     assert out1 == out2
 
 
-def test_corpus_trace_matches_golden(capsys):
-    # the committed output pins the traced corpus run across changes, byte for byte
-    code, out, _ = run(capsys, "corpus", "--trace")
-    assert code == 0
-    assert out.encode("utf-8") == GOLDEN_TRACE.read_bytes()
+# Each pinned invocation: its arguments from the repository root, a config
+# line given with --config (or None), its exit code and the file in
+# tests/data that holds its stdout, byte for byte.
+GOLDEN_RUNS = [
+    (["corpus", "--trace"], None, 0, "corpus_trace.txt"),
+    # Eq-refl fires nowhere in the corpus, so dropping it changes no byte
+    (["corpus", "--no-eq-refl", "--trace"], None, 0, "corpus_trace.txt"),
+    # the misprint regression: which entries fail, at which step and why
+    (["corpus", "--printed-axioms", "--trace"], None, 1, "corpus_printed_trace.txt"),
+    # the entries that need surjective pairing fail, and those after them are blocked
+    (["corpus", "--no-surjective-pairing", "--trace"], None, 1, "corpus_no_surjective_pairing_trace.txt"),
+    (["corpus", "--trace"], "printed-axioms = yes", 1, "corpus_printed_trace.txt"),
+    (["corpus", "--trace"], "surjective-pairing = off", 1, "corpus_no_surjective_pairing_trace.txt"),
+    (["corpus", "--trace"], "eq-reflexivity = no", 0, "corpus_trace.txt"),
+    # most specs are not stratified, so each compile run exits 1; under the
+    # printed axioms the stratified ones fail their self-test instead
+    (["compile", "src/trc/corpus/specs.trc"], None, 1, "compile_specs.txt"),
+    (["compile", "src/trc/corpus/specs.trc", "--optimize"], None, 1, "compile_specs_optimized.txt"),
+    (["compile", "src/trc/corpus/specs.trc", "--printed-axioms"], None, 1, "compile_specs_printed.txt"),
+]
 
 
-SPECS = Path(__file__).parent.parent / "src" / "trc" / "corpus" / "specs.trc"
+@pytest.mark.parametrize("argv, config_line, code, golden", GOLDEN_RUNS,
+                         ids=[" ".join(Path(a).name for a in argv) + (f" with {line}" if line else "")
+                              for argv, line, *_ in GOLDEN_RUNS])
+def test_golden_output(tmp_path, monkeypatch, capsys, argv, config_line, code, golden):
+    if config_line is not None:
+        conf = tmp_path / "engine.conf"
+        conf.write_text(config_line + "\n")
+        argv = [argv[0], "--config", str(conf), *argv[1:]]
+    monkeypatch.chdir(REPO)
+    assert main(argv) == code
+    assert capsys.readouterr().out.encode("utf-8") == (REPO / "tests" / "data" / golden).read_bytes()
 
 
-@pytest.mark.parametrize("golden, flags", [
-    ("compile_specs.txt", ()),
-    ("compile_specs_optimized.txt", ("--optimize",)),
-    ("compile_specs_printed.txt", ("--printed-axioms",)),
-])
-def test_compile_matches_golden(capsys, golden, flags):
-    # the committed output pins the compiled terms, byte for byte; most
-    # specs are not stratified, so the command exits 1.  Under the printed
-    # axioms the stratified ones fail their self-test instead of compiling.
-    code, out, _ = run(capsys, "compile", str(SPECS), *flags)
-    assert code == 1
-    assert out.encode("utf-8") == (GOLDEN_TRACE.parent / golden).read_bytes()
+def test_without_surjective_pairing_13_theorems_fail_and_20_entries_are_blocked():
+    # as README states; a test_golden_output row pins the whole trace
+    lines = (REPO / "tests" / "data" / "corpus_no_surjective_pairing_trace.txt").read_text("utf-8").splitlines()
+    assert (sum(ln.startswith("THEOREM ") and " FAIL " in ln for ln in lines),
+            sum(" BLOCKED " in ln for ln in lines)) == (13, 20)
 
 
 def test_compile_prints_the_failed_self_test_on_stderr(capsys):
@@ -304,31 +323,6 @@ def test_corpus_printed_axioms_fails(capsys):
     assert code == 1
     assert "CORPUS FAIL" in out
     assert "NOTE" in out
-
-
-def test_corpus_printed_axioms_trace_matches_golden(capsys):
-    # the misprint regression, byte for byte: which entries fail, at which
-    # step and why, and the rewrite traces of the normalizations
-    code, out, _ = run(capsys, "corpus", "--printed-axioms", "--trace")
-    assert code == 1
-    assert out.encode("utf-8") == (GOLDEN_TRACE.parent / "corpus_printed_trace.txt").read_bytes()
-
-
-def test_corpus_without_eq_refl_traces_as_the_default(capsys):
-    # Eq-refl fires nowhere in the corpus, so dropping it changes no byte
-    code, out, _ = run(capsys, "corpus", "--no-eq-refl", "--trace")
-    assert code == 0
-    assert out.encode("utf-8") == GOLDEN_TRACE.read_bytes()
-
-
-def test_corpus_without_surjective_pairing_trace_matches_golden(capsys):
-    # the entries that need surjective pairing fail, and those after them are blocked
-    code, out, _ = run(capsys, "corpus", "--no-surjective-pairing", "--trace")
-    assert code == 1
-    assert out.encode("utf-8") == (GOLDEN_TRACE.parent / "corpus_no_surjective_pairing_trace.txt").read_bytes()
-    lines = out.splitlines()
-    assert sum(ln.startswith("THEOREM ") and " FAIL " in ln for ln in lines) == 13
-    assert sum(" BLOCKED " in ln for ln in lines) == 20
 
 
 def test_corpus_list(capsys):
@@ -389,19 +383,6 @@ def test_a_flag_and_its_config_key_build_the_same_config(tmp_path, flag, line, o
     assert build_config(make_parser().parse_args(["normalize", "x", "--config", str(conf)])) == expected
     conf.write_text(other + "\n")  # the flag wins over the file
     assert build_config(make_parser().parse_args(["normalize", "x", "--config", str(conf), *flag])) == expected
-
-
-@pytest.mark.parametrize("line, golden, expected_code", [
-    ("printed-axioms = yes", "corpus_printed_trace.txt", 1),
-    ("surjective-pairing = off", "corpus_no_surjective_pairing_trace.txt", 1),
-    ("eq-reflexivity = no", "corpus_trace.txt", 0),
-])
-def test_corpus_config_trace_matches_the_flag_golden(tmp_path, capsys, line, golden, expected_code):
-    conf = tmp_path / "engine.conf"
-    conf.write_text(line + "\n")
-    code, out, _ = run(capsys, "corpus", "--config", str(conf), "--trace")
-    assert code == expected_code
-    assert out.encode("utf-8") == (GOLDEN_TRACE.parent / golden).read_bytes()
 
 
 def test_usage_error_exit_code(capsys):
@@ -490,7 +471,7 @@ def test_stratify_deep_chain(tmp_path, capsys):
 
 def _child_env():
     """The environment for a child interpreter that imports ``trc`` from this checkout."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(REPO / "src")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 

@@ -658,7 +658,7 @@ def test_instantiate_rejects_a_refutation(registry):
 def registered(theorem_id, statement):
     """A fresh registry holding ``statement`` under ``theorem_id``."""
     fresh = Registry()
-    fresh.register(TheoremRecord(theorem_id, statement, None, ()), CheckReport(theorem_id, True))
+    fresh.register(TheoremRecord(theorem_id, statement, None, ()), CheckReport(theorem_id))
     return fresh
 
 
@@ -708,7 +708,7 @@ def test_registry_id_conflict(registry):
     (script,) = parse_scripts('''
         theorem 2.4a "an imposter" { prove P1 x = P1 x qed by chain [P1 x, P1 x] }
     ''')
-    report = CheckReport("2.4a", True)
+    report = CheckReport("2.4a")
     with pytest.raises(RegistryError):
         registry.snapshot().register(record_for(script, ()), report)
     # the same statement again is a no-op: the first record stays
@@ -722,9 +722,11 @@ def test_registry_rejects_failing_report(registry):
     (script,) = parse_scripts('''
         theorem nope "unproved" { prove P1 x = P2 x qed by chain [P1 x, P2 x] }
     ''')
-    report = CheckReport("nope", False, 1, "no")
-    with pytest.raises(RegistryError):
-        registry.snapshot().register(record_for(script, ()), report)
+    # a report passes exactly when it names no failed step, step 0 included
+    for report in (CheckReport("nope", 1, "no"), CheckReport("nope", 0)):
+        assert not report.ok
+        with pytest.raises(RegistryError, match="report is not a pass for it"):
+            registry.snapshot().register(record_for(script, ()), report)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ so every other token keeps its line and column) and records what
 returns.  Regenerate the golden with::
 
     PYTHONPATH=src python tests/test_scriptfile.py > tests/data/script_token_deletions.txt
+
+The errors of the spec-file parser are pinned by a table at the end.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import hashlib
 import sys
 from pathlib import Path
 
-from trc.scriptfile import parse_scripts
-from trc.terms import TrcError, tokenize
+import pytest
+
+from trc.scriptfile import parse_combinator_specs, parse_scripts
+from trc.terms import ParseError, TrcError, tokenize
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "trc" / "corpus"
 GOLDEN = Path(__file__).parent / "data" / "script_token_deletions.txt"
@@ -82,6 +86,30 @@ def test_blanking_keeps_the_other_positions():
 
 def test_token_deletions_match_golden():
     assert "\n".join(deletion_outcomes()) + "\n" == GOLDEN.read_text(encoding="utf-8")
+
+
+_NO_TERM = "(expected one of: identifier, k(, <, ()"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('S x y = "q"\n', f"1:9: got '\"q\"' {_NO_TERM}"),
+    # a definition ends just past its last token, not past the blanks after it
+    ("S x y =   \n", f"1:8: got 'EOF' {_NO_TERM}"),
+    ("S x y = x -- c\nT = \n", f"2:4: got 'EOF' {_NO_TERM}"),
+    ("S x x = x\n", "1:1: S: parameters must be distinct"),
+    ("S X = X\n", "1:3: parameter 'X' must be a variable"),
+    ("S x = y\n", "1:1: S: body uses undeclared variables ['y']"),
+    # a bad character anywhere is reported before any other error
+    ("S x = \nT x = x ?\n", "2:9: unexpected character '?'"),
+    ("  \n-- only a comment\n\n", []),
+])
+def test_spec_file_errors_are_pinned(text, expected):
+    # what ``trc compile`` prints after "error: ", or the definitions parsed
+    try:
+        result = parse_combinator_specs(text)
+    except ParseError as exc:
+        result = str(exc)
+    assert result == expected
 
 
 if __name__ == "__main__":

@@ -581,7 +581,7 @@ def test_compile_stratified_examples(full_rules):
 def test_compile_rejects_self_application(full_rules):
     with pytest.raises(NotAbstractable) as err:
         compile_combinator(spec("m", "x", "x x"), full_rules, BASE_DEFINITIONS)
-    assert err.value.parameter == "x"
+    assert err.value.variable == "x"
 
 
 def test_compile_self_test_rejects_under_the_printed_axioms():

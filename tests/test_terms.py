@@ -88,6 +88,11 @@ def test_parse_errors_carry_position():
         parse("x )")
     with pytest.raises(ParseError):
         parse("")
+    # a string token is named as written, with its quotes
+    with pytest.raises(ParseError, match="""^1:3: trailing input '"q"'"""):
+        parse('x "q"')
+    with pytest.raises(ParseError, match="""^1:1: got '""'"""):
+        parse('""')
 
 
 def test_pattern_variables_rejected_outside_patterns():
@@ -177,6 +182,11 @@ def oracle_tokenize(text):
     return toks
 
 
+def oracle_written(tok):
+    """A token as written: a string with its quotes, EOF by its kind."""
+    return f'"{tok.text}"' if tok.kind == "STRING" else tok.text or tok.kind
+
+
 class OracleTokenStream:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -194,7 +204,7 @@ class OracleTokenStream:
     def expect(self, kind):
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"got {tok.text or tok.kind!r}", tok.line, tok.col, (kind,))
+            raise ParseError(f"got {oracle_written(tok)!r}", tok.line, tok.col, (kind,))
         return self.next()
 
 
@@ -238,7 +248,7 @@ def oracle_parse_atom(ts, pattern):
         ts.expect(">")
         return Pair(left, right)
     raise ParseError(
-        f"got {tok.text or tok.kind!r}", tok.line, tok.col,
+        f"got {oracle_written(tok)!r}", tok.line, tok.col,
         ("identifier", "k(", "<", "("),
     )
 
@@ -262,7 +272,7 @@ def oracle_parse(text, pattern=False):
     t = oracle_parse_term_tokens(ts, pattern)
     tok = ts.peek()
     if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col, ("end of input",))
+        raise ParseError(f"trailing input {oracle_written(tok)!r}", tok.line, tok.col, ("end of input",))
     return t
 
 
