@@ -250,6 +250,8 @@ def parse_combinator_specs(text: str) -> list[CombinatorSpec]:
         last = toks[-1]  # the definition ends just after its last token
         ts = TokenStream.of_tokens(toks + [Token("EOF", "", lineno, last.col + len(last.text))])
         name = ts.expect("WORD")
+        if any(name == spec.name for spec in specs):
+            raise ts.error(f"{name} is defined twice", at=0)
         while ts.peek() == "WORD":
             ts.expect("WORD")
         params = toks[1:ts.i]

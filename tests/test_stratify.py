@@ -142,9 +142,10 @@ def oracle_stratify(t):
     return StratifyResult(assignment, None)
 
 
+_CONSTANTS = (ABST, EQ, P1, P2, IDENTITY, Defined("B"))
 stratify_leaves = st.one_of(
     st.builds(Var, st.sampled_from(["x", "y", "z"])),
-    st.sampled_from([ABST, EQ, P1, P2, IDENTITY, Defined("B")]),
+    st.sampled_from(_CONSTANTS),
 )
 stratify_terms = st.recursive(
     stratify_leaves,
@@ -174,6 +175,72 @@ def test_level_walk_matches_the_union_find(t):
     got, want = stratify(t), oracle_stratify(t)
     assert got.assignment == want.assignment
     assert got.conflict == want.conflict
+
+
+# how a variable leaf at a given level is named: by its level (stratified),
+# fresh (stratified), by its level but now and then one off (a conflict
+# somewhere inside), or from three names (a conflict near the start)
+_NAMINGS = {
+    "by-level": lambda rng, level, n: f"v{level}",
+    "fresh": lambda rng, level, n: f"u{n}",
+    "one-off": lambda rng, level, n: f"v{level + (rng.random() < 0.01)}",
+    "three": lambda rng, level, n: rng.choice("xyz"),
+}
+
+
+def _random_term(rng, leaves, naming):
+    """A term of ``leaves`` leaves built top down, about a fifth of them constants."""
+    count = iter(range(leaves))
+
+    def build(leaves, level):
+        if leaves == 1:
+            if rng.random() < 0.2:
+                return rng.choice(_CONSTANTS)
+            return Var(naming(rng, level, next(count)))
+        kind = rng.choice("apk")
+        if kind == "k":
+            return KWrap(build(leaves, level - 1))
+        split = rng.randint(1, leaves - 1)
+        if kind == "a":
+            return App(build(split, level + 1), build(leaves - split, level))
+        return Pair(build(split, level), build(leaves - split, level))
+
+    return build(leaves, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(200, 400), st.sampled_from(sorted(_NAMINGS)))
+def test_level_walk_matches_the_union_find_on_large_terms(seed, leaves, naming):
+    t = _random_term(random.Random(seed), leaves, _NAMINGS[naming])
+    got, want = stratify(t), oracle_stratify(t)
+    assert got.assignment == want.assignment
+    assert got.conflict == want.conflict
+
+
+def _spine(n):
+    """``x1 x2 ... xn``."""
+    t = Var("x1")
+    for i in range(2, n + 1):
+        t = App(t, Var(f"x{i}"))
+    return t
+
+
+def _pair_tree(n):
+    """A balanced tree of pairs over the leaves ``y0 ... y(n-1)``, n a power of 2."""
+    level = [Var(f"y{i}") for i in range(n)]
+    while len(level) > 1:
+        level = [Pair(a, b) for a, b in zip(level[::2], level[1::2])]
+    return level[0]
+
+
+@pytest.mark.parametrize("t, want", [
+    # xn is the argument at level 0, and each x_i sits n - i above it
+    (_spine(288), {f"x{i}": 288 - i for i in range(1, 289)}),
+    # every leaf at the root's level
+    (_pair_tree(512), {f"y{i}": 0 for i in range(512)}),
+], ids=["spine-288", "pair-tree-512"])
+def test_stratify_matches_closed_forms_at_benchmark_sizes(t, want):
+    assert stratify(t) == StratifyResult(want, None)
 
 
 # term_constraints as it was defined, per subterm with every key spelled from
