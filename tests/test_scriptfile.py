@@ -99,10 +99,10 @@ _NO_TERM = "(expected one of: identifier, k(, <, ()"
     ("S x x = x\n", "1:1: S: parameters must be distinct"),
     ("S X = X\n", "1:3: parameter 'X' must be a variable"),
     ("S x = y\n", "1:1: S: body uses undeclared variables ['y']"),
-    ("S x = x\nS x y = x\n", "2:1: S is defined twice"),
     # a bad character anywhere is reported before any other error
     ("S x = \nT x = x ?\n", "2:9: unexpected character '?'"),
     ("  \n-- only a comment\n\n", []),
+    ("S x = x\nS x y = x\n", "2:1: S is defined twice"),
 ])
 def test_spec_file_errors_are_pinned(text, expected):
     # what ``trc compile`` prints after "error: ", or the definitions parsed
