@@ -44,7 +44,7 @@ from .stratify import (
     CompileError, NotAbstractable, abstract, compile_combinator, optimize,
     replay_conflict, stratify,
 )
-from .terms import ParseError, TrcError, Var, expand_defined, parse, render
+from .terms import TrcError, expand_defined, parse, render, variable_name
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
@@ -108,13 +108,10 @@ def _term_text(args: argparse.Namespace) -> str:
 
 def _variable_name(text: str) -> str:
     """The name of the variable ``text`` parses to; a usage error otherwise."""
-    try:
-        t = parse(text)
-    except ParseError:
-        t = None
-    if not isinstance(t, Var):
+    name = variable_name(text)
+    if name is None:
         raise argparse.ArgumentTypeError(f"not a variable: {text!r}")
-    return t.name
+    return name
 
 
 def cmd_parse(args) -> int:

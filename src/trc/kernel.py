@@ -54,13 +54,14 @@ alongside a passing report, and its dependency graph is acyclic.
 from __future__ import annotations
 
 import time
+from itertools import count, islice
 from typing import Callable, Iterator, Mapping, Optional, Union, get_args
 
 from .engine import NormalizeResult, Rule, RuleSet, RuleError, normalize, rule_match
 from .terms import (
     EQ, P1, P2,
     App, Defined, KWrap, Pair, PatVar, Record, Term, TrcError, Var,
-    app, children, defined_names, expand_defined, free_vars, fresh_var, nodes,
+    app, children, defined_names, expand_defined, free_vars, nodes,
     pattern_vars, rebuild, render, replace_defined, substitute, to_pattern,
 )
 
@@ -574,10 +575,9 @@ class _Checker:
             raise _StepFailure("ext arity must be >= 1")
         lhs, rhs = self.expand(goal.lhs), self.expand(goal.rhs)
         avoid = free_vars(lhs) | free_vars(rhs)
-        fresh: list[Term] = []
-        for _ in range(step.arity):
-            fresh.append(Var(fresh_var(avoid)))
-            avoid.add(fresh[-1].name)
+        # the first names of v0, v1, ... not free in either side, in one pass
+        unused = (name for name in (f"v{i}" for i in count()) if name not in avoid)
+        fresh = [Var(name) for name in islice(unused, step.arity)]
         self._same_normal_form(step.label, app(lhs, *fresh), app(rhs, *fresh), None, "applied normal forms")
 
     def _theorem(self, step: TheoremStep, scope: _Scope) -> None:

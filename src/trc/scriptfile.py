@@ -37,7 +37,7 @@ from .kernel import (
 )
 from .stratify import CombinatorSpec
 from .terms import (
-    Defined, ParseError, Term, Token, TokenStream, parse_term_tokens, substitute, tokenize,
+    Defined, ParseError, Term, Token, TokenStream, parse_term_tokens, substitute, tokenize, variable_name,
 )
 
 # Words with structural meaning in script files; they terminate embedded
@@ -260,7 +260,7 @@ def parse_combinator_specs(text: str) -> list[CombinatorSpec]:
         if ts.peek() != "EOF":
             raise ts.error(f"trailing input in definition on line {lineno}")
         for p in params:
-            if not p.text[0].islower():
+            if variable_name(p.text) is None:
                 raise ParseError(f"parameter {p.text!r} must be a variable", p.line, p.col)
         try:
             specs.append(CombinatorSpec(name, tuple(p.text for p in params), body))

@@ -692,3 +692,13 @@ def parse(text: str, *, pattern: bool = False) -> Term:
 
 def parse_pattern(text: str) -> Term:
     return parse(text, pattern=True)
+
+
+def variable_name(text: str) -> Optional[str]:
+    """The name of the variable ``text`` parses to; None if it parses to any
+    other term, or does not parse."""
+    try:
+        t = parse(text)
+    except ParseError:
+        return None
+    return t.name if type(t) is Var else None

@@ -24,38 +24,11 @@ from trc.stratify import (
     CombinatorSpec, CompileError, NotAbstractable, abstract,
     abstraction_levels, compile_combinator,
 )
-from trc.terms import (
-    ABST, EQ, P1, P2, App, KWrap, Pair, Var, app, free_vars, parse, render,
-    substitute,
-)
+from trc.terms import EQ, P2, App, KWrap, Pair, Var, app, free_vars, parse, render, substitute
+
+from oracles import random_term
 
 MUTANT_REPORTS = Path(__file__).parent / "data" / "mutant_reports.txt"
-
-
-def _random_term(rng: random.Random, depth: int, names=("x", "y", "z")):
-    kinds = ["var", "const", "app", "k", "pair"] if depth > 0 else ["var", "const"]
-    kind = rng.choice(kinds)
-    if kind == "var":
-        return Var(rng.choice(names))
-    if kind == "const":
-        return rng.choice([ABST, EQ, P1, P2])
-    if kind == "app":
-        return App(_random_term(rng, depth - 1, names), _random_term(rng, depth - 1, names))
-    if kind == "k":
-        return KWrap(_random_term(rng, depth - 1, names))
-    return Pair(_random_term(rng, depth - 1, names), _random_term(rng, depth - 1, names))
-
-
-def _random_closed(rng: random.Random, depth: int):
-    kinds = ["const", "app", "k", "pair"] if depth > 0 else ["const"]
-    kind = rng.choice(kinds)
-    if kind == "const":
-        return rng.choice([ABST, EQ, P1, P2])
-    if kind == "app":
-        return App(_random_closed(rng, depth - 1), _random_closed(rng, depth - 1))
-    if kind == "k":
-        return KWrap(_random_closed(rng, depth - 1))
-    return Pair(_random_closed(rng, depth - 1), _random_closed(rng, depth - 1))
 
 
 def test_ext_equality_runs_within_the_criteria_bounds(full_rules):
@@ -110,7 +83,7 @@ def test_criterion_4_abstraction_property(full_rules):
     while checked < 200:
         attempts += 1
         assert attempts < 20000, "generator starved"
-        t = _random_term(rng, 6)
+        t = random_term(rng, 6)
         if "x" not in free_vars(t):
             continue
         try:
@@ -120,7 +93,7 @@ def test_criterion_4_abstraction_property(full_rules):
         lam = abstract("x", t)
         assert "x" not in free_vars(lam)
         for _ in range(3):
-            s = _random_closed(rng, 3)
+            s = random_term(rng, 3, names=())
             evidence = ext_equal(App(lam, s), substitute(t, {"x": s}), full_rules, defs=BASE_DEFINITIONS)
             assert evidence.equal, f"contract failed for {render(t)} at s = {render(s)}"
         checked += 1
@@ -225,7 +198,7 @@ def test_criterion_8_fixed_point_refuter(registry, full_rules):
     refuter = parse("<Eq, k(P2)>")
     core = core_rules()
     for i in range(50):
-        t = _random_closed(rng, 4)
+        t = random_term(rng, 4, names=())
         result = normalize(App(refuter, t), core)
         assert not result.exhausted
         # the first step is always pair application onto the argument

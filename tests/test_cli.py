@@ -516,6 +516,15 @@ def test_eq_ext_depth_bound(depth, expected):
     assert (done.returncode, done.stdout, done.stderr) == expected
 
 
+def test_a_wide_ext_step_names_its_arguments_in_linear_time(tmp_path):
+    # 20,000 fresh names, each a scan from v0, take quadratic time; the sides are then too deep to compare
+    f = tmp_path / "ext.trc"
+    f.write_text('theorem e "wide ext" { prove k(x) = k(x) qed by ext 20000 }')
+    done = subprocess.run([sys.executable, "-m", "trc", "check", str(f)],
+                          capture_output=True, text=True, env=_child_env(), timeout=15)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: input is nested too deeply\n")
+
+
 def test_deeply_nested_proof_blocks_are_usage_error(tmp_path, capsys):
     proof = "qed by chain [a, a]"
     for _ in range(300):

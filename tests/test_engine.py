@@ -9,16 +9,18 @@ from hypothesis import strategies as st
 from trc import engine
 from trc.corpus import BASE_DEFINITIONS, standard_context
 from trc.engine import (
-    EngineConfig, NormalizeResult, Rule, RuleError, RuleSet, TraceStep,
+    EngineConfig, NormalizeResult, Rule, RuleError, RuleSet,
     core_rules, ext_equal, normalize, rule_match,
 )
 from trc.terms import (
-    ABST, EQ, P1, P2, App, Defined, KWrap, Pair, PatVar, Var, format_position, free_vars,
-    match_pattern, parse, parse_pattern, pattern_vars, rebuild,
-    render, replace_at, substitute, subterms, term_size,
+    ABST, EQ, P1, P2, App, Defined, KWrap, Pair, PatVar, Var, app, format_position, free_vars,
+    parse, parse_pattern, pattern_vars, rebuild, render, substitute, term_size,
 )
 
-from test_terms import closed_terms, navigate, terms
+from oracles import (
+    closed_terms, interpreted_match, interpreted_rewrite_at, redex_rich_terms, reference_normalize,
+    reference_step, term_trees, terms,
+)
 
 
 def hyp_rule(name: str, lhs: str, rhs: str) -> Rule:
@@ -195,69 +197,6 @@ def test_stability_under_substitution(t, s):
 # compiled rules and the indexed, resuming redex finder against interpreted references
 # ---------------------------------------------------------------------------
 
-def interpreted_match(rule, t):
-    """The contractum of ``rule`` at the root of ``t`` by interpretation:
-    ``match_pattern``, then ``substitute``."""
-    subst = match_pattern(rule.lhs, t)
-    return None if subst is None else substitute(rule.rhs, subst)
-
-
-def interpreted_rewrite_at(t, pos, rule):
-    new = interpreted_match(rule, navigate(t, pos))
-    return None if new is None else replace_at(t, pos, new)
-
-
-def reference_step(t, rs):
-    """Try every rule in order at every preorder position, from the root."""
-    for pos, sub in subterms(t):
-        for rule in rs.rules:
-            new = interpreted_match(rule, sub)
-            if new is not None:
-                return TraceStep(pos, rule.name, replace_at(t, pos, new))
-    return None
-
-
-def reference_normalize(t, rs, fuel):
-    trace = []
-    for _ in range(fuel):
-        step = reference_step(t, rs)
-        if step is None:
-            return NormalizeResult(t, tuple(trace), False)
-        trace.append(step)
-        t = step.after
-    return NormalizeResult(t, tuple(trace), reference_step(t, rs) is not None)
-
-
-def _surjective(t):
-    return Pair(App(P1, t), App(P2, t))
-
-
-def _eq_same(t):
-    return App(EQ, Pair(t, t))
-
-
-def _projection(p, t, u):
-    return App(p, Pair(t, u))
-
-
-def redex_rich_terms(*atoms):
-    """Terms dense in redexes, including the nonlinear surjective-pairing and
-    Eq ones, with ``atoms`` among the leaves."""
-    return st.recursive(
-        st.one_of(st.builds(Var, st.sampled_from(["x", "y", "z"])), st.sampled_from([ABST, EQ, P1, P2, *atoms])),
-        lambda sub: st.one_of(
-            st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub),
-            st.builds(_surjective, sub), st.builds(_eq_same, sub),
-            st.builds(_projection, st.sampled_from([P1, P2]), sub, sub),
-            st.builds(App, st.builds(KWrap, sub), sub),
-        ),
-        max_leaves=20,
-    )
-
-
-redex_rich = redex_rich_terms()
-
-
 @st.composite
 def buried_redexes(draw):
     """A redex ``r`` that contracts to ``u``, under three to ten levels of a
@@ -326,14 +265,11 @@ pattern_names = st.sampled_from(["$x", "$y"])
 
 # patterns with repeated pattern variables, object variables, declared names
 # and constants; a draw without pattern variables is a ground pattern
-patterns = st.recursive(
-    st.one_of(
-        st.builds(PatVar, pattern_names),
-        st.builds(Var, st.sampled_from(["x", "y"])),
-        st.builds(Defined, st.sampled_from(["F", "G"])),
-        st.sampled_from([ABST, EQ, P1, P2]),
-    ),
-    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub)),
+patterns = term_trees(
+    st.builds(PatVar, pattern_names),
+    st.builds(Var, st.sampled_from(["x", "y"])),
+    st.builds(Defined, st.sampled_from(["F", "G"])),
+    st.sampled_from([ABST, EQ, P1, P2]),
     max_leaves=10,
 )
 
@@ -347,10 +283,8 @@ def random_rules(draw):
     return Rule("random", lhs, rhs)
 
 
-small_terms = st.recursive(
-    st.one_of(st.builds(Var, st.sampled_from(["x", "y"])), st.builds(Defined, st.just("F")),
-              st.sampled_from([EQ, P1, P2])),
-    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub)),
+small_terms = term_trees(
+    st.builds(Var, st.sampled_from(["x", "y"])), st.builds(Defined, st.just("F")), st.sampled_from([EQ, P1, P2]),
     max_leaves=4,
 )
 
@@ -498,20 +432,12 @@ def test_a_root_that_changed_shape_is_rechecked_far_above_a_rewrite(core):
 
 def pair_spine(n):
     """<P1,P2> x1 ... xn"""
-    t = Pair(P1, P2)
-    for i in range(1, n + 1):
-        t = App(t, Var(f"x{i}"))
-    return t
+    return app(Pair(P1, P2), *(Var(f"x{i}") for i in range(1, n + 1)))
 
 
 def abst_tower(n):
     """Abst Abst ... Abst x1 x2 x3, with n copies of Abst"""
-    t = ABST
-    for _ in range(n - 1):
-        t = App(t, ABST)
-    for i in range(1, 4):
-        t = App(t, Var(f"x{i}"))
-    return t
+    return app(ABST, *[ABST] * (n - 1), *(Var(f"x{i}") for i in range(1, 4)))
 
 
 @pytest.mark.parametrize("family", [pair_spine, abst_tower])

@@ -18,10 +18,12 @@ from trc.kernel import (
 from trc.scriptfile import parse_scripts
 from trc.terms import (
     ABST, EQ, P1, P2, App, Defined, KWrap, Pair, ParseError, PatVar, Var,
-    free_vars, nodes, parse, parse_pattern, rebuild, render, substitute, subterms,
+    free_vars, parse, parse_pattern, render, substitute, subterms,
 )
 
-from test_engine import interpreted_rewrite_at, redex_rich
+from oracles import (
+    interpreted_rewrite_at, justifications, redex_rich, reference_link, term_trees, two_pass_canonical,
+)
 
 
 def check_text(text, registry, rules):
@@ -179,40 +181,17 @@ def test_chain_link_through_a_nonlinear_rule(core, registry, left, right, ok):
         assert "no single rule" in report.reason
 
 
-def reference_link(a, b, rules, defs=None, facts=()):
-    """Whether one justification rewrites a to b, or b to a, at any one
-    position, found by interpreting every justification at every position.
-
-    The justifications are the rules of ``rules``, each definition
-    ``n := body`` as the rule ``n -> body`` and each ``(label, l = r)`` of
-    ``facts`` as the rule ``l -> r``."""
-    candidates = [
-        *rules.rules,
-        *(Rule(f"definition:{n}", Defined(n), body) for n, body in (defs or {}).items()),
-        *(Rule(f"fact:{label}", eq.lhs, eq.rhs) for label, eq in facts),
-    ]
-    return any(
-        interpreted_rewrite_at(x, pos, rule) == y
-        for x, y in ((a, b), (b, a))
-        for rule in candidates
-        for pos, _ in subterms(x)
-    )
-
-
 # One script shape holding every justification source: the core rules, the
 # hypothesis equation of M, the definition I and the let-bound t, and the
 # equalities in scope of a contradiction assumption or of a cases branch.
 LINK_HYPOTHESIS = Hypothesis(("M",), (HypEquation("M", parse_pattern("M $x"), parse_pattern("$x $x")),))
 LINK_DEFS = {**BASE_DEFINITIONS, "t": Pair(P2, P1)}
 
-link_terms = st.recursive(
-    st.one_of(st.builds(Var, st.sampled_from(["x", "y"])),
-              st.sampled_from([ABST, EQ, P1, P2, Defined("I"), Defined("t"), Defined("M")])),
-    lambda sub: st.one_of(
-        st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub),
-        st.builds(App, st.just(Defined("M")), sub),
-    ),
+link_terms = term_trees(
+    st.builds(Var, st.sampled_from(["x", "y"])),
+    st.sampled_from([ABST, EQ, P1, P2, Defined("I"), Defined("t"), Defined("M")]),
     max_leaves=12,
+    extra=lambda sub: (st.builds(App, st.just(Defined("M")), sub),),
 )
 
 def link_facts(scope, left, right):
@@ -250,16 +229,12 @@ def test_chain_link_verdict_matches_reference(registry, data, a, scope):
     left = data.draw(st.one_of(st.sampled_from([sub for _, sub in subterms(a)]), link_terms))
     right = data.draw(link_terms)
     fact_sets = link_facts(scope, left, right)
-    justifications = [
-        *with_hyp.rules,
-        *(Rule(f"definition:{n}", Defined(n), body) for n, body in LINK_DEFS.items()),
-        *(Rule(f"fact:{label}", eq.lhs, eq.rhs) for facts in fact_sets for label, eq in facts),
-    ]
     # the one-step rewrites of a by each kind of justification, so that
     # rare kinds (definitions, facts, the hypothesis) are drawn as often as rules
     rewrites: dict[str, list] = {}
+    candidates = justifications(with_hyp, LINK_DEFS, [fact for facts in fact_sets for fact in facts])
     for pos, _ in subterms(a):
-        for rule in justifications:
+        for rule in candidates:
             got = interpreted_rewrite_at(a, pos, rule)
             if got is not None:
                 rewrites.setdefault(rule.name.split(":")[0], []).append(got)
@@ -368,6 +343,11 @@ def test_ext_step_arity(core, registry):
         }
     ''', registry, core)
     assert not short.ok
+
+
+def test_ext_arguments_skip_the_free_names_of_the_sides(core, registry):
+    report = check_text('theorem e3 "fresh names" { prove v0 = v2 qed by ext 3 }', registry, core)
+    assert report.reason == "step 1 (_qed1): applied normal forms differ: v0 v1 v3 v4 vs v2 v1 v3 v4"
 
 
 def test_cases_classicality(core, registry):
@@ -912,23 +892,10 @@ def test_map_terms_maps_every_term_of_every_step_kind_and_keeps_the_rest():
     assert map_terms((before, lets), KWrap) == (after, (("t", k(a)), ("u", k(d))))
 
 
-def two_pass_canonical(checker, eq, fixed):
-    """The definition ``_Checker.canonical`` computes in one pass per side:
-    number the renamed atoms over both expanded sides, then rename them."""
-    lhs, rhs = checker.expand(eq.lhs), checker.expand(eq.rhs)
-    mapping = {}
-    for t in (lhs, rhs):
-        for sub in nodes(t):
-            if type(sub) is PatVar or type(sub) is Var and sub.name not in fixed:
-                mapping.setdefault(sub, PatVar(f"${len(mapping)}"))
-    return Equal(*(rebuild(t, lambda a: mapping.get(a, a)) for t in (lhs, rhs)))
-
-
 # placeholder-named pattern variables, and definitions that hold variables
-canonical_terms = st.recursive(
-    st.one_of(st.builds(Var, st.sampled_from(["x", "y", "z"])), st.builds(PatVar, st.sampled_from(["$x", "$0", "$1"])),
-              st.sampled_from([P1, Defined("I"), Defined("t")])),
-    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub)),
+canonical_terms = term_trees(
+    st.builds(Var, st.sampled_from(["x", "y", "z"])), st.builds(PatVar, st.sampled_from(["$x", "$0", "$1"])),
+    st.sampled_from([P1, Defined("I"), Defined("t")]),
     max_leaves=12,
 )
 CANONICAL_DEFS = {**BASE_DEFINITIONS, "t": Pair(Var("y"), App(Defined("I"), Var("x")))}

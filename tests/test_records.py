@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import trc
 from trc import engine, kernel, terms
-from test_terms import terms as random_terms
+
+from oracles import terms as random_terms
 
 # ---------------------------------------------------------------------------
 # the oracle: the former dataclass definitions, under their own names so that

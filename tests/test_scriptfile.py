@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from trc.scriptfile import parse_combinator_specs, parse_scripts
-from trc.terms import ParseError, TrcError, tokenize
+from trc.stratify import CombinatorSpec
+from trc.terms import ParseError, TrcError, Var, tokenize
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "trc" / "corpus"
 GOLDEN = Path(__file__).parent / "data" / "script_token_deletions.txt"
@@ -103,6 +104,9 @@ _NO_TERM = "(expected one of: identifier, k(, <, ()"
     ("S x = \nT x = x ?\n", "2:9: unexpected character '?'"),
     ("  \n-- only a comment\n\n", []),
     ("S x = x\nS x y = x\n", "2:1: S is defined twice"),
+    # a parameter is a variable exactly when the term parser reads it as one
+    ("S _x = _x\n", [CombinatorSpec("S", ("_x",), Var("_x"))]),
+    ("S x-y = P1\n", "1:3: parameter 'x-y' must be a variable"),
 ])
 def test_spec_file_errors_are_pinned(text, expected):
     # what ``trc compile`` prints after "error: ", or the definitions parsed

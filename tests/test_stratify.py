@@ -13,43 +13,22 @@ from trc.corpus import BASE_DEFINITIONS
 from trc.engine import EngineConfig, core_rules, ext_equal, rule_match
 from trc.stratify import (
     _HEAD_RULES, IDENTITY, CombinatorSpec, CompileError, Constraint, NotAbstractable, StratifyResult,
-    _conflict_cycle, abstract, abstraction_levels, compile_combinator, optimize, replay_conflict,
-    stratify, term_constraints,
+    abstract, abstraction_levels, compile_combinator, optimize, replay_conflict, stratify, term_constraints,
 )
 from trc.terms import (
-    ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT, App, Defined, KWrap, Pair, Var, app, children,
-    format_position, free_vars, parse, pattern_vars, render, subterms, substitute, term_size,
+    ABST, EQ, P1, P2, App, Defined, KWrap, Pair, Var, TrcError, app, free_vars, parse, pattern_vars, render,
+    substitute, term_size,
+)
+
+from oracles import (
+    oracle_abstract, oracle_abstraction_levels, oracle_stratify, oracle_term_constraints, random_term,
+    solved_levels, term_trees,
 )
 
 
 # ---------------------------------------------------------------------------
 # stratification
 # ---------------------------------------------------------------------------
-
-def solved_levels(t, assignment):
-    """Independent check: node levels implied by the assignment, or None.
-
-    Walks the constraint list directly (no union-find) and propagates values;
-    returns the full valuation when every constraint is satisfiable around
-    the given variable assignment.
-    """
-    values = {f"var:{name}": level for name, level in assignment.items()}
-    constraints = term_constraints(t)
-    changed = True
-    while changed:
-        changed = False
-        for c in constraints:
-            if c.a in values and c.b in values:
-                if values[c.a] != values[c.b] + c.offset:
-                    return None
-            elif c.a in values:
-                values[c.b] = values[c.a] - c.offset
-                changed = True
-            elif c.b in values:
-                values[c.a] = values[c.b] + c.offset
-                changed = True
-    return values
-
 
 def test_stratify_nested_application():
     got = stratify(parse("y (x y z)"))
@@ -85,73 +64,19 @@ def test_stratify_conflict_walk_is_connected():
     assert closing.offset != 0 or len(got.conflict) > 1
 
 
-# The union-find solver over all of term_constraints, with components
-# anchored separately, kept as the reference for the level walk.
-
-class OracleOffsetUnionFind:
-    def __init__(self):
-        self.parent = {}
-        self.offset = {}  # value(key) = value(parent) + offset
-
-    def find(self, key):
-        if key not in self.parent:
-            self.parent[key] = key
-            self.offset[key] = 0
-            return key, 0
-        path = []
-        cur = key
-        total = 0
-        while self.parent[cur] != cur:
-            path.append(cur)
-            total += self.offset[cur]
-            cur = self.parent[cur]
-        acc = total
-        for node in path:
-            step = self.offset[node]
-            self.parent[node] = cur
-            self.offset[node] = acc
-            acc -= step
-        return cur, total
-
-    def union(self, a, b, delta):
-        """Impose value(a) = value(b) + delta; False on contradiction."""
-        ra, da = self.find(a)
-        rb, db = self.find(b)
-        if ra == rb:
-            return da == db + delta
-        self.parent[ra] = rb
-        self.offset[ra] = db + delta - da
-        return True
-
-
-def oracle_stratify(t):
-    constraints = term_constraints(t)
-    uf = OracleOffsetUnionFind()
-    for i, c in enumerate(constraints):
-        if not uf.union(c.a, c.b, c.offset):
-            return StratifyResult(None, _conflict_cycle(constraints[: i + 1], c))
-    assignment = {}
-    anchors = {}
-    for name in sorted(free_vars(t)):
-        root, off = uf.find("var:" + name)
-        base = anchors.setdefault(root, -off)
-        assignment[name] = base + off
-    if assignment:
-        low = min(assignment.values())
-        assignment = {k: v - low for k, v in assignment.items()}
-    return StratifyResult(assignment, None)
+@pytest.mark.parametrize("cycle, message", [
+    ((Constraint("a", "b", 1, ()), Constraint("c", "d", 0, ())), "conflict walk is not connected"),
+    ((Constraint("a", "b", 1, ()), Constraint("a", "c", 0, ())),
+     "conflict walk does not reach the closing constraint"),
+], ids=["disconnected", "open"])
+def test_replay_conflict_refuses_a_walk_that_is_not_a_cycle(cycle, message):
+    with pytest.raises(TrcError, match=f"^{message}$"):
+        replay_conflict(cycle)
 
 
 _CONSTANTS = (ABST, EQ, P1, P2, IDENTITY, Defined("B"))
-stratify_leaves = st.one_of(
-    st.builds(Var, st.sampled_from(["x", "y", "z"])),
-    st.sampled_from(_CONSTANTS),
-)
-stratify_terms = st.recursive(
-    stratify_leaves,
-    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub)),
-    max_leaves=24,
-)
+stratify_terms = term_trees(st.builds(Var, st.sampled_from(["x", "y", "z"])), st.sampled_from(_CONSTANTS),
+                            max_leaves=24)
 # a subterm that holds a variable, used twice at levels one apart: always
 # unsatisfiable, so that most draws below have a conflict to compare
 _holding_var = st.builds(lambda u, v, left: Pair(v, u) if left else App(u, v),
@@ -219,10 +144,7 @@ def test_level_walk_matches_the_union_find_on_large_terms(seed, leaves, naming):
 
 def _spine(n):
     """``x1 x2 ... xn``."""
-    t = Var("x1")
-    for i in range(2, n + 1):
-        t = App(t, Var(f"x{i}"))
-    return t
+    return app(*(Var(f"x{i}") for i in range(1, n + 1)))
 
 
 def _pair_tree(n):
@@ -241,28 +163,6 @@ def _pair_tree(n):
 ], ids=["spine-288", "pair-tree-512"])
 def test_stratify_matches_closed_forms_at_benchmark_sizes(t, want):
     assert stratify(t) == StratifyResult(want, None)
-
-
-# term_constraints as it was defined, per subterm with every key spelled from
-# the subterm's position, kept as the reference for the numbered walk
-
-def oracle_term_constraints(t):
-    def key(pos):
-        return "node:" + format_position(pos)
-
-    out = []
-    for pos, sub in subterms(t):
-        if isinstance(sub, Var):
-            out.append(Constraint(key(pos), "var:" + sub.name, 0, pos))
-        elif isinstance(sub, App):
-            out.append(Constraint(key(pos + (FN,)), key(pos + (ARG,)), 1, pos))
-            out.append(Constraint(key(pos), key(pos + (ARG,)), 0, pos))
-        elif isinstance(sub, KWrap):
-            out.append(Constraint(key(pos), key(pos + (KBODY,)), 1, pos))
-        elif isinstance(sub, Pair):
-            out.append(Constraint(key(pos), key(pos + (LEFT,)), 0, pos))
-            out.append(Constraint(key(pos), key(pos + (RIGHT,)), 0, pos))
-    return out
 
 
 @settings(max_examples=300)
@@ -422,57 +322,6 @@ def test_package_attribute_is_the_module():
     assert m.abstract is abstract and m.stratify is stratify
 
 
-# The level check and bracket abstraction as two recursive passes that call
-# free_vars at every node, kept as the reference for the single level walk.
-
-def oracle_contains_var(t, x):
-    return x in free_vars(t)
-
-
-def oracle_abstraction_levels(x, t):
-    levels = {}
-    stack = [((), t, 0)]
-    while stack:
-        pos, sub, level = stack.pop()
-        levels[pos] = level
-        contains = oracle_contains_var(sub, x)
-        if contains and level < 0:
-            raise NotAbstractable(pos, "negative-level", x)
-        if isinstance(sub, Var) and sub.name == x and level != 0:
-            raise NotAbstractable(pos, "x-at-nonzero-level", x)
-        for sel, child in children(sub):
-            if sel == "function":
-                delta = 1
-            elif sel == "k-body":
-                delta = -1
-            else:
-                delta = 0
-            stack.append((pos + (sel,), child, level + delta))
-    return levels
-
-
-def oracle_abstract_level(x, t, n):
-    if not oracle_contains_var(t, x):
-        return KWrap(t)
-    if isinstance(t, Var) and t.name == x:
-        assert n == 0, f"variable {x} reached at level {n}"
-        return IDENTITY
-    if isinstance(t, Pair):
-        return Pair(oracle_abstract_level(x, t.left, n), oracle_abstract_level(x, t.right, n))
-    if isinstance(t, KWrap):
-        assert n >= 1, f"k-body containing {x} reached at level {n}"
-        return App(ABST, KWrap(oracle_abstract_level(x, t.body, n - 1)))
-    if isinstance(t, App):
-        return App(App(ABST, oracle_abstract_level(x, t.fn, n + 1)),
-                   oracle_abstract_level(x, t.arg, n))
-    raise AssertionError(f"unexpected node {t!r} at level {n}")
-
-
-def oracle_abstract(x, t):
-    oracle_abstraction_levels(x, t)
-    return oracle_abstract_level(x, t, 0)
-
-
 def outcome(fn, *args):
     """The result, or the position, reason and message of the NotAbstractable."""
     try:
@@ -481,13 +330,8 @@ def outcome(fn, *args):
         return exc.position, exc.reason, str(exc)
 
 
-open_terms = st.recursive(
-    st.one_of(
-        st.builds(Var, st.sampled_from(["x", "y"])),
-        st.sampled_from([ABST, EQ, P1, P2]),
-        st.just(IDENTITY),
-    ),
-    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub)),
+open_terms = term_trees(
+    st.builds(Var, st.sampled_from(["x", "y"])), st.sampled_from([ABST, EQ, P1, P2]), st.just(IDENTITY),
     max_leaves=20,
 )
 # x in function position (level 1) or under k(...) at level 0 (body at -1)
@@ -559,10 +403,7 @@ DEPTH = 10_000
 
 def _chain(n):
     """``y (y (... (y x)))`` with n applications."""
-    t = Var("x")
-    for _ in range(n):
-        t = App(Var("y"), t)
-    return t
+    return _nest(["y"] * n, Var("x"))
 
 
 def test_abstract_deep_chain():
@@ -585,9 +426,7 @@ def test_abstract_deep_pair_nest():
 
 def test_stratify_deep_chain():
     # f0 (f1 (... (f9999 y))): every function at level 1, y at 0
-    t = Var("y")
-    for i in reversed(range(DEPTH)):
-        t = App(Var(f"f{i}"), t)
+    t = _nest([f"f{i}" for i in range(DEPTH)], Var("y"))
     want = {f"f{i}": 1 for i in range(DEPTH)}
     want["y"] = 0
     assert stratify(t).assignment == want
@@ -734,24 +573,9 @@ def test_eta_contraction_is_off_by_default():
 
 def test_x_freeness_property(full_rules):
     rng = random.Random(11)
-    names = ["x", "y", "z"]
-
-    def rand_term(depth):
-        kinds = ["var", "const", "app", "k", "pair"] if depth > 0 else ["var", "const"]
-        kind = rng.choice(kinds)
-        if kind == "var":
-            return Var(rng.choice(names))
-        if kind == "const":
-            return rng.choice([ABST, EQ, P1, P2])
-        if kind == "app":
-            return App(rand_term(depth - 1), rand_term(depth - 1))
-        if kind == "k":
-            return KWrap(rand_term(depth - 1))
-        return Pair(rand_term(depth - 1), rand_term(depth - 1))
-
     found = 0
     while found < 50:
-        t = rand_term(5)
+        t = random_term(rng, 5)
         if "x" not in free_vars(t):
             continue
         try:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import re
 from pathlib import Path
 from unittest import mock
 
@@ -12,40 +11,19 @@ import trc
 from trc import scriptfile
 from trc.mutate import _count_projections, _swap_projection
 from trc.terms import (
-    ABST, CONSTANTS, EQ, P1, P2,
-    App, Const, Defined, KWrap, Pair, ParseError, PatVar, PositionError,
-    Token, TokenStream, TrcError, Var,
-    _descend, app, expand_defined, free_vars, fresh_var, match_pattern, nodes,
+    ABST, EQ, P1, P2,
+    App, Defined, KWrap, Pair, ParseError, PatVar, PositionError, TokenStream, TrcError, Var,
+    app, expand_defined, free_vars, fresh_var, match_pattern, nodes,
     parse, parse_pattern, parse_term_tokens, rebuild, render, replace_at, replace_defined,
     substitute, subterms, term_size, to_pattern, tokenize,
 )
 
-# ---------------------------------------------------------------------------
-# strategies
-# ---------------------------------------------------------------------------
-
-var_names = st.sampled_from(["x", "y", "z", "u", "v", "w'"])
-
-terms = st.recursive(
-    st.one_of(
-        st.builds(Var, var_names),
-        st.sampled_from([ABST, EQ, P1, P2]),
-        st.builds(Defined, st.sampled_from(["I", "M", "Zed"])),
-    ),
-    lambda sub: st.one_of(
-        st.builds(App, sub, sub),
-        st.builds(KWrap, sub),
-        st.builds(Pair, sub, sub),
-    ),
-    max_leaves=25,
+from oracles import (
+    OracleScriptTerms, OracleTokenStream, closed_terms, navigate, oracle_count_projections,
+    oracle_expand_defined, oracle_free_vars, oracle_parse, oracle_parse_term_tokens, oracle_render,
+    oracle_replace_defined, oracle_substitute, oracle_swap_projection, oracle_term_size,
+    oracle_to_pattern, oracle_tokenize, term_trees, terms,
 )
-
-closed_terms = st.recursive(
-    st.sampled_from([ABST, EQ, P1, P2]),
-    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub), st.builds(Pair, sub, sub)),
-    max_leaves=12,
-)
-
 
 # ---------------------------------------------------------------------------
 # parsing and rendering
@@ -111,170 +89,8 @@ def test_round_trip(t):
 # the front end against the character-at-a-time lexer and recursive parser
 # ---------------------------------------------------------------------------
 # The oracle is the front end the regex tokenizer and the explicit-stack
-# parser replaced, with the token stream it read; both must give the same
-# tokens, the same term, or the same ParseError (text, line, column and
-# expected tokens).
-
-_ORACLE_PUNCT2 = (":=", "!=", "=>")
-_ORACLE_PUNCT1 = "()<>,[]{}:;=|"
-_ORACLE_WORD_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.'-]*")
-_ORACLE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-
-
-def oracle_tokenize(text):
-    toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _ORACLE_PUNCT2:
-            toks.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ORACLE_PUNCT1:
-            toks.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", line, col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, col)
-            toks.append(Token("STRING", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch == "$":
-            m = _ORACLE_WORD_RE.match(text, i + 1)
-            if not m:
-                raise ParseError("'$' must introduce a pattern variable", line, col)
-            toks.append(Token("PATVAR", "$" + m.group(0), line, col))
-            col += 1 + len(m.group(0))
-            i = m.end()
-            continue
-        m = _ORACLE_WORD_RE.match(text, i)
-        if m:
-            toks.append(Token("WORD", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
-    return toks
-
-
-def oracle_written(tok):
-    """A token as written: a string with its quotes, EOF by its kind."""
-    return f'"{tok.text}"' if tok.kind == "STRING" else tok.text or tok.kind
-
-
-class OracleTokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        if tok.kind != "EOF":
-            self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"got {oracle_written(tok)!r}", tok.line, tok.col, (kind,))
-        return self.next()
-
-
-def oracle_classify_ident(name, tok):
-    if not _ORACLE_IDENT_RE.fullmatch(name):
-        raise ParseError(f"{name!r} is not a valid identifier", tok.line, tok.col)
-    if name[0].isupper():
-        return Defined(name)
-    return Var(name)
-
-
-def oracle_parse_atom(ts, pattern):
-    tok = ts.peek()
-    if tok.kind == "WORD":
-        if tok.text == "k":
-            ts.next()
-            ts.expect("(")
-            body = oracle_parse_term_tokens(ts, pattern)
-            ts.expect(")")
-            return KWrap(body)
-        if tok.text in CONSTANTS:
-            ts.next()
-            return CONSTANTS[tok.text]
-        ts.next()
-        return oracle_classify_ident(tok.text, tok)
-    if tok.kind == "PATVAR":
-        if not pattern:
-            raise ParseError("pattern variables are only allowed in patterns", tok.line, tok.col)
-        ts.next()
-        return PatVar(tok.text)
-    if tok.kind == "(":
-        ts.next()
-        t = oracle_parse_term_tokens(ts, pattern)
-        ts.expect(")")
-        return t
-    if tok.kind == "<":
-        ts.next()
-        left = oracle_parse_term_tokens(ts, pattern)
-        ts.expect(",")
-        right = oracle_parse_term_tokens(ts, pattern)
-        ts.expect(">")
-        return Pair(left, right)
-    raise ParseError(
-        f"got {oracle_written(tok)!r}", tok.line, tok.col,
-        ("identifier", "k(", "<", "("),
-    )
-
-
-def oracle_parse_term_tokens(ts, pattern=False, reserved=frozenset()):
-    def stopped():
-        tok = ts.peek()
-        return tok.kind == "WORD" and tok.text in reserved
-
-    if stopped():
-        tok = ts.peek()
-        raise ParseError(f"expected a term, got keyword {tok.text!r}", tok.line, tok.col)
-    t = oracle_parse_atom(ts, pattern)
-    while ts.peek().kind in ("WORD", "PATVAR", "(", "<") and not stopped():
-        t = App(t, oracle_parse_atom(ts, pattern))
-    return t
-
-
-def oracle_parse(text, pattern=False):
-    ts = OracleTokenStream(oracle_tokenize(text))
-    t = oracle_parse_term_tokens(ts, pattern)
-    tok = ts.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {oracle_written(tok)!r}", tok.line, tok.col, ("end of input",))
-    return t
-
+# parser replaced (tests/oracles.py); both must give the same tokens, the
+# same term, or the same ParseError (text, line, column and expected tokens).
 
 def outcome(fn, *args):
     """What ``fn(*args)`` returns, or every field of the ParseError it raises
@@ -332,24 +148,6 @@ def stream_tokens(text):
 def test_term_parser_matches_the_recursive_parser(text):
     assert outcome(parse, text) == outcome(oracle_parse, text)
     assert outcome(parse_pattern, text) == outcome(oracle_parse, text, True)
-
-
-class OracleScriptTerms:
-    """The script parser's stream over the oracle's tokens, and the oracle
-    term parser on its own stream over the same tokens, started where the
-    script parser stands and leaving it where it stopped."""
-
-    def stream(self, text):
-        self.tokens = oracle_tokenize(text)
-        return TokenStream.of_tokens(self.tokens)
-
-    def parse_term_tokens(self, ts, pattern=False, reserved=frozenset()):
-        oracle_ts = OracleTokenStream(self.tokens)
-        oracle_ts.i = ts.i
-        try:
-            return oracle_parse_term_tokens(oracle_ts, pattern, reserved)
-        finally:
-            ts.i = oracle_ts.i
 
 
 @settings(max_examples=300)
@@ -507,11 +305,6 @@ def test_match_soundness(t):
 # positions
 # ---------------------------------------------------------------------------
 
-def navigate(t, pos):
-    """Subterm of ``t`` at ``pos``; raises PositionError on the first bad selector."""
-    return _descend(t, pos)[-1]
-
-
 def test_navigate_examples():
     assert navigate(parse("k(x) y"), ("function", "k-body")) == Var("x")
     assert navigate(parse("<P1 x, P2 x>"), ("pair-right",)) == parse("P2 x")
@@ -569,141 +362,20 @@ def test_term_size():
 # ---------------------------------------------------------------------------
 # traversal: the walkers against plain recursive definitions
 # ---------------------------------------------------------------------------
-# Each oracle is the structural recursion the walker used to be; the walkers
-# now run on ``nodes`` and ``rebuild`` and must agree with it exactly.
-
-def oracle_substitute(t, subst):
-    if isinstance(t, Var) or isinstance(t, PatVar):
-        return subst.get(t.name, t)
-    if isinstance(t, App):
-        return App(oracle_substitute(t.fn, subst), oracle_substitute(t.arg, subst))
-    if isinstance(t, KWrap):
-        return KWrap(oracle_substitute(t.body, subst))
-    if isinstance(t, Pair):
-        return Pair(oracle_substitute(t.left, subst), oracle_substitute(t.right, subst))
-    return t
-
-
-def oracle_to_pattern(t):
-    if isinstance(t, Var):
-        return PatVar("$" + t.name)
-    if isinstance(t, App):
-        return App(oracle_to_pattern(t.fn), oracle_to_pattern(t.arg))
-    if isinstance(t, KWrap):
-        return KWrap(oracle_to_pattern(t.body))
-    if isinstance(t, Pair):
-        return Pair(oracle_to_pattern(t.left), oracle_to_pattern(t.right))
-    return t
-
-
-def oracle_replace_defined(t, mapping):
-    if isinstance(t, Defined):
-        return mapping.get(t.name, t)
-    if isinstance(t, App):
-        return App(oracle_replace_defined(t.fn, mapping), oracle_replace_defined(t.arg, mapping))
-    if isinstance(t, KWrap):
-        return KWrap(oracle_replace_defined(t.body, mapping))
-    if isinstance(t, Pair):
-        return Pair(oracle_replace_defined(t.left, mapping), oracle_replace_defined(t.right, mapping))
-    return t
-
-
-def oracle_expand_defined(t, defs, active=frozenset()):
-    if isinstance(t, Defined) and t.name in defs:
-        if t.name in active:
-            raise TrcError(f"cyclic definition of {t.name}")
-        return oracle_expand_defined(defs[t.name], defs, active | {t.name})
-    if isinstance(t, App):
-        return App(oracle_expand_defined(t.fn, defs, active), oracle_expand_defined(t.arg, defs, active))
-    if isinstance(t, KWrap):
-        return KWrap(oracle_expand_defined(t.body, defs, active))
-    if isinstance(t, Pair):
-        return Pair(oracle_expand_defined(t.left, defs, active), oracle_expand_defined(t.right, defs, active))
-    return t
-
-
-def oracle_render(t):
-    if isinstance(t, (Var, Const, Defined, PatVar)):
-        return t.name
-    if isinstance(t, KWrap):
-        return f"k({oracle_render(t.body)})"
-    if isinstance(t, Pair):
-        return f"<{oracle_render(t.left)},{oracle_render(t.right)}>"
-    arg = oracle_render(t.arg)
-    if isinstance(t.arg, App):
-        arg = f"({arg})"
-    return f"{oracle_render(t.fn)} {arg}"
-
-
-def oracle_term_size(t):
-    return 1 + sum(oracle_term_size(c) for c in oracle_children(t))
-
-
-def oracle_free_vars(t):
-    if isinstance(t, Var):
-        return {t.name}
-    return set().union(*(oracle_free_vars(c) for c in oracle_children(t)))
-
-
-def oracle_children(t):
-    if isinstance(t, App):
-        return (t.fn, t.arg)
-    if isinstance(t, KWrap):
-        return (t.body,)
-    if isinstance(t, Pair):
-        return (t.left, t.right)
-    return ()
-
-
-def oracle_count_projections(t):
-    if isinstance(t, Const):
-        return 1 if t.name in ("P1", "P2") else 0
-    return sum(oracle_count_projections(c) for c in oracle_children(t))
-
-
-def oracle_swap_projection(t, index):
-    counter = [0]
-
-    def go(u):
-        if isinstance(u, Const) and u.name in ("P1", "P2"):
-            i = counter[0]
-            counter[0] += 1
-            if i == index:
-                return P2 if u.name == "P1" else P1
-            return u
-        if isinstance(u, App):
-            return App(go(u.fn), go(u.arg))
-        if isinstance(u, KWrap):
-            return KWrap(go(u.body))
-        if isinstance(u, Pair):
-            return Pair(go(u.left), go(u.right))
-        return u
-
-    return go(t)
-
 
 # variables, pattern variables and declared names share spellings, so a walker
 # that replaces the wrong kind of atom is caught
 def_names = st.sampled_from(["I", "M", "Zed"])
-walker_terms = st.recursive(
-    st.one_of(
-        st.builds(Var, st.sampled_from(["x", "y", "I"])),
-        st.builds(PatVar, st.sampled_from(["$x", "$y"])),
-        st.sampled_from([ABST, EQ, P1, P2]),
-        st.builds(Defined, def_names),
-    ),
-    lambda sub: st.one_of(
-        st.builds(App, sub, sub),
-        st.builds(KWrap, sub),
-        st.builds(Pair, sub, sub),
-    ),
+walker_terms = term_trees(
+    st.builds(Var, st.sampled_from(["x", "y", "I"])),
+    st.builds(PatVar, st.sampled_from(["$x", "$y"])),
+    st.sampled_from([ABST, EQ, P1, P2]),
+    st.builds(Defined, def_names),
     max_leaves=25,
 )
-small_terms = st.recursive(
-    st.one_of(st.builds(Var, st.sampled_from(["x", "y"])), st.sampled_from([P1, P2]),
-              st.builds(Defined, def_names)),
-    lambda sub: st.one_of(st.builds(App, sub, sub), st.builds(KWrap, sub)),
-    max_leaves=4,
+small_terms = term_trees(
+    st.builds(Var, st.sampled_from(["x", "y"])), st.sampled_from([P1, P2]), st.builds(Defined, def_names),
+    max_leaves=4, formers=(App, KWrap),
 )
 
 

@@ -3,8 +3,9 @@
 The names the benchmark's tracer patches exist in the program:
 ``bench/tracer.py`` wraps, for a traced run, the names through which one
 ``trc`` module calls another; a renamed or removed name makes
-``python3 bench/run.py --trace 1`` die with ``AttributeError``.  And no
-module of ``trc`` imports a name it never uses.
+``python3 bench/run.py --trace 1`` die with ``AttributeError``.  No
+module of ``trc`` imports a name it never uses, and no test module imports
+another: shared oracles and strategies live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
 TRACER = ROOT / "bench" / "tracer.py"
 
 
@@ -79,3 +81,22 @@ def test_an_unused_import_is_found():
     tree = ast.parse("from __future__ import annotations\nimport os.path\nimport re, sys\n"
                      "from typing import Optional as Opt, Union\nx: Union[int, str] = re.escape('')\n")
     assert unused_imports(tree) == ["os", "sys", "Opt"]
+
+
+def imported_test_modules(tree: ast.Module) -> list[str]:
+    """The ``test_*`` modules a module imports, by their dotted names."""
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    return [name for name in modules if name.split(".")[-1].startswith("test_")]
+
+
+def test_no_test_module_imports_another():
+    found = {(path.name, name) for path in sorted(TESTS.glob("*.py"))
+             for name in imported_test_modules(ast.parse(path.read_text()))}
+    assert found == set()
+
+
+def test_an_import_of_a_test_module_is_found():
+    tree = ast.parse("import os, test_engine\nfrom oracles import terms\nfrom test_terms import terms\n"
+                     "import tests.test_kernel as k\nfrom trc import terms\n")
+    assert imported_test_modules(tree) == ["test_engine", "tests.test_kernel", "test_terms"]
