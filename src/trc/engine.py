@@ -12,15 +12,16 @@ only rules whose left-hand side can match are tried at a position.
 ``normalize`` is one preorder scan over an explicit stack of subterms still to
 scan.  It keeps the path from the root to the subterm in hand as a zipper
 (Huet, "The Zipper", JFP 1997): a rewrite rebuilds only the parent, and an
-ancestor above it is rebuilt when a match needs it, when the scan moves to a
+ancestor above it is rebuilt when it is re-checked, when the scan moves to a
 right sibling, or at the end.  The ancestors of a redex are redex-free, so a
 rule can newly match one only within its reach of the rewrite (the depth of
 its left-hand side's deepest non-variable node), unless it compares subterms
-(a repeated pattern variable, as in ``Eq-refl``); the index lists each shape's
-rules by reach.  The first ancestor that became a redex is contracted
-next; otherwise the scan resumes at the contractum, then right of the path
-(the left of it is unchanged and redex-free).  A trace step builds its
-position and the term after it when they are read.
+(a repeated pattern variable, as in ``Eq-refl``).  So an ancestor within the
+widest reach re-tries all its candidates, and one above it only the unbounded
+ones, which its index entry lists apart.  The first ancestor that became a
+redex is contracted next; otherwise the scan resumes at the contractum, then
+right of the path (the left of it is unchanged and redex-free).  A trace step
+builds its position and the term after it when they are read.
 
 Each rule is compiled, on first use, into one generated Python function that
 takes a term and returns the contractum at its root (the instantiated
@@ -222,11 +223,9 @@ def lhs_fits(lhs: Term, key: object) -> bool:
 class RuleSet(Record):
     rules: tuple[Rule, ...]
     config: EngineConfig
-    # shape key -> its entry, filled on use: entry[0] holds the rules that can
-    # match a term of that shape, in rule-set order; entry[g], for g up to the
-    # largest finite reach, those of them whose reach is at least g (None
-    # until ``normalize`` needs it); and the last, the unbounded ones
-    _index: dict[object, list]
+    # shape key -> its entry, built on first use: the rules that can match a
+    # term of that shape, in rule-set order, and the unbounded ones among them
+    _index: dict[object, tuple[tuple[Rule, ...], tuple[Rule, ...]]]
     _width: int  # the largest finite reach of a rule
     # key -> this rule set extended by the rules it names, built on first use
     _extensions: dict[Hashable, "RuleSet"]
@@ -257,11 +256,10 @@ class RuleSet(Record):
         key = root_shape(t)
         return (self._index.get(key) or self._entry(key))[0]
 
-    def _entry(self, key: object) -> list:
+    def _entry(self, key: object) -> tuple[tuple[Rule, ...], tuple[Rule, ...]]:
         """Build and keep the index entry of shape ``key``."""
         rules = tuple(r for r in self.rules if lhs_fits(r.lhs, key))
-        unbounded = tuple(r for r in rules if r._reach is None) if rules else ()
-        entry = self._index[key] = [rules, *[None] * self._width, unbounded]
+        entry = self._index[key] = (rules, tuple(r for r in rules if r._reach is None))
         return entry
 
 
@@ -385,7 +383,7 @@ def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
         frames.append(frame)
         entries.append(entry)
         while True:  # the subterm at ``depth`` is registered: contract it while it is a redex
-            if entry[-1]:
+            if entry[1]:
                 far.append(depth)
             for rule in entry[0]:
                 new = rule_match(rule, sub)
@@ -395,10 +393,10 @@ def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
                 break
             # Contract, re-register the parent (its shape follows its function
             # side) and re-check the ancestors top-down: within the widest
-            # finite reach for the rules that reach the rewrite, above it for
-            # the unbounded rules only.  The ancestors were redex-free, and a
-            # rule that reaches no deeper than the rewrite still fails there.
-            # The first that became a redex is contracted next.
+            # finite reach for all their candidates, above it for the unbounded
+            # ones only.  The ancestors were redex-free, and a rule that reaches
+            # no deeper than the rewrite still fails there.  The first that
+            # became a redex is contracted next.
             while new is not None:
                 if len(trace) == limit:
                     _rebuild(path, frames, stale, 0)
@@ -416,7 +414,7 @@ def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
                     stale = depth - 1
                     key = root_shape(path[depth - 1])
                     entries[depth - 1] = entry = index.get(key) or rs._entry(key)
-                    if entry[-1]:
+                    if entry[1]:
                         far.append(depth - 1)
                 new = None
                 lo = depth - width if depth > width else 0
@@ -424,13 +422,9 @@ def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
                 if far and far[0] < lo:
                     ups = chain(takewhile(lo.__gt__, far), ups)
                 for up in ups:
-                    entry, g = entries[up], (depth - up if up >= lo else -1)
-                    rules = entry[g]
-                    if rules is None:
-                        rules = entry[g] = tuple(r for r in entry[0] if r._reach is None or r._reach >= g)
-                    if rules and stale > up:
+                    if stale > up:
                         stale = _rebuild(path, frames, stale, up)
-                    for rule in rules:
+                    for rule in entries[up][1 if up < lo else 0]:
                         new = rule_match(rule, path[up])
                         if new is not None:
                             break

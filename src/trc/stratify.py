@@ -38,7 +38,8 @@ from .engine import Rule, RuleSet, ext_equal, rule_match
 from .terms import (
     ABST, ARG, FN, KBODY, LEFT, RIGHT,
     App, Defined, KWrap, Pair, Record, Term, TrcError, Var,
-    Position, app, children, format_position, free_vars, nodes, parse_pattern, render, term_size,
+    Position, app, children, defined_names, format_position, free_vars, nodes, parse_pattern, render,
+    term_size,
 )
 
 IDENTITY = Defined("I")
@@ -349,6 +350,9 @@ class CombinatorSpec(Record):
         loose = free_vars(self.body) - set(self.params)
         if loose:
             raise ValueError(f"{self.name}: body uses undeclared variables {sorted(loose)}")
+        unknown = defined_names(self.body) - {IDENTITY.name}  # the one name the compiler emits
+        if unknown:
+            raise ValueError(f"{self.name}: body uses undeclared names {sorted(unknown)}")
 
 
 def compile_combinator(

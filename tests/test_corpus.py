@@ -12,7 +12,7 @@ from trc.corpus import (
 )
 from trc.engine import EngineConfig
 from trc.kernel import Falsum, NotEqual
-from trc.terms import P1, P2, Pair, parse
+from trc.terms import P1, P2, Pair
 
 
 def test_full_run_passes(corpus_report):

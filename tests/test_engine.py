@@ -82,6 +82,14 @@ def test_nonlinear_rules_need_identical_components(core, text, result):
     assert normalize(parse(text), core).result == parse(result)
 
 
+def test_rule_reach_is_the_depth_of_the_deepest_non_variable_node(core):
+    # a repeated pattern variable compares subterms at any depth, so its rule's reach is unbounded
+    assert {r.name: r._reach for r in core.rules} == {
+        "K": 1, "P1-proj": 1, "P2-proj": 1, "pair-application": 1, "Abst": 3,
+        "surjective-pairing": None, "Eq-refl": None,
+    }
+
+
 def test_rule_rejects_unbound_rhs_pattern_vars():
     with pytest.raises(RuleError):
         Rule("bad", parse_pattern("$x"), parse_pattern("$x $y"))
@@ -405,6 +413,15 @@ def test_deep_rule_compiles_and_fires():
     assert render(got.result) == render(_nest(depth, Var("b"))) and len(got.trace) == 1
 
 
+def test_deep_rule_code_grows_linearly_with_its_depth():
+    # each child is loaded into a local once; spelling out its path from the root at every use grows quadratically
+    def code_size(depth):
+        rule = Rule("deep", _nest(depth, PatVar("$x")), _nest(depth, App(P1, PatVar("$x"))))
+        return len(rule._fire.__code__.co_code)
+
+    assert code_size(400) <= 2.5 * code_size(200)
+
+
 @pytest.mark.parametrize("text, first, root_rule, result", [
     # the rewrite sits 3 levels below a root whose nonlinear left-hand side is 2 deep
     ("Eq <k(P1 <a,b>), k(a)>", (("argument", "pair-left", "k-body"), "P1-proj"), "Eq-refl", "P1"),
@@ -440,18 +457,31 @@ def abst_tower(n):
     return app(ABST, *[ABST] * (n - 1), *(Var(f"x{i}") for i in range(1, 4)))
 
 
-@pytest.mark.parametrize("family", [pair_spine, abst_tower])
-def test_rule_attempts_per_step_do_not_grow_with_the_term(core, monkeypatch, family):
+def attempts_per_step(monkeypatch, rs, family, sizes):
+    """Rule attempts per rewrite step in normalizing ``family(n)`` under ``rs``, for each n."""
     # counted as the benchmark's tracer counts them: through the module's rule_match
     calls = []
     original = engine.rule_match
     monkeypatch.setattr(engine, "rule_match", lambda rule, t: calls.append(1) or original(rule, t))
     per_step = []
-    for n in (100, 800):
+    for n in sizes:
         calls.clear()
-        got = normalize(family(n), core)
+        got = normalize(family(n), rs)
         assert got.trace and not got.exhausted
         per_step.append(len(calls) / len(got.trace))
+    return per_step
+
+
+@pytest.mark.parametrize("family", [pair_spine, abst_tower])
+def test_rule_attempts_per_step_do_not_grow_with_the_term(core, monkeypatch, family):
+    per_step = attempts_per_step(monkeypatch, core, family, (100, 800))
+    assert per_step[1] <= 2 * per_step[0], per_step
+
+
+@pytest.mark.parametrize("family", [pair_spine, abst_tower])
+def test_rule_attempts_per_step_do_not_grow_under_derived_rules(monkeypatch, family):
+    # derived rules reach 1 to 3 deep; at n = 800 term ``==`` overflows the stack under this set
+    per_step = attempts_per_step(monkeypatch, standard_context()[1], family, (25, 200))
     assert per_step[1] <= 2 * per_step[0], per_step
 
 

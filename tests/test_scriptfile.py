@@ -107,6 +107,8 @@ _NO_TERM = "(expected one of: identifier, k(, <, ()"
     # a parameter is a variable exactly when the term parser reads it as one
     ("S _x = _x\n", [CombinatorSpec("S", ("_x",), Var("_x"))]),
     ("S x-y = P1\n", "1:3: parameter 'x-y' must be a variable"),
+    # the compiler knows no definition but I
+    ("S = I\nT x = Foo x\n", "2:1: T: body uses undeclared names ['Foo']"),
 ])
 def test_spec_file_errors_are_pinned(text, expected):
     # what ``trc compile`` prints after "error: ", or the definitions parsed

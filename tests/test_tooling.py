@@ -4,8 +4,9 @@ The names the benchmark's tracer patches exist in the program:
 ``bench/tracer.py`` wraps, for a traced run, the names through which one
 ``trc`` module calls another; a renamed or removed name makes
 ``python3 bench/run.py --trace 1`` die with ``AttributeError``.  No
-module of ``trc`` imports a name it never uses, and no test module imports
-another: shared oracles and strategies live in ``tests/oracles.py``.
+module of ``trc`` or of the tests imports a name it never uses, and no test
+module imports another: shared oracles and strategies live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -69,9 +70,11 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__.py imports only to re-export
+    package = [path for path in sorted((ROOT / "src" / "trc").glob("*.py")) if path.name != "__init__.py"]
     found = {
         (path.stem, name)
-        for path in sorted((ROOT / "src" / "trc").glob("*.py")) if path.name != "__init__.py"  # re-exports
+        for path in package + sorted(TESTS.glob("*.py"))
         for name in unused_imports(ast.parse(path.read_text()))
     }
     assert found == UNUSED_ON_PURPOSE
