@@ -10,7 +10,8 @@ Redexes are found through a per-rule-set index keyed by a term's root shape
 (its constructor and, for an application, the head of its function side), so
 only rules whose left-hand side can match are tried at a position.
 ``normalize`` is one preorder scan over an explicit stack of subterms still to
-scan.  It keeps the path from the root to the subterm in hand as a zipper
+scan, never a leaf of a class no left-hand side fits (any atom, under the core
+rules).  It keeps the path from the root to the subterm in hand as a zipper
 (Huet, "The Zipper", JFP 1997): a rewrite rebuilds only the parent, and an
 ancestor above it is rebuilt when it is re-checked, when the scan moves to a
 right sibling, or at the end.  The ancestors of a redex are redex-free, so a
@@ -227,6 +228,7 @@ class RuleSet(Record):
     # term of that shape, in rule-set order, and the unbounded ones among them
     _index: dict[object, tuple[tuple[Rule, ...], tuple[Rule, ...]]]
     _width: int  # the largest finite reach of a rule
+    _dead: frozenset[type]  # the atom classes no left-hand side fits, set on first use
     # key -> this rule set extended by the rules it names, built on first use
     _extensions: dict[Hashable, "RuleSet"]
     __slots__ = ("__weakref__",)  # weakly referable, so its lifetime can be observed
@@ -239,6 +241,13 @@ class RuleSet(Record):
         object.__setattr__(self, "_index", {})
         object.__setattr__(self, "_width", max([r._reach or 0 for r in rules], default=0))
         object.__setattr__(self, "_extensions", {})
+
+    def __getattr__(self, name: str) -> frozenset[type]:
+        if name != "_dead":  # the one slot left unset, until its first use
+            raise AttributeError(name)
+        fits = {type(r.lhs) for r in self.rules}  # as in ``lhs_fits``, a bare pattern variable fits any atom
+        object.__setattr__(self, name, frozenset(() if PatVar in fits else {Var, Const, Defined, PatVar} - fits))
+        return self._dead
 
     def extended(self, more: Iterable[Rule]) -> "RuleSet":
         return RuleSet(self.rules + tuple(more), self.config)
@@ -356,7 +365,7 @@ def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
     """Rewrite ``t`` leftmost-outermost until no rule applies or ``fuel`` steps
     are taken; ``exhausted`` tells whether a redex remains."""
     limit = rs.config.fuel if fuel is None else fuel
-    index, width = rs._index, rs._width
+    index, width, dead = rs._index, rs._width, rs._dead
     trace: list[TraceStep] = []
     step: object = t  # the last step taken, or the input term
     todo = [(None, "", t, 0)]  # subterms still to scan, as frames: (parent's frame, selector, subterm, depth)
@@ -369,8 +378,7 @@ def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
     far: list[int] = []
     stale = 0
     while todo:
-        frame = todo.pop()
-        _, _, sub, depth = frame
+        _, _, sub, depth = frame = todo.pop()
         if depth < len(path):  # a right sibling: cut the path above it
             if stale >= depth:
                 stale = _rebuild(path, frames, stale, depth - 1)
@@ -437,17 +445,19 @@ def normalize(t: Term, rs: RuleSet, fuel: int | None = None) -> NormalizeResult:
             sub, frame = path[depth], frames[depth]
             key = root_shape(sub)
             entries[depth] = entry = index.get(key) or rs._entry(key)
-        depth += 1
         if type(sub) is App:
-            todo.append((frame, ARG, sub.arg, depth))
-            todo.append((frame, FN, sub.fn, depth))
+            if type(sub.arg) not in dead:
+                todo.append((frame, ARG, sub.arg, depth + 1))
+            if type(sub.fn) not in dead:
+                todo.append((frame, FN, sub.fn, depth + 1))
         elif type(sub) is Pair:
-            todo.append((frame, RIGHT, sub.right, depth))
-            todo.append((frame, LEFT, sub.left, depth))
-        elif type(sub) is KWrap:
-            todo.append((frame, KBODY, sub.body, depth))
-    if stale:
-        _rebuild(path, frames, stale, 0)
+            if type(sub.right) not in dead:
+                todo.append((frame, RIGHT, sub.right, depth + 1))
+            if type(sub.left) not in dead:
+                todo.append((frame, LEFT, sub.left, depth + 1))
+        elif type(sub) is KWrap and type(sub.body) not in dead:
+            todo.append((frame, KBODY, sub.body, depth + 1))
+    _rebuild(path, frames, stale, 0)
     return NormalizeResult(path[0], tuple(trace), False)
 
 

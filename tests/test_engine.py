@@ -241,10 +241,14 @@ def rule_sets():
         "deep-linear": core_rules().extended([hyp_rule("deep", "F (G (G (G $x)))", "$x")]),
         # a repeated pattern variable in a rule of its own
         "repeated": core_rules().extended([hyp_rule("D", "D $x $x", "P1")]),
+        # atom left-hand sides: the scan must not skip these leaves
+        "declared-name": core_rules().extended([hyp_rule("G1", "G", "P1")]),
+        "object-variable": core_rules().extended([hyp_rule("Y", "y", "P2")]),
     }
 
 
-@pytest.mark.parametrize("which", ["core", "printed", "standard", "self-application", "deep-linear", "repeated"])
+@pytest.mark.parametrize("which", ["core", "printed", "standard", "self-application", "deep-linear", "repeated",
+                                   "declared-name", "object-variable"])
 @settings(max_examples=150, deadline=None)
 @given(t=st.one_of(terms, closed_terms, redex_rich_terms(Defined("M"), Defined("F"), Defined("G"), Defined("D")),
                    buried_redexes()),
@@ -379,12 +383,12 @@ def test_compiled_rule_cache_is_cleared_when_full():
 
 
 def test_lazy_slots_answer_for_their_own_names_only(core):
-    # ``Rule`` and ``TraceStep`` fill a slot on first read through
-    # ``__getattr__``; any other missing name, such as the ``__deepcopy__``
-    # that ``copy`` looks up, must stay missing
+    # ``Rule``, ``TraceStep`` and ``RuleSet`` fill a slot on first read
+    # through ``__getattr__``; any other missing name, such as the
+    # ``__deepcopy__`` that ``copy`` looks up, must stay missing
     rule = hyp_rule("h", "P1 $x", "<$x, $x>")
     step = normalize(parse("Abst Abst x y z"), core).trace[0]
-    for record in (rule, step):
+    for record in (rule, step, core_rules()):
         assert copy.deepcopy(record) == record
         assert not hasattr(record, "other")
 
@@ -483,6 +487,27 @@ def test_rule_attempts_per_step_do_not_grow_under_derived_rules(monkeypatch, fam
     # derived rules reach 1 to 3 deep; at n = 800 term ``==`` overflows the stack under this set
     per_step = attempts_per_step(monkeypatch, standard_context()[1], family, (25, 200))
     assert per_step[1] <= 2 * per_step[0], per_step
+
+
+def test_a_leaf_that_a_rule_fits_is_rewritten(core):
+    got = normalize(parse("F G"), core.extended([hyp_rule("G1", "G", "P1")]))
+    assert [(s.position, s.rule_name) for s in got.trace] == [(("argument",), "G1")]
+    assert got.result == parse("F P1")
+
+
+@pytest.mark.parametrize("extra, registered", [
+    pytest.param([], 39, id="core"),  # the applications only: no core left-hand side is an atom
+    pytest.param([hyp_rule("Y", "y", "P2")], 79, id="variable-lhs"),  # every subterm
+])
+def test_normalize_registers_only_subterms_a_rule_can_fit(core, monkeypatch, extra, registered):
+    rs = core.extended(extra)
+    spine = app(*(Var(f"x{i}") for i in range(1, 41)))  # x1 ... x40, normal under both sets
+    assert normalize(spine, rs) == NormalizeResult(spine, (), False)  # builds the index entries it needs
+    calls = []
+    original = engine.root_shape
+    monkeypatch.setattr(engine, "root_shape", lambda t: calls.append(1) or original(t))
+    normalize(spine, rs)
+    assert len(calls) == registered
 
 
 def test_candidates_keep_rule_order_and_wildcards(core):
