@@ -256,7 +256,6 @@ def run_corpus(
     ruleset = core_rules(config)
     results: dict[str, EntryResult] = {}
     contexts: dict[str, tuple[Registry, RuleSet]] = {}
-    theorem_ids: dict[str, tuple[str, ...]] = {}
     known = {e.ident for e in corpus.entries}
     pending = list(corpus.entries)
     while pending:
@@ -285,13 +284,10 @@ def run_corpus(
             results[e.ident] = result
             if not result.ok or e.source.startswith("spec:"):
                 continue
-            scripts = corpus.scripts[e.ident]
-            deps = tuple(t for need in e.needs for t in theorem_ids.get(need, (need,)))
-            for script, report in zip(scripts, result.reports):
-                registry.register(record_for(script, deps), report)
+            for script, report in zip(corpus.scripts[e.ident], result.reports):
+                registry.register(record_for(script), report)
                 if e.registers(script.theorem_id):
                     ruleset = registry.derived_rule(ruleset, script.theorem_id)
-            theorem_ids[e.ident] = tuple(script.theorem_id for script in scripts)
         pending = still
     ordered = tuple(results[e.ident] for e in corpus.entries)
     return CorpusReport(ordered, registry, ruleset, contexts)

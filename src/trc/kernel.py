@@ -48,7 +48,8 @@ no step kind; instantiation and the script parser use it.  Step repertoire:
   proofs s u... = a, t u... = b, a != b.
 
 The registry holds checked theorems; it is append-only, a record exists only
-alongside a passing report, and its dependency graph is acyclic.
+alongside a passing report, and a script can cite only theorems registered
+before it is checked.
 """
 
 from __future__ import annotations
@@ -241,8 +242,6 @@ class TheoremRecord(Record):
     theorem_id: str
     statement: Judgment
     hypothesis: Optional[Hypothesis]
-    dependencies: tuple[str, ...]
-    source: str = ""
 
 
 class CheckReport(Record):
@@ -278,7 +277,7 @@ class Registry:
     """Append-only map of checked theorems; seeded with the primitive fact P1 != P2."""
 
     def __init__(self) -> None:
-        seed = TheoremRecord(AXIOM_NEQ_ID, NotEqual(P1, P2), None, (), source="builtin")
+        seed = TheoremRecord(AXIOM_NEQ_ID, NotEqual(P1, P2), None)
         self._records: dict[str, TheoremRecord] = {AXIOM_NEQ_ID: seed}
 
     def __contains__(self, theorem_id: str) -> bool:
@@ -296,9 +295,6 @@ class Registry:
     def register(self, record: TheoremRecord, report: CheckReport) -> None:
         if not report.ok or report.theorem_id != record.theorem_id:
             raise RegistryError(f"refusing to register {record.theorem_id}: report is not a pass for it")
-        missing = [d for d in record.dependencies if d not in self._records]
-        if missing:
-            raise RegistryError(f"dependency-missing for {record.theorem_id}: {missing}")
         existing = self._records.get(record.theorem_id)
         if existing is not None:
             if existing.statement != record.statement or existing.hypothesis != record.hypothesis:
@@ -337,40 +333,30 @@ class Registry:
 # ---------------------------------------------------------------------------
 
 class _Scope:
-    """Labelled facts, and the variables fixed while this scope is open."""
+    """Labelled facts, each with the variables fixed where it was proved, and
+    the variables fixed while this scope is open.  A child starts from a copy
+    of the facts, so its labels shadow outer ones and reach neither its parent
+    nor a sibling; ``own`` holds the labels added in this scope."""
 
-    def __init__(self, parent: Optional["_Scope"] = None, fixed: frozenset[str] = frozenset()):
-        self.parent = parent
-        self.facts: dict[str, Judgment] = {}
+    def __init__(self, facts: Optional[Mapping[str, tuple[Judgment, frozenset[str]]]] = None,
+                 fixed: frozenset[str] = frozenset()):
+        self.facts = dict(facts or {})
         self.fixed = fixed
+        self.own: set[str] = set()
 
     def child(self, fixing: set[str]) -> "_Scope":
         """A scope inside this one that also fixes the variables ``fixing``."""
-        return _Scope(self, self.fixed | fixing)
-
-    def lookup(self, label: str) -> Optional[Judgment]:
-        scope: Optional[_Scope] = self
-        while scope is not None:
-            if label in scope.facts:
-                return scope.facts[label]
-            scope = scope.parent
-        return None
+        return _Scope(self.facts, self.fixed | fixing)
 
     def add(self, label: str, judgment: Judgment) -> None:
-        if label in self.facts:
+        if label in self.own:
             raise ScriptError(f"duplicate label {label!r}")
-        self.facts[label] = judgment
+        self.own.add(label)
+        self.facts[label] = (judgment, self.fixed)
 
-    def iter_equalities(self) -> Iterator[tuple[Equal, frozenset[str]]]:
+    def equalities(self) -> Iterator[tuple[Equal, frozenset[str]]]:
         """Each equality in scope, with the variables fixed where it was proved."""
-        seen: set[str] = set()
-        scope: Optional[_Scope] = self
-        while scope is not None:
-            for label, fact in scope.facts.items():
-                if label not in seen and isinstance(fact, Equal):
-                    seen.add(label)
-                    yield fact, scope.fixed
-            scope = scope.parent
+        return ((fact, fixed) for fact, fixed in self.facts.values() if isinstance(fact, Equal))
 
 
 def _link_sites(a: Term, b: Term) -> list[tuple[Term, Term]]:
@@ -456,10 +442,9 @@ class _Checker:
         return Equal(*(rebuild(self.expand(t), leaf) for t in (eq.lhs, eq.rhs)))
 
     def fact(self, scope: _Scope, label: str) -> Judgment:
-        fact = scope.lookup(label)
-        if fact is None:
+        if label not in scope.facts:
             raise _StepFailure(f"unknown label {label!r}")
-        return fact
+        return scope.facts[label][0]
 
     # -- chain link justification
 
@@ -477,7 +462,7 @@ class _Checker:
         return False
 
     def justify_link(self, a: Term, b: Term, scope: _Scope) -> None:
-        facts = [fact for fact, _ in scope.iter_equalities()]
+        facts = [fact for fact, _ in scope.equalities()]
         sites = _link_sites(a, b)
         if not (self._one_step(sites, facts)
                 or self._one_step([(t, s) for s, t in sites], facts)):
@@ -618,7 +603,7 @@ class _Checker:
         hyp = self.script.hypothesis.equations if self.script.hypothesis else ()
         if any(self.canonical(Equal(eq.lhs, eq.rhs), frozenset()) == want_c for eq in hyp):
             return True
-        return any(self.canonical(fact, fixed) == want_c for fact, fixed in scope.iter_equalities())
+        return any(self.canonical(fact, fixed) == want_c for fact, fixed in scope.equalities())
 
     def _contradiction(self, step: ContradictionStep, scope: _Scope) -> None:
         goal = step.goal
@@ -710,7 +695,5 @@ def check_script(
                        time.perf_counter() - start, tuple(checker.normalizations))
 
 
-def record_for(script: ProofScript, dependencies: tuple[str, ...]) -> TheoremRecord:
-    return TheoremRecord(
-        script.theorem_id, script.statement, script.hypothesis, dependencies, script.source,
-    )
+def record_for(script: ProofScript) -> TheoremRecord:
+    return TheoremRecord(script.theorem_id, script.statement, script.hypothesis)

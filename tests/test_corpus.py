@@ -12,6 +12,7 @@ from trc.corpus import (
 )
 from trc.engine import EngineConfig
 from trc.kernel import Falsum, NotEqual
+from trc.scriptfile import parse_scripts
 from trc.terms import P1, P2, Pair
 
 
@@ -194,3 +195,20 @@ def test_loading_some_entries_parses_only_their_scripts(corpus):
 def test_runtime_budget(corpus_report):
     total = sum(rep.wall_time for r in corpus_report.results for rep in r.reports)
     assert total < 60.0
+
+
+def test_an_entry_cites_only_theorems_of_the_entries_it_needs():
+    # a script can cite only theorems registered before it is checked: one
+    # wave is checked against the registry as it stood before that wave
+    scripts = {
+        "A": parse_scripts('theorem lemA "triple" { prove Abst (Abst (Abst x)) = Abst x qed by ext 2 }'),
+        "B": parse_scripts('theorem lemB "cites lemA" {'
+                           ' prove Abst (Abst (Abst y)) = Abst y qed by theorem lemA with x := y }'),
+    }
+    for needs, status, reason in [((), "fail", "step 1 (_qed1): unknown theorem 'lemA'"),
+                                  (("A",), "pass", "")]:
+        entries = (CorpusEntry("A", "equality", "a.trc"), CorpusEntry("B", "equality", "b.trc", needs))
+        report = run_corpus(Corpus(entries, scripts, {}))
+        assert report.result("A").ok
+        (b,) = report.result("B").reports
+        assert (report.result("B").status, b.reason) == (status, reason)

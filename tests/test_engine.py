@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from trc import engine
 from trc.corpus import BASE_DEFINITIONS, standard_context
 from trc.engine import (
     EngineConfig, NormalizeResult, Rule, RuleError, RuleSet,
-    core_rules, ext_equal, normalize, rule_match,
+    core_rules, ext_equal, lhs_fits, normalize, root_shape, rule_match,
 )
 from trc.terms import (
     ABST, EQ, P1, P2, App, Defined, KWrap, Pair, PatVar, Var, app, format_position, free_vars,
@@ -67,6 +68,17 @@ def test_eq_reflexivity_toggle(core):
 def test_no_rule_rewrites_eq_to_p2(core):
     # distinct components stay put: syntactic distinctness is not inequality
     assert normalize(parse("Eq <x, y>"), core).result == parse("Eq <x, y>")
+
+
+@pytest.mark.parametrize("corrected, pairing, refl", list(product((True, False), repeat=3)))
+def test_no_two_core_rules_match_at_one_root(corrected, pairing, refl):
+    # so the order of the core rules never decides which one fires; the
+    # derived rules overlap at a root by design (Abst and 2.1d at Abst k(x) y z)
+    rules = core_rules(EngineConfig(corrected_axioms=corrected, surjective_pairing=pairing,
+                                    eq_reflexivity=refl)).rules
+    overlaps = [(r.name, s.name) for r in rules for s in rules
+                if r is not s and lhs_fits(r.lhs, root_shape(s.lhs))]
+    assert overlaps == []
 
 
 @pytest.mark.parametrize("text, result", [

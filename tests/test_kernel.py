@@ -551,6 +551,30 @@ def test_failed_step_is_the_step_its_reason_names(core, registry, body, line):
     assert check_text(theorem_text("a = a", body), registry, core).line() == "THEOREM a " + line
 
 
+@pytest.mark.parametrize("goal, body, outcome", [
+    # a branch may reuse an outer label, and reads its own fact under it
+    ("a = a", "have e : b = b by chain [b] qed by cases Eq <a, a> as (C, D) {"
+     " p1 => { have e : a = a by chain [a] qed by e } }", "THEOREM a PASS"),
+    # after the block the outer fact is read again
+    ("a = a", "have e : a = a by chain [a] have f : b = b by cases Eq <b, b> as (C, D) {"
+     " p1 => { have e : b = b by chain [b] qed by e } } qed by e", "THEOREM a PASS"),
+    # a fact of one branch is not read in the other
+    ("a = a", "qed by cases Eq <a, b> as (C, D) { p1 => { have e : a = a by chain [a] qed by e }"
+     " p2 => { qed by e } }", "THEOREM a FAIL 4 step 1 (_qed1): step 4 (_qed3): unknown label 'e'"),
+    # one scope adds a label at most once
+    ("a = a", "qed by cases Eq <a, a> as (C, C) { p1 => { qed by chain [a] } }",
+     "ScriptError: duplicate label 'C'"),
+    ("k(P1) != k(P2)", "qed by contradiction as h { have h : a = a by chain [a] qed by h }",
+     "ScriptError: duplicate label 'h'"),
+])
+def test_labels_are_scoped_to_their_block(core, registry, goal, body, outcome):
+    try:
+        got = check_text(theorem_text(goal, body), registry, core).line()
+    except ScriptError as exc:
+        got = f"ScriptError: {exc}"
+    assert got == outcome
+
+
 def test_a_block_that_concludes_another_goal_fails_at_its_step(core, registry):
     # a parsed block always ends in a qed stating its goal; a built one need
     # not.  The failure is the cases step's own, not that of the last step
@@ -638,7 +662,7 @@ def test_instantiate_rejects_a_refutation(registry):
 def registered(theorem_id, statement):
     """A fresh registry holding ``statement`` under ``theorem_id``."""
     fresh = Registry()
-    fresh.register(TheoremRecord(theorem_id, statement, None, ()), CheckReport(theorem_id))
+    fresh.register(TheoremRecord(theorem_id, statement, None), CheckReport(theorem_id))
     return fresh
 
 
@@ -670,17 +694,14 @@ def test_derived_rule_refuses_a_statement_that_is_not_an_equality(core):
         Registry().derived_rule(core, "2.1e")
 
 
-def test_registry_dependency_order():
+def test_registry_registers_a_checked_script(core):
     fresh = Registry()
     (script,) = parse_scripts('''
         theorem t1 "triple" { prove Abst (Abst (Abst x)) = Abst x qed by ext 2 }
     ''')
-    from trc.engine import core_rules
-    report = check_script(script, fresh, core_rules(), BASE_DEFINITIONS)
+    report = check_script(script, fresh, core, BASE_DEFINITIONS)
     assert report.ok
-    with pytest.raises(RegistryError):
-        fresh.register(record_for(script, ("nonexistent",)), report)
-    fresh.register(record_for(script, ()), report)
+    fresh.register(record_for(script), report)
     assert "t1" in fresh
 
 
@@ -690,11 +711,11 @@ def test_registry_id_conflict(registry):
     ''')
     report = CheckReport("2.4a")
     with pytest.raises(RegistryError):
-        registry.snapshot().register(record_for(script, ()), report)
+        registry.snapshot().register(record_for(script), report)
     # the same statement again is a no-op: the first record stays
     copy = registry.snapshot()
     first = copy.get("2.4a")
-    copy.register(first.replace(dependencies=(), source="again"), report)
+    copy.register(TheoremRecord("2.4a", first.statement, first.hypothesis), report)
     assert copy.get("2.4a") is first and copy.ids() == registry.ids()
 
 
@@ -706,7 +727,7 @@ def test_registry_rejects_failing_report(registry):
     for report in (CheckReport("nope", 1, "no"), CheckReport("nope", 0)):
         assert not report.ok
         with pytest.raises(RegistryError, match="report is not a pass for it"):
-            registry.snapshot().register(record_for(script, ()), report)
+            registry.snapshot().register(record_for(script), report)
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +826,21 @@ def test_a_fact_about_fixed_values_does_not_discharge_a_hypothesis(registry, ful
     report = check_text(UNSOUND[name], registry, full_rules)
     assert not report.ok
     assert "(f): hypothesis of 2.6 not discharged: need k(" in report.reason
+
+
+def test_a_fact_stays_general_inside_a_block_that_fixes_its_variables(core, registry):
+    # e is proved where x is free, so it discharges 2.6's M $x = $x $x with
+    # M := N P1 even in a branch that fixes x
+    report = check_text('''
+        theorem general "a fact keeps the fixed set it was proved under" {
+          hypothesis N : N $y $x = $x $x
+          prove false
+          have e : N P1 x = x x by normalize
+          qed by cases Eq <x, x> as (C, D) {
+            p1 => { have f : false by theorem 2.6 with M := N P1  qed by f } }
+        }
+    ''', registry, core)
+    assert report.ok, report.line()
 
 
 def map_script(script, fn):

@@ -14,11 +14,15 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 TRACER = ROOT / "bench" / "tracer.py"
+WORK_COUNTS = TESTS / "data" / "rewrite_work_counts.txt"
 
 
 def load_tracer():
@@ -49,6 +53,31 @@ def test_tracer_installs_and_restores():
     finally:
         t.uninstall()
     assert engine.rule_match is original
+
+
+WORK_COUNT_NAMES = (
+    "engine.rewrite_steps", "engine.rule_match_calls", "engine.ext_levels",
+    "kernel.link_match_calls", "kernel.link_match_hits", "kernel.normalize_calls",
+)
+
+
+def test_traced_rewrite_work_counts_match_golden():
+    r"""The traced ``rewrite`` workload does the pinned amount of work.
+
+    The counts do not depend on timing, so a change in them is a change in
+    what the engine or the kernel does.  When that change is intended,
+    regenerate the golden file with::
+
+        PYTHONHASHSEED=0 python bench/run.py --workload rewrite --seed 1 --seconds 1 --trace 1 |
+          grep -E '^(engine\.(rewrite_steps|rule_match_calls|ext_levels)|kernel\.(link_match_calls|link_match_hits|normalize_calls)) ' \
+          > tests/data/rewrite_work_counts.txt
+    """
+    command = [sys.executable, str(ROOT / "bench" / "run.py"),
+               "--workload", "rewrite", "--seed", "1", "--seconds", "1", "--trace", "1"]
+    out = subprocess.run(command, cwd=ROOT, env={**os.environ, "PYTHONHASHSEED": "0"},
+                         capture_output=True, text=True, timeout=300, check=True).stdout
+    counts = [line for line in out.splitlines() if line.split(" ", 1)[0] in WORK_COUNT_NAMES]
+    assert counts == WORK_COUNTS.read_text().splitlines()
 
 
 # imports kept although the module never reads them
