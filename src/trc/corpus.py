@@ -123,10 +123,9 @@ def _check_coverage(entries: Iterable[CorpusEntry]) -> None:
         raise CorpusError(
             f"corpus index drifted from the coverage table: missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
-    known = set(ids)
     for e in entries:
         for d in e.needs:
-            if d not in known:
+            if d not in ids:
                 raise CorpusError(f"entry {e.ident} needs unknown entry {d!r}")
 
 

@@ -54,6 +54,7 @@ before it is checked.
 
 from __future__ import annotations
 
+import sys
 import time
 from itertools import count, islice
 from typing import Callable, Iterator, Mapping, Optional, Union, get_args
@@ -558,6 +559,8 @@ class _Checker:
             raise _StepFailure("ext proves equalities only")
         if step.arity < 1:
             raise _StepFailure("ext arity must be >= 1")
+        if step.arity > sys.maxsize:  # more names than ``islice`` can count
+            raise _StepFailure(f"ext arity must be <= {sys.maxsize}")
         lhs, rhs = self.expand(goal.lhs), self.expand(goal.rhs)
         avoid = free_vars(lhs) | free_vars(rhs)
         # the first names of v0, v1, ... not free in either side, in one pass

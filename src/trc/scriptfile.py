@@ -62,7 +62,10 @@ def _parse_int(ts: TokenStream) -> int:
     text = ts.expect("WORD")
     if not text.isdigit():
         raise ts.error(f"expected a number, got {text!r}", at=ts.i - 1)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than ``int`` converts
+        raise ts.error(f"a number of {len(text)} digits is too long", at=ts.i - 1) from None
 
 
 def _parse_judgment(ts: TokenStream) -> Judgment:

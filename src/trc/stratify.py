@@ -137,36 +137,32 @@ def term_constraints(t: Term) -> list[Constraint]:
     return _constraints(t)
 
 
-def _conflict_cycle(constraints: list[_Edge] | list[Constraint], bad: _Edge | Constraint) -> tuple:
-    """A walk from bad.a to bad.b through earlier constraints, closed by ``bad``.
+def _conflict_cycle(constraints: list[_Edge] | list[Constraint]) -> tuple:
+    """A walk from bad.a to bad.b through the earlier constraints, closed by
+    ``bad``, the last of ``constraints``.
 
     Replaying the cycle sums its offsets to a nonzero value, the witness of
     unsatisfiability (an equation a = a + c with c != 0).
     """
-    adj: dict = {}
-    for c in constraints:
-        if c is bad:
-            continue
+    bad, adj = constraints[-1], {}
+    for c in constraints[:-1]:
         adj.setdefault(c.a, []).append((c.b, c))
         adj.setdefault(c.b, []).append((c.a, c))
-    seen = {bad.a: None}
+    parents: dict = {bad.a: None}  # the visited unknowns, each with the step that reached it
     queue = deque([bad.a])
-    parents: dict = {}
     while queue:
         cur = queue.popleft()
         if cur == bad.b:
             break
         for nxt, c in adj.get(cur, ()):
-            if nxt not in seen:
-                seen[nxt] = None
+            if nxt not in parents:
                 parents[nxt] = (cur, c)
                 queue.append(nxt)
     path: list = []
     cur = bad.b
     while cur != bad.a:
-        prev, c = parents[cur]
+        cur, c = parents[cur]
         path.append(c)
-        cur = prev
     path.reverse()
     return tuple(path + [bad])
 
@@ -230,7 +226,7 @@ def stratify(t: Term) -> StratifyResult:
         elif cls is Var and first.setdefault(sub.name, level) != level:
             # a tree's node constraints never conflict, so the first
             # contradiction in constraint order is this occurrence's
-            return StratifyResult(None, tuple(_constraints(t, walked, lambda e: _conflict_cycle(e, e[-1]))))
+            return StratifyResult(None, tuple(_constraints(t, walked, _conflict_cycle)))
     low = min(first.values(), default=0)
     return StratifyResult({name: first[name] - low for name in sorted(first)}, None)
 
@@ -417,9 +413,9 @@ def _head_simplify(t: Term) -> Optional[Term]:
 def optimize(t: Term) -> Term:
     """Exhaustively apply the verified simplifications; never grows the term.
 
-    All rewrites shrink or preserve size except the pair distribution
-    ``Abst <a,b> -> <Abst a, Abst b>``, which is attempted and kept only when
-    the fully simplified candidate is no larger than what it replaces.
+    Every head rule's right-hand side is smaller than its left, and the pair
+    distribution ``Abst <a,b> -> <Abst a, Abst b>`` is attempted and kept only
+    when the fully simplified candidate is no larger than what it replaces.
     """
     def go(u: Term) -> Term:
         # head rules first, so whole-node collapses win over sub-collapses
@@ -437,5 +433,4 @@ def optimize(t: Term) -> Term:
                 return candidate
         return v
 
-    out = go(t)
-    return out if term_size(out) <= term_size(t) else t
+    return go(t)

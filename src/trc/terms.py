@@ -483,7 +483,7 @@ def render(t: Term) -> str:
 
 class Token(NamedTuple):
     kind: str  # WORD, PATVAR, STRING, EOF, or the punctuation text itself
-    text: str  # a string's without its quotes
+    text: str  # as written, a string with its quotes
     line: int
     col: int
 
@@ -535,7 +535,7 @@ def tokenize(text: str) -> list[Token]:
             comment = text.find("--", max(end, base + 1))
             toks.append(Token(kind, "", line, (start if comment < 0 else comment) - base))
             break
-        toks.append(Token(kind, value[1:-1] if kind == "STRING" else value, line, start - base))
+        toks.append(Token(kind, value, line, start - base))
         end = m.end()
     return toks
 
@@ -566,7 +566,7 @@ class TokenStream:
         """A stream over ``tokens``, which end with EOF; errors are placed at
         their positions."""
         ts = cls.__new__(cls)
-        ts.texts = [f'"{tok.text}"' if tok.kind == "STRING" else tok.text for tok in tokens]
+        ts.texts = [tok.text for tok in tokens]
         ts.kinds = {text: tok.kind for text, tok in zip(ts.texts, tokens)}
         ts.i, ts._tokens = 0, tokens
         return ts

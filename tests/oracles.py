@@ -129,7 +129,7 @@ def oracle_tokenize(text):
                 j += 1
             if j >= n:
                 raise ParseError("unterminated string", line, col)
-            toks.append(Token("STRING", text[i + 1 : j], line, col))
+            toks.append(Token("STRING", text[i : j + 1], line, col))
             col += j + 1 - i
             i = j + 1
             continue
@@ -153,8 +153,8 @@ def oracle_tokenize(text):
 
 
 def oracle_written(tok):
-    """A token as written: a string with its quotes, EOF by its kind."""
-    return f'"{tok.text}"' if tok.kind == "STRING" else tok.text or tok.kind
+    """A token as written, EOF by its kind."""
+    return tok.text or tok.kind
 
 
 class OracleTokenStream:
@@ -509,7 +509,7 @@ def oracle_stratify(t):
     uf = OracleOffsetUnionFind()
     for i, c in enumerate(constraints):
         if not uf.union(c.a, c.b, c.offset):
-            return StratifyResult(None, _conflict_cycle(constraints[: i + 1], c))
+            return StratifyResult(None, _conflict_cycle(constraints[: i + 1]))
     assignment = {}
     anchors = {}
     for name in sorted(free_vars(t)):

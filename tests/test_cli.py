@@ -216,6 +216,9 @@ def test_check_command(tmp_path, capsys):
     ("prove Eq <a, P2> != a\n  have n : Eq <a, P2> != a by theorem 2.4a with x := Foo\n  qed by n",
      "user-3: undeclared names ['Foo']"),
     ("prove a != b\n  qed by application [Foo] (l, r, n)", "user-3: undeclared names ['Foo']"),
+    # a number with more digits than ``int`` converts
+    pytest.param("prove a = a\n  qed by ext " + "9" * 5000, "3:14: a number of 5000 digits is too long",
+                 id="a number of 5000 digits"),
 ])
 def test_a_malformed_script_is_usage_error(tmp_path, capsys, body, error):
     # malformed, not a failed proof: exit 1 is kept for verdicts

@@ -395,9 +395,10 @@ def test_compiled_rule_cache_is_cleared_when_full():
 
 
 def test_lazy_slots_answer_for_their_own_names_only(core):
-    # ``Rule``, ``TraceStep`` and ``RuleSet`` fill a slot on first read
-    # through ``__getattr__``; any other missing name, such as the
-    # ``__deepcopy__`` that ``copy`` looks up, must stay missing
+    # ``Rule`` and ``TraceStep`` fill a slot on first read through
+    # ``__getattr__``; any other missing name, such as the ``__deepcopy__``
+    # that ``copy`` looks up, must stay missing, as on a ``RuleSet``, which
+    # fills its slots when built
     rule = hyp_rule("h", "P1 $x", "<$x, $x>")
     step = normalize(parse("Abst Abst x y z"), core).trace[0]
     for record in (rule, step, core_rules()):

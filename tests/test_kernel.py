@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -500,6 +501,7 @@ APPLIED = "have l : k(P1) z = P1 by normalize have r : k(P2) z = P2 by normalize
     ("a != b", "qed by normalize", "FAIL 1 step 1 (_qed1): normalize proves equalities only"),
     ("a != b", "qed by ext 1", "FAIL 1 step 1 (_qed1): ext proves equalities only"),
     ("a = a", "qed by ext 0", "FAIL 1 step 1 (_qed1): ext arity must be >= 1"),
+    ("a = a", "qed by ext 99999999999999999999", f"FAIL 1 step 1 (_qed1): ext arity must be <= {sys.maxsize}"),
     ("a = a", "qed by theorem nope", "FAIL 1 step 1 (_qed1): unknown theorem 'nope'"),
     ("P1 != P2", "qed by theorem VIII with q := a",
      "FAIL 1 step 1 (_qed1): substitution binds variables ['q'] not free in VIII"),

@@ -71,10 +71,8 @@ def deletion_outcomes() -> list[str]:
     for name, text in INPUTS:
         out.append(f"{name} intact: {outcome(text)}")
         for tok in tokenize(text)[:-1]:
-            width = len(tok.text) + 2 if tok.kind == "STRING" else len(tok.text)
-            shown = f'"{tok.text}"' if tok.kind == "STRING" else tok.text
-            out.append(f"{name} {tok.line}:{tok.col} {shown}: "
-                       f"{outcome(blanked(text, tok.line, tok.col, width))}")
+            out.append(f"{name} {tok.line}:{tok.col} {tok.text}: "
+                       f"{outcome(blanked(text, tok.line, tok.col, len(tok.text)))}")
     out.append(f"string keyword intact: {outcome(STRING_KEYWORD)}")
     return out
 

@@ -545,6 +545,23 @@ def test_each_head_rule_is_sound_and_matches_alone(full_rules, rule):
     t = substitute(rule.lhs, {v: Var(v[1:]) for v in pattern_vars(rule.lhs)})
     assert [r for r in _HEAD_RULES if rule_match(r, t) is not None] == [rule]
     assert ext_equal(t, rule_match(rule, t), full_rules, defs=BASE_DEFINITIONS).equal
+    # ``optimize`` never grows a term because each head rule shrinks it
+    assert term_size(rule.rhs) < term_size(rule.lhs)
+
+
+spec_bodies = term_trees(st.builds(Var, st.sampled_from(["x", "y", "z"])), st.sampled_from([ABST, EQ, P1, P2]),
+                         max_leaves=12)
+
+
+@settings(max_examples=300)
+@given(spec_bodies)
+def test_every_spec_compiles_or_is_refused(full_rules, body):
+    # combinatorial completeness: a spec over its body's free variables either
+    # compiles and passes its self-test, or is refused as not abstractable
+    try:
+        compile_combinator(CombinatorSpec("c", tuple(sorted(free_vars(body))), body), full_rules, BASE_DEFINITIONS)
+    except NotAbstractable:
+        pass
 
 
 def test_optimize_never_grows(full_rules):

@@ -137,9 +137,9 @@ def test_tokenize_matches_the_character_lexer(text):
 
 
 def stream_tokens(text):
-    """(kind, text) of each token of a TokenStream, a string's without its quotes."""
+    """(kind, text) of each token of a TokenStream."""
     ts = TokenStream(text)
-    return [(ts.kinds[t], t[1:-1] if ts.kinds[t] == "STRING" else t) for t in ts.texts]
+    return [(ts.kinds[t], t) for t in ts.texts]
 
 
 @edge_examples
