@@ -33,17 +33,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import (
-    BASE_DEFINITIONS, EQUALITY_ENTRY_IDS, REFUTATION_ENTRY_IDS, list_theorems, load_corpus,
-    run_corpus, standard_context,
-)
-from .engine import EngineConfig, ext_equal, normalize
-from .kernel import check_script
-from .scriptfile import parse_combinator_specs, parse_scripts
-from .stratify import (
-    CompileError, NotAbstractable, abstract, compile_combinator, optimize,
-    replay_conflict, stratify,
-)
+from .engine import EngineConfig
 from .terms import TrcError, expand_defined, parse, render, variable_name
 
 USAGE_ERROR = 2
@@ -120,6 +110,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .corpus import BASE_DEFINITIONS, standard_context
+    from .engine import normalize
     config = build_config(args)
     _, rs = standard_context(config)
     t = expand_defined(parse(_term_text(args)), BASE_DEFINITIONS)
@@ -135,6 +127,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_eq(args) -> int:
+    from .corpus import BASE_DEFINITIONS, standard_context
+    from .engine import ext_equal
     config = build_config(args)
     _, rs = standard_context(config)
     evidence = ext_equal(parse(args.left), parse(args.right), rs, defs=BASE_DEFINITIONS)
@@ -147,6 +141,7 @@ def cmd_eq(args) -> int:
 
 
 def cmd_stratify(args) -> int:
+    from .stratify import replay_conflict, stratify
     result = stratify(parse(_term_text(args)))
     if result.satisfiable:
         items = sorted(result.assignment.items(), key=lambda kv: (kv[1], kv[0]))
@@ -160,6 +155,7 @@ def cmd_stratify(args) -> int:
 
 
 def cmd_abstract(args) -> int:
+    from .stratify import NotAbstractable, abstract, optimize
     t = parse(_term_text(args))
     try:
         out = abstract(args.variable, t)
@@ -173,6 +169,9 @@ def cmd_abstract(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from .corpus import BASE_DEFINITIONS, standard_context
+    from .scriptfile import parse_combinator_specs
+    from .stratify import CompileError, NotAbstractable, compile_combinator
     config = build_config(args)
     _, rs = standard_context(config)
     specs = parse_combinator_specs(Path(args.specfile).read_text())
@@ -193,6 +192,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .corpus import BASE_DEFINITIONS, EQUALITY_ENTRY_IDS, REFUTATION_ENTRY_IDS, load_corpus, run_corpus
+    from .kernel import check_script
+    from .scriptfile import parse_scripts
     config = build_config(args)
     report = run_corpus(load_corpus(EQUALITY_ENTRY_IDS + REFUTATION_ENTRY_IDS), config)
     registry, ruleset = report.registry, report.ruleset
@@ -207,6 +209,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from .corpus import list_theorems, load_corpus, run_corpus
     config = build_config(args)
     corpus = load_corpus()
     report = run_corpus(corpus, config)

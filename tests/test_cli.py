@@ -660,3 +660,41 @@ def test_cli_fuzz_ends_in_an_exit_code(tmp_path, capsys, data):
     argv = data.draw(command_lines(tmp_path))
     assert main(argv) in (0, 1, 2)
     capsys.readouterr()
+
+
+PACKAGE = {f"trc.{path.stem}" for path in (REPO / "src" / "trc").glob("*.py")
+           if path.stem not in ("__init__", "__main__")} | {"trc"}
+LIGHT = {"trc", "trc.cli", "trc.engine", "trc.terms"}
+PRINT_LOADED = "print(*sorted(name for name in sys.modules if name.partition('.')[0] == 'trc'))"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("parse", "x"), LIGHT),
+    (("stratify", "x y"), LIGHT | {"trc.stratify"}),
+    (("abstract", "x", "x"), LIGHT | {"trc.stratify"}),
+    (("normalize", "x"), PACKAGE - {"trc.mutate"}),
+], ids=["parse", "stratify", "abstract", "normalize"])
+def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
+    code = f"import sys\nfrom trc.cli import main\nmain(sys.argv[1:])\n{PRINT_LOADED}\n"
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=_child_env(), timeout=60, check=True)
+    assert set(done.stdout.splitlines()[-1].split()) == loaded
+
+
+def test_import_trc_loads_a_module_when_it_is_first_read():
+    code = f"""import sys
+import trc
+{PRINT_LOADED}
+print(hasattr(trc, "nope"))
+kernel = trc.kernel
+sys.modules["trc.kernel"] = None  # so importing trc.mutate fails inside the module
+try:
+    trc.mutate
+except ImportError as exc:
+    print(exc.name)
+sys.modules["trc.kernel"] = kernel
+print(all(getattr(trc, name[4:]) is sys.modules[name] for name in sys.argv[1:]))
+"""
+    done = subprocess.run([sys.executable, "-c", code, *sorted(PACKAGE - {"trc"})], capture_output=True,
+                          text=True, env=_child_env(), timeout=60, check=True)
+    assert done.stdout == "trc\nFalse\ntrc.kernel\nTrue\n"

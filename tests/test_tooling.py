@@ -6,7 +6,8 @@ The names the benchmark's tracer patches exist in the program:
 ``python3 bench/run.py --trace 1`` die with ``AttributeError``.  No
 module of ``trc`` or of the tests imports a name it never uses, and no test
 module imports another: shared oracles and strategies live in
-``tests/oracles.py``.
+``tests/oracles.py``.  The README's library example prints what its
+comments say.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
+README = ROOT / "README.md"
 TRACER = ROOT / "bench" / "tracer.py"
 WORK_COUNTS = TESTS / "data" / "rewrite_work_counts.txt"
 
@@ -99,11 +101,9 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # the package's __init__.py imports only to re-export
-    package = [path for path in sorted((ROOT / "src" / "trc").glob("*.py")) if path.name != "__init__.py"]
     found = {
         (path.stem, name)
-        for path in package + sorted(TESTS.glob("*.py"))
+        for path in sorted((ROOT / "src" / "trc").glob("*.py")) + sorted(TESTS.glob("*.py"))
         for name in unused_imports(ast.parse(path.read_text()))
     }
     assert found == UNUSED_ON_PURPOSE
@@ -132,3 +132,10 @@ def test_an_import_of_a_test_module_is_found():
     tree = ast.parse("import os, test_engine\nfrom oracles import terms\nfrom test_terms import terms\n"
                      "import tests.test_kernel as k\nfrom trc import terms\n")
     assert imported_test_modules(tree) == ["test_engine", "tests.test_kernel", "test_terms"]
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    block = README.read_text().split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    said = [line.rsplit("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == said
