@@ -5,10 +5,11 @@ Commands: ``parse``, ``normalize``, ``eq``, ``stratify``, ``abstract``,
 check, 1 on a mathematical failure (failed or unknown verdicts, rejected
 abstraction, exhausted normalization), 2 on usage or syntax errors, including
 malformed proof scripts (an undeclared name, a duplicate label, a hypothesis
-not headed by its constant) and input nested too deeply for term equality,
-``--optimize`` or the nested blocks of a proof script.  The checker finds an
-undeclared name in a step's terms, or a duplicate label, only when it reaches
-that step: a script that fails an earlier step exits 1 with that failure.
+not headed by its constant, a ``let`` of a constant, ``k`` or a non-identifier)
+and input nested too deeply for term equality, ``--optimize`` or the nested
+blocks of a proof script.  The checker finds an undeclared name in a step's
+terms, or a duplicate label, only when it reaches that step: a script that
+fails an earlier step exits 1 with that failure.
 
 The commands that rewrite terms (``normalize``, ``eq``, ``compile``,
 ``check``, ``corpus``) take the engine configuration from a line-oriented

@@ -21,8 +21,7 @@ from typing import Collection, Iterable
 from .engine import EngineConfig, RuleSet, core_rules
 from .kernel import CheckReport, ProofScript, Registry, check_script, record_for
 from .scriptfile import parse_combinator_specs, parse_scripts
-from .stratify import CombinatorSpec, CompileError, NotAbstractable, compile_combinator
-from .terms import P1, P2, Pair, Record, Term, TrcError, render
+from .terms import P1, P2, CombinatorSpec, Pair, Record, Term, TrcError, render
 
 BASE_DEFINITIONS: dict[str, Term] = {"I": Pair(P1, P2)}
 
@@ -220,6 +219,7 @@ def _check_entry(
     ruleset: RuleSet,
 ) -> EntryResult:
     if entry.source.startswith("spec:"):
+        from .stratify import CompileError, NotAbstractable, compile_combinator  # only compile entries load it
         try:
             compile_combinator(corpus.specs[entry.source[5:]], ruleset, defs=BASE_DEFINITIONS)
             detail = ""

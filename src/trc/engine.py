@@ -338,8 +338,8 @@ class TraceStep(Record):
 _set_rule_name, _set_lazy = TraceStep.rule_name.__set__, TraceStep._lazy.__set__
 
 
-# Still a dataclass: the benchmark's tests copy it with ``dataclasses.replace``.
-# That keeps the ~10 ms import of ``dataclasses`` in every start-up.
+# Still a dataclass: the benchmark's tests copy it with ``dataclasses.replace``. So every start-up
+# imports ``dataclasses``: 5.9 of the 10.7 ms of ``import trc.cli`` (``-X importtime``, with bytecode).
 @dataclass(frozen=True)
 class NormalizeResult:
     result: Term

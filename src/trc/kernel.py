@@ -19,7 +19,7 @@ proves exactly its stated goal: a check raises or returns nothing, and a step
 that passes adds its goal to the scope under its label.
 ``map_terms`` applies a function to every term in a judgment, a step or a
 tuple of these by rebuilding each record from its field values, so it names
-no step kind; instantiation and the script parser use it.  Step repertoire:
+no step kind; instantiation uses it.  Step repertoire:
 
 * ``chain``: adjacent terms must be related by one rule instance (core rule,
   registered derived rule, hypothesis equation, definition, or an in-scope

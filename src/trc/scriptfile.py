@@ -33,11 +33,11 @@ from .kernel import (
     ApplicationStep, Block, CasesStep, ChainStep, ContradictionStep, Equal,
     ExtStep, FALSUM, FalsumStep, HypEquation, Hypothesis, Judgment,
     KInjectStep, NormalizeStep, NotEqual, ProofScript, RefStep, Step,
-    TheoremStep, map_terms,
+    TheoremStep,
 )
-from .stratify import CombinatorSpec
 from .terms import (
-    Defined, ParseError, Term, Token, TokenStream, parse_term_tokens, substitute, tokenize, variable_name,
+    CONSTANTS, CombinatorSpec, Defined, ParseError, Term, Token, TokenStream, Var, name_atom, parse_term_tokens,
+    tokenize,
 )
 
 # Words with structural meaning in script files; they terminate embedded
@@ -49,8 +49,8 @@ SCRIPT_RESERVED = frozenset({
 })
 
 
-def _term(ts: TokenStream, pattern: bool = False) -> Term:
-    return parse_term_tokens(ts, pattern, SCRIPT_RESERVED)
+def _term(ts: TokenStream, atoms: dict[str, Term] = CONSTANTS, pattern: bool = False) -> Term:
+    return parse_term_tokens(ts, pattern, SCRIPT_RESERVED, atoms)
 
 _METHOD_WORDS = {
     "chain", "normalize", "ext", "theorem", "contradiction", "cases",
@@ -68,36 +68,51 @@ def _parse_int(ts: TokenStream) -> int:
         raise ts.error(f"a number of {len(text)} digits is too long", at=ts.i - 1) from None
 
 
-def _parse_judgment(ts: TokenStream) -> Judgment:
+def _parse_judgment(ts: TokenStream, atoms: dict[str, Term]) -> Judgment:
     if ts.accept("false"):
         return FALSUM
-    lhs = _term(ts)
+    lhs = _term(ts, atoms)
     if ts.accept("="):
-        return Equal(lhs, _term(ts))
+        return Equal(lhs, _term(ts, atoms))
     if ts.accept("!="):
-        return NotEqual(lhs, _term(ts))
+        return NotEqual(lhs, _term(ts, atoms))
     raise ts.error(expected=("=", "!="))
 
 
-def _parse_subst(ts: TokenStream) -> tuple[tuple[str, Term], ...]:
+def _parse_subst(ts: TokenStream, atoms: dict[str, Term]) -> tuple[tuple[str, Term], ...]:
     pairs: list[tuple[str, Term]] = []
     while True:
         name = ts.expect("WORD")
         if any(name == bound for bound, _ in pairs):
             raise ts.error(f"{name} is bound twice", at=ts.i - 1)
         ts.expect(":=")
-        pairs.append((name, _term(ts)))
+        pairs.append((name, _term(ts, atoms)))
         if not ts.accept(","):
             return tuple(pairs)
 
 
-def _parse_term_list(ts: TokenStream) -> tuple[Term, ...]:
+def _parse_term_list(ts: TokenStream, atoms: dict[str, Term]) -> tuple[Term, ...]:
     ts.expect("[")
-    terms = [_term(ts)]
+    terms = [_term(ts, atoms)]
     while ts.accept(","):
-        terms.append(_term(ts))
+        terms.append(_term(ts, atoms))
     ts.expect("]")
     return tuple(terms)
+
+
+def _let_atoms(texts: list[str], i: int) -> dict[str, Term]:
+    """The atoms a theorem's terms but its hypotheses start with: the constants and, as declared
+    names, the variables a ``let WORD :=`` binds up to the closing brace (in an inner block, an error)."""
+    atoms, depth = CONSTANTS, 0
+    for j in range(i, len(texts) - 2):
+        text = texts[j]
+        if text == "let" and texts[j + 2] == ":=" and type(name_atom(texts[j + 1])) is Var:
+            atoms = {**atoms, texts[j + 1]: Defined(texts[j + 1])}
+        elif text == "{" or text == "}":
+            depth += 1 if text == "{" else -1
+            if depth < 0:
+                break
+    return atoms
 
 
 class _ScriptParser:
@@ -105,6 +120,7 @@ class _ScriptParser:
         self.ts = ts
         self.source = source
         self.fresh = 0
+        self.atoms = CONSTANTS  # what the current theorem's terms start with
 
     def _auto_label(self) -> str:
         self.fresh += 1
@@ -129,14 +145,10 @@ class _ScriptParser:
             equations.append(HypEquation(name, lhs, rhs))
         hypothesis = Hypothesis(tuple(constants), tuple(equations)) if constants else None
         ts.expect_word("prove")
-        statement = _parse_judgment(ts)
+        self.atoms = _let_atoms(ts.texts, ts.i) if "let" in ts.kinds else CONSTANTS
+        statement = _parse_judgment(ts, self.atoms)
         lets, body, _ = self.parse_block_items(statement)
         ts.expect("}")
-        # names bound by let are declared constants from here on, even when
-        # spelled lowercase; reclassify their variable occurrences
-        declared = {name: Defined(name) for name, _ in lets}
-        if declared:
-            statement, lets, body = map_terms((statement, lets, body), lambda t: substitute(t, declared))
         return ProofScript(ident, title, hypothesis, statement, lets, body, self.source)
 
     def parse_block_items(self, goal: Judgment) -> tuple[tuple[tuple[str, Term], ...], Block, int]:
@@ -150,13 +162,15 @@ class _ScriptParser:
             if ts.accept("let"):
                 first_let = first_let if lets else ts.i - 1
                 name = ts.expect("WORD")
+                if name_atom(name) is None:
+                    raise ts.error(f"let must bind a variable or a declared name, not {name!r}", at=ts.i - 1)
                 ts.expect(":=")
-                lets.append((name, _term(ts)))
+                lets.append((name, _term(ts, self.atoms)))
                 continue
             if ts.accept("have"):
                 label = ts.expect("WORD")
                 ts.expect(":")
-                judgment = _parse_judgment(ts)
+                judgment = _parse_judgment(ts, self.atoms)
                 ts.expect_word("by")
                 steps.append(self.parse_method(label, judgment))
                 continue
@@ -180,14 +194,14 @@ class _ScriptParser:
     def parse_method(self, label: str, goal: Judgment) -> Step:
         ts = self.ts
         if ts.accept("chain"):
-            return ChainStep(label, goal, _parse_term_list(ts))
+            return ChainStep(label, goal, _parse_term_list(ts, self.atoms))
         if ts.accept("normalize"):
             return NormalizeStep(label, goal, _parse_int(ts) if ts.accept("fuel") else None)
         if ts.accept("ext"):
             return ExtStep(label, goal, _parse_int(ts))
         if ts.accept("theorem"):
             ident = ts.expect("WORD")
-            return TheoremStep(label, goal, ident, _parse_subst(ts) if ts.accept("with") else ())
+            return TheoremStep(label, goal, ident, _parse_subst(ts, self.atoms) if ts.accept("with") else ())
         if ts.accept("contradiction"):
             if ts.accept("as"):
                 assume = ts.expect("WORD")
@@ -199,9 +213,9 @@ class _ScriptParser:
         if ts.accept("cases"):
             ts.expect_word("Eq")
             ts.expect("<")
-            left = _term(ts)
+            left = _term(ts, self.atoms)
             ts.expect(",")
-            right = _term(ts)
+            right = _term(ts, self.atoms)
             ts.expect(">")
             ts.expect_word("as")
             ts.expect("(")
@@ -222,7 +236,7 @@ class _ScriptParser:
         if ts.accept("k-injection"):
             return KInjectStep(label, goal, ts.expect("WORD"))
         if ts.accept("application"):
-            args = _parse_term_list(ts)
+            args = _parse_term_list(ts, self.atoms)
             ts.expect("(")
             a = ts.expect("WORD")
             ts.expect(",")
@@ -263,7 +277,7 @@ def parse_combinator_specs(text: str) -> list[CombinatorSpec]:
         if ts.peek() != "EOF":
             raise ts.error(f"trailing input in definition on line {lineno}")
         for p in params:
-            if variable_name(p.text) is None:
+            if type(name_atom(p.text)) is not Var:
                 raise ParseError(f"parameter {p.text!r} must be a variable", p.line, p.col)
         try:
             specs.append(CombinatorSpec(name, tuple(p.text for p in params), body))

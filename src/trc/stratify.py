@@ -37,9 +37,8 @@ from typing import Callable, Iterable, Mapping, Optional
 from .engine import Rule, RuleSet, ext_equal, rule_match
 from .terms import (
     ABST, ARG, FN, KBODY, LEFT, RIGHT,
-    App, Defined, KWrap, Pair, Record, Term, TrcError, Var,
-    Position, app, children, defined_names, format_position, free_vars, nodes, parse_pattern, render,
-    term_size,
+    App, CombinatorSpec, Defined, KWrap, Pair, Record, Term, TrcError, Var,
+    Position, app, children, format_position, nodes, parse_pattern, render, term_size,
 )
 
 IDENTITY = Defined("I")
@@ -329,27 +328,8 @@ def abstract(x: str, t: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Combinator specs and compilation
+# Compiling combinator specs
 # ---------------------------------------------------------------------------
-
-class CombinatorSpec(Record):
-    """A definition ``name x1 ... xn = body`` over exactly those parameters."""
-
-    name: str
-    params: tuple[str, ...]
-    body: Term
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        super().__init__(*args, **kwargs)
-        if len(set(self.params)) != len(self.params):
-            raise ValueError(f"{self.name}: parameters must be distinct")
-        loose = free_vars(self.body) - set(self.params)
-        if loose:
-            raise ValueError(f"{self.name}: body uses undeclared variables {sorted(loose)}")
-        unknown = defined_names(self.body) - {IDENTITY.name}  # the one name the compiler emits
-        if unknown:
-            raise ValueError(f"{self.name}: body uses undeclared names {sorted(unknown)}")
-
 
 def compile_combinator(
     spec: CombinatorSpec,

@@ -614,20 +614,21 @@ _ATOM_STARTERS = ("WORD", "PATVAR", "(", "<")
 
 
 def parse_term_tokens(
-    ts: TokenStream, pattern: bool = False, reserved: frozenset[str] = frozenset()
+    ts: TokenStream, pattern: bool = False, reserved: frozenset[str] = frozenset(), atoms: Mapping = CONSTANTS
 ) -> Term:
     """Parse one term; WORD tokens in ``reserved`` end the term (script keywords).
 
-    Only the outermost term stops at a reserved word: inside brackets it is
-    an identifier.  Each open bracket (``k(``, ``(``, ``<`` and the right
-    side ``<...,``) is a frame on an explicit stack holding the application
-    folded before the bracket opened, so nesting costs no recursion.  The
+    A word in ``atoms``, which holds the constants, is read as its atom.
+    Only the outermost term stops at a reserved word: inside brackets it is an
+    identifier.  Each open bracket (``k(``, ``(``, ``<`` and the right side
+    ``<...,``) is a frame on an explicit stack holding the application folded
+    before the bracket opened, so nesting costs no recursion.  The
     parser reads ``ts.texts`` directly, looking up a kind only for a text
     that is not a name it has already read, and leaves ``ts.i`` at the first
     token it did not take, whether it returns or raises.
     """
     texts, kinds, i = ts.texts, ts.kinds, ts.i
-    atoms: dict[str, Term] = dict(CONSTANTS)  # a name's text -> its atom, for this call
+    atoms = dict(atoms)  # a name's text -> its atom, for this call
     # frames: (opener, the application before it, the left side of a pair)
     stack: list[tuple[str, Optional[Term], Optional[Term]]] = []
     t: Optional[Term] = None  # the application folded so far in the innermost bracket
@@ -702,3 +703,30 @@ def variable_name(text: str) -> Optional[str]:
     except ParseError:
         return None
     return t.name if type(t) is Var else None
+
+
+def name_atom(word: str) -> Optional[Term]:
+    """The variable or declared name the term parser reads the WORD ``word``
+    as; None for ``k``, a constant, and a word that is not an identifier."""
+    if word == "k" or word in CONSTANTS or not _IDENT_RE.fullmatch(word):
+        return None
+    return Defined(word) if word[0].isupper() else Var(word)
+
+
+class CombinatorSpec(Record):
+    """A definition ``name x1 ... xn = body`` over exactly those parameters."""
+
+    name: str
+    params: tuple[str, ...]
+    body: Term
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        if len(set(self.params)) != len(self.params):
+            raise ValueError(f"{self.name}: parameters must be distinct")
+        loose = free_vars(self.body) - set(self.params)
+        if loose:
+            raise ValueError(f"{self.name}: body uses undeclared variables {sorted(loose)}")
+        unknown = defined_names(self.body) - {"I"}  # the one name the combinator compiler emits
+        if unknown:
+            raise ValueError(f"{self.name}: body uses undeclared names {sorted(unknown)}")

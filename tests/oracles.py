@@ -8,11 +8,13 @@ modules import oracles and strategies from here, and never from each other.
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 from hypothesis import strategies as st
 
+from trc import scriptfile
 from trc.engine import NormalizeResult, Rule, TraceStep
-from trc.kernel import Equal
+from trc.kernel import Equal, map_terms
 from trc.stratify import IDENTITY, Constraint, NotAbstractable, StratifyResult, _conflict_cycle, term_constraints
 from trc.terms import (
     ABST, ARG, CONSTANTS, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
@@ -186,18 +188,18 @@ def oracle_classify_ident(name, tok):
     return Var(name)
 
 
-def oracle_parse_atom(ts, pattern):
+def oracle_parse_atom(ts, pattern, atoms):
     tok = ts.peek()
     if tok.kind == "WORD":
         if tok.text == "k":
             ts.next()
             ts.expect("(")
-            body = oracle_parse_term_tokens(ts, pattern)
+            body = oracle_parse_term_tokens(ts, pattern, atoms=atoms)
             ts.expect(")")
             return KWrap(body)
-        if tok.text in CONSTANTS:
+        if tok.text in atoms:
             ts.next()
-            return CONSTANTS[tok.text]
+            return atoms[tok.text]
         ts.next()
         return oracle_classify_ident(tok.text, tok)
     if tok.kind == "PATVAR":
@@ -207,14 +209,14 @@ def oracle_parse_atom(ts, pattern):
         return PatVar(tok.text)
     if tok.kind == "(":
         ts.next()
-        t = oracle_parse_term_tokens(ts, pattern)
+        t = oracle_parse_term_tokens(ts, pattern, atoms=atoms)
         ts.expect(")")
         return t
     if tok.kind == "<":
         ts.next()
-        left = oracle_parse_term_tokens(ts, pattern)
+        left = oracle_parse_term_tokens(ts, pattern, atoms=atoms)
         ts.expect(",")
-        right = oracle_parse_term_tokens(ts, pattern)
+        right = oracle_parse_term_tokens(ts, pattern, atoms=atoms)
         ts.expect(">")
         return Pair(left, right)
     raise ParseError(
@@ -223,7 +225,7 @@ def oracle_parse_atom(ts, pattern):
     )
 
 
-def oracle_parse_term_tokens(ts, pattern=False, reserved=frozenset()):
+def oracle_parse_term_tokens(ts, pattern=False, reserved=frozenset(), atoms=CONSTANTS):
     def stopped():
         tok = ts.peek()
         return tok.kind == "WORD" and tok.text in reserved
@@ -231,9 +233,9 @@ def oracle_parse_term_tokens(ts, pattern=False, reserved=frozenset()):
     if stopped():
         tok = ts.peek()
         raise ParseError(f"expected a term, got keyword {tok.text!r}", tok.line, tok.col)
-    t = oracle_parse_atom(ts, pattern)
+    t = oracle_parse_atom(ts, pattern, atoms)
     while ts.peek().kind in ("WORD", "PATVAR", "(", "<") and not stopped():
-        t = App(t, oracle_parse_atom(ts, pattern))
+        t = App(t, oracle_parse_atom(ts, pattern, atoms))
     return t
 
 
@@ -255,13 +257,37 @@ class OracleScriptTerms:
         self.tokens = oracle_tokenize(text)
         return TokenStream.of_tokens(self.tokens)
 
-    def parse_term_tokens(self, ts, pattern=False, reserved=frozenset()):
+    def parse_term_tokens(self, ts, pattern=False, reserved=frozenset(), atoms=CONSTANTS):
         oracle_ts = OracleTokenStream(self.tokens)
         oracle_ts.i = ts.i
         try:
-            return oracle_parse_term_tokens(oracle_ts, pattern, reserved)
+            return oracle_parse_term_tokens(oracle_ts, pattern, reserved, atoms)
         finally:
             ts.i = oracle_ts.i
+
+
+def oracle_parse_scripts(text, source="<script>"):
+    """``parse_scripts`` as it was before a theorem's let names were read
+    ahead: each term parsed by the recursive parser from the constants alone,
+    then each theorem's let names reclassified from variables to declared
+    names in its statement, its lets and its steps."""
+    oracle = OracleScriptTerms()
+
+    def from_the_constants(ts, pattern=False, reserved=frozenset(), atoms=CONSTANTS):
+        return oracle.parse_term_tokens(ts, pattern, reserved)
+
+    with mock.patch.object(scriptfile, "TokenStream", oracle.stream), \
+            mock.patch.object(scriptfile, "parse_term_tokens", from_the_constants):
+        scripts = scriptfile.parse_scripts(text, source)
+    out = []
+    for script in scripts:
+        declared = {name: Defined(name) for name, _ in script.lets}
+        if declared:
+            statement, lets, body = map_terms((script.statement, script.lets, script.body),
+                                              lambda t: oracle_substitute(t, declared))
+            script = script.replace(statement=statement, lets=lets, body=body)
+        out.append(script)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,11 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trc import corpus as corpus_module
 from trc.cli import build_config, main, make_parser
 from trc.engine import EngineConfig
 
@@ -219,6 +217,11 @@ def test_check_command(tmp_path, capsys):
     # a number with more digits than ``int`` converts
     pytest.param("prove a = a\n  qed by ext " + "9" * 5000, "3:14: a number of 5000 digits is too long",
                  id="a number of 5000 digits"),
+    # a let binds a name a term can write, so not a constant, k or a word that is no identifier
+    ("prove P1 = P2\n  let P1 := P2\n  qed by normalize", "3:7: let must bind a variable or a declared name, not 'P1'"),
+    ("prove a = a\n  let k := a\n  qed by normalize", "3:7: let must bind a variable or a declared name, not 'k'"),
+    ("prove a = a\n  let x.y := a\n  qed by normalize", "3:7: let must bind a variable or a declared name, not 'x.y'"),
+    ("prove a = a\n  let a-b := a\n  qed by normalize", "3:7: let must bind a variable or a declared name, not 'a-b'"),
 ])
 def test_a_malformed_script_is_usage_error(tmp_path, capsys, body, error):
     # malformed, not a failed proof: exit 1 is kept for verdicts
@@ -313,12 +316,13 @@ def test_compile_prints_the_failed_self_test_on_stderr(capsys):
     assert b_line.endswith("body to y (x y z) v0 v1 v2 v3")
 
 
-def test_check_runs_no_compile_checks(capsys):
+def test_check_runs_no_compile_checks():
     # compile entries register no theorem and no rule, so check skips them
-    with mock.patch.object(corpus_module, "compile_combinator") as compiled:
-        result = run(capsys, "check", str(SPECS.parent / "17-2.6.trc"))
-    compiled.assert_not_called()
-    assert result == (0, "THEOREM 2.6 PASS\n", "")
+    # and never loads the compiler
+    code = "import sys\nfrom trc.cli import main\nprint(main(sys.argv[1:]))\nprint('trc.stratify' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", code, "check", str(SPECS.parent / "17-2.6.trc")],
+                          capture_output=True, text=True, env=_child_env(), timeout=60, check=True)
+    assert (done.stdout, done.stderr) == ("THEOREM 2.6 PASS\n0\nFalse\n", "")
 
 
 def test_corpus_printed_axioms_fails(capsys):
@@ -668,17 +672,34 @@ LIGHT = {"trc", "trc.cli", "trc.engine", "trc.terms"}
 PRINT_LOADED = "print(*sorted(name for name in sys.modules if name.partition('.')[0] == 'trc'))"
 
 
+# only compile and corpus compile combinators, so only they load trc.stratify
+# besides stratify and abstract
+REWRITING = PACKAGE - {"trc.mutate", "trc.stratify"}
+
+
 @pytest.mark.parametrize("argv, loaded", [
     (("parse", "x"), LIGHT),
     (("stratify", "x y"), LIGHT | {"trc.stratify"}),
     (("abstract", "x", "x"), LIGHT | {"trc.stratify"}),
-    (("normalize", "x"), PACKAGE - {"trc.mutate"}),
-], ids=["parse", "stratify", "abstract", "normalize"])
+    (("normalize", "x"), REWRITING),
+    (("eq", "x", "x"), REWRITING),
+    (("check", str(SPECS.parent / "17-2.6.trc")), REWRITING),
+    (("compile", str(SPECS)), PACKAGE - {"trc.mutate"}),
+    (("corpus",), PACKAGE - {"trc.mutate"}),
+], ids=["parse", "stratify", "abstract", "normalize", "eq", "check", "compile", "corpus"])
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
     code = f"import sys\nfrom trc.cli import main\nmain(sys.argv[1:])\n{PRINT_LOADED}\n"
     done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=_child_env(), timeout=60, check=True)
     assert set(done.stdout.splitlines()[-1].split()) == loaded
+
+
+def test_the_corpus_and_the_standard_context_load_without_the_compiler():
+    code = ("import sys\nfrom trc.corpus import load_corpus, standard_context\n"
+            "load_corpus()\nstandard_context()\nprint('trc.stratify' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=60, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_import_trc_loads_a_module_when_it_is_first_read():

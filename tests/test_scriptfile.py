@@ -7,6 +7,9 @@ returns.  Regenerate the golden with::
 
     PYTHONPATH=src python tests/test_scriptfile.py > tests/data/script_token_deletions.txt
 
+A theorem's ``let`` names, which the parser reads ahead of its statement,
+must give the records that the old reclassification after the parse gave
+(``oracle_parse_scripts``), on every corpus file and on generated scripts.
 The errors of the spec-file parser are pinned by a table at the end.
 """
 
@@ -17,10 +20,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trc.scriptfile import parse_combinator_specs, parse_scripts
-from trc.stratify import CombinatorSpec
-from trc.terms import ParseError, TrcError, Var, tokenize
+from trc.terms import CombinatorSpec, ParseError, TrcError, Var, tokenize
+
+from oracles import oracle_parse_scripts
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "trc" / "corpus"
 GOLDEN = Path(__file__).parent / "data" / "script_token_deletions.txt"
@@ -85,6 +91,65 @@ def test_blanking_keeps_the_other_positions():
 
 def test_token_deletions_match_golden():
     assert "\n".join(deletion_outcomes()) + "\n" == GOLDEN.read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# let names are read ahead exactly as the old reclassification read them
+# ---------------------------------------------------------------------------
+
+def parsed(parse, text: str) -> object:
+    """The scripts ``parse`` reads from ``text``, or the message of the ParseError it raises."""
+    try:
+        return parse(text, "<gen>")
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.trc") if p.name != "specs.trc"))
+def test_corpus_files_parse_as_the_reclassifying_reference(name):
+    text = (CORPUS / name).read_text()
+    assert parse_scripts(text, name) == oracle_parse_scripts(text, name)
+
+
+# let names: lowercase, uppercase, reserved script words and, one time in
+# sixteen, names no term can write; the terms name them in and out of brackets
+let_names = st.sampled_from(4 * ["t", "s", "_u", "y'", "T", "Foo", "by", "qed", "let", "with", "theorem"]
+                            + ["P1", "k", "x.y"])
+_SCRIPT_ATOMS = st.sampled_from(["t", "s", "_u", "y'", "x", "T", "Foo", "P1", "Eq", "I", "(by)", "(qed)",
+                                 "(let)", "<with, t>", "k(theorem)"])
+script_terms = st.recursive(_SCRIPT_ATOMS, lambda sub: st.one_of(
+    st.builds("{} {}".format, sub, sub), st.builds("k({})".format, sub),
+    st.builds("<{}, {}>".format, sub, sub), st.builds("({})".format, sub)), max_leaves=4)
+lets = st.builds("let {} := {}".format, let_names, script_terms)
+haves = st.builds("have h : {} = {} by chain [{}, {}]".format, script_terms, script_terms, script_terms,
+                  script_terms)
+# a label spelled let is no let
+let_labels = st.builds("have f : false by contradiction let {}".format, let_names)
+# a let in an inner block is an error, raised once the block parses
+inner_blocks = st.builds("have c : false by contradiction as a {{ {} qed by chain [{}] }}".format,
+                         st.sampled_from(["", "", "", "let t := s", "let P1 := s"]), script_terms)
+
+
+@st.composite
+def theorem(draw, ident: str, closed: bool) -> str:
+    hypothesis = draw(st.sampled_from(["", " hypothesis M : M $x = <t, $x>\n"]))
+    items = draw(st.lists(st.one_of(lets, lets, haves, let_labels, inner_blocks), max_size=5))
+    return (f'theorem {ident} "t" {{\n{hypothesis} prove {draw(script_terms)} = {draw(script_terms)}\n'
+            + "".join(f" {item}\n" for item in items) + f" qed by chain [{draw(script_terms)}]\n"
+            + ("}\n" if closed else ""))
+
+
+@st.composite
+def script_texts(draw) -> str:
+    # the first theorem may lack its closing brace before a second theorem
+    first = draw(theorem("a", draw(st.sampled_from(5 * [True] + [False]))))
+    return first + (draw(theorem("b", True)) if draw(st.booleans()) else "")
+
+
+@settings(max_examples=300)
+@given(script_texts())
+def test_let_names_are_read_ahead_as_the_reference_reclassifies_them(text):
+    assert parsed(parse_scripts, text) == parsed(oracle_parse_scripts, text)
 
 
 _NO_TERM = "(expected one of: identifier, k(, <, ()"

@@ -13,9 +13,9 @@ from trc.mutate import _count_projections, _swap_projection
 from trc.terms import (
     ABST, EQ, P1, P2,
     App, Defined, KWrap, Pair, ParseError, PatVar, PositionError, TokenStream, TrcError, Var,
-    app, expand_defined, free_vars, fresh_var, match_pattern, nodes,
+    app, expand_defined, free_vars, fresh_var, match_pattern, name_atom, nodes,
     parse, parse_pattern, parse_term_tokens, rebuild, render, replace_at, replace_defined,
-    substitute, subterms, term_size, to_pattern, tokenize,
+    substitute, subterms, term_size, to_pattern, tokenize, variable_name,
 )
 
 from oracles import (
@@ -153,9 +153,10 @@ def test_term_parser_matches_the_recursive_parser(text):
 @settings(max_examples=300)
 @given(token_text, token_text)
 def test_script_terms_match_the_recursive_parser(goal, hypothesis):
-    # the goal's left side stops at a reserved word; brackets do not
+    # the goal's left side stops at a reserved word; brackets do not.  The
+    # let makes _a a declared name in the goal, and not in the hypothesis
     text = (f'theorem t "g" {{\n hypothesis M : M $x = {hypothesis}\n'
-            f' prove {goal} = x\n qed by normalize\n}}\n')
+            f' prove {goal} = x\n let _a := x\n qed by normalize\n}}\n')
     want = outcome(scriptfile.parse_scripts, text)
     oracle = OracleScriptTerms()
     with mock.patch.object(scriptfile, "TokenStream", oracle.stream), \
@@ -197,6 +198,21 @@ def test_term_parser_leaves_the_stream_where_the_recursive_parser_does(text, sta
     got = outcome(parse_term_tokens, ts, pattern, scriptfile.SCRIPT_RESERVED)
     want = outcome(oracle_parse_term_tokens, oracle_ts, pattern, scriptfile.SCRIPT_RESERVED)
     assert (got, ts.i, ts.token(ts.i)) == (want, oracle_ts.i, oracle_ts.peek())
+
+
+# single words: the constants, k, reserved script words, words that are no
+# identifier, and any word the lexer reads as one token
+_WORDS = ["k", "k1", "P1", "Eq", "Abst", "I", "let", "x.y", "a-b", "_x", "x'", "2", "2x", "a--b"]
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.sampled_from(_WORDS), st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_.'-]{0,5}", fullmatch=True)))
+def test_name_atom_reads_a_word_as_the_term_parser_does(word):
+    assert TokenStream(word).texts == [word, ""]  # one WORD
+    got = outcome(parse, word)
+    assert name_atom(word) == (got if type(got) in (Var, Defined) else None)
+    # so a spec parameter is what abstract takes as a variable
+    assert (word if type(name_atom(word)) is Var else None) == variable_name(word)
 
 
 def test_reserved_words_end_only_the_outermost_term():
