@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from .engine import EngineConfig
-from .terms import TrcError, expand_defined, parse, render, variable_name
+from .terms import TrcError, Var, expand_defined, name_atom, parse, render
 
 USAGE_ERROR = 2
 MATH_FAILURE = 1
@@ -98,11 +98,11 @@ def _term_text(args: argparse.Namespace) -> str:
 
 
 def _variable_name(text: str) -> str:
-    """The name of the variable ``text`` parses to; a usage error otherwise."""
-    name = variable_name(text)
-    if name is None:
+    """``text``, when it is one word that the term parser reads as a variable,
+    as a spec parameter must be; a usage error otherwise."""
+    if type(name_atom(text)) is not Var:
         raise argparse.ArgumentTypeError(f"not a variable: {text!r}")
-    return name
+    return text
 
 
 def cmd_parse(args) -> int:

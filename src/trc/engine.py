@@ -8,7 +8,10 @@ bound), never a hang.
 
 Redexes are found through a per-rule-set index keyed by a term's root shape
 (its constructor and, for an application, the head of its function side), so
-only rules whose left-hand side can match are tried at a position.
+only rules whose left-hand side can match are tried at a position.  An entry
+is built on its key's first use by comparing keys: each rule works out once,
+when it is made, the key its left-hand side fits (any key, any application's,
+or one).
 ``normalize`` is one preorder scan over an explicit stack of subterms still to
 scan, never a leaf of a class no left-hand side fits (any atom, under the core
 rules).  It keeps the path from the root to the subterm in hand as a zipper
@@ -55,7 +58,7 @@ from .terms import (
     ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
     App, Const, Defined, KWrap, Pair, PatVar, Record, Term, TrcError, Var,
     expand_defined, format_position, free_vars, fresh_var, nodes, pattern_vars,
-    render, replace_at, subterms, with_child, Position,
+    render, replace_at, with_child, Position,
 )
 # Not called here: the reference path that compiled rules reproduce, and a
 # name bench/tracer.py patches to count first-order matches.
@@ -89,32 +92,33 @@ class Rule(Record):
     name: str
     lhs: Term
     rhs: Term
-    _fire: Callable[[Term], Optional[Term]]  # the compiled rule, set on first use
+    _fire: Optional[Callable[[Term], Optional[Term]]]  # the compiled rule, None until its first ``rule_match``
     # how far above a rewrite the rule can newly match: the depth of the
     # deepest non-variable node of ``lhs``, or None (unbounded) when a match
     # also compares subterms, for a repeated variable
     _reach: Optional[int]
+    # the index key ``lhs`` fits: None (any key) for a bare pattern variable,
+    # ``App`` (any application's) for one applied, else its own ``root_shape``
+    _key: object
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
-        names = [sub.name for sub in nodes(self.lhs) if type(sub) is PatVar]
+        lhs, names, deepest = self.lhs, [], 0
+        todo = [(lhs, 0)]  # (node of lhs, its depth)
+        while todo:
+            sub, depth = todo.pop()
+            if type(sub) is PatVar:
+                names.append(sub.name)
+            else:
+                deepest = max(deepest, depth)
+                todo.extend((getattr(sub, f), depth + 1) for f in _FIELDS.get(type(sub), ()))
         extra = pattern_vars(self.rhs).difference(names)
         if extra:
             raise RuleError(f"rule {self.name}: rhs pattern variables {sorted(extra)} not bound by lhs")
-        deepest = max((len(pos) for pos, sub in subterms(self.lhs) if type(sub) is not PatVar), default=0)
+        object.__setattr__(self, "_fire", None)
         object.__setattr__(self, "_reach", deepest if len(names) == len(set(names)) else None)
-
-    def __getattr__(self, name: str) -> Callable[[Term], Optional[Term]]:
-        if name != "_fire":  # the one slot left unset, until its first use
-            raise AttributeError(name)
-        key = (_spelling(self.lhs), _spelling(self.rhs))
-        fire = _COMPILED.get(key)
-        if fire is None:
-            if len(_COMPILED) >= _COMPILED_MAX:
-                _COMPILED.clear()
-            fire = _COMPILED[key] = _compile(self.lhs, self.rhs)
-        object.__setattr__(self, "_fire", fire)
-        return fire
+        wild = type(lhs) is PatVar or type(lhs) is App and type(lhs.fn) is PatVar
+        object.__setattr__(self, "_key", (None if type(lhs) is PatVar else App) if wild else root_shape(lhs))
 
 
 # child fields of each compound constructor, in preorder
@@ -213,15 +217,6 @@ def root_shape(t: Term) -> object:
     return type(head), getattr(head, "name", None)
 
 
-def lhs_fits(lhs: Term, key: object) -> bool:
-    """Whether a left-hand side can match some term whose shape is ``key``."""
-    if type(lhs) is PatVar:
-        return True
-    if type(lhs) is not App:
-        return key is type(lhs)
-    return type(key) is tuple and (type(lhs.fn) is PatVar or key == root_shape(lhs))
-
-
 class RuleSet(Record):
     rules: tuple[Rule, ...]
     config: EngineConfig
@@ -241,7 +236,7 @@ class RuleSet(Record):
             raise RuleError("rule names must be unique")
         object.__setattr__(self, "_index", {})
         object.__setattr__(self, "_width", max([r._reach or 0 for r in rules], default=0))
-        fits = {type(r.lhs) for r in rules}  # as in ``lhs_fits``, a bare pattern variable fits any atom
+        fits = {type(r.lhs) for r in rules}  # as its key says, a bare pattern variable fits any atom
         object.__setattr__(self, "_dead", frozenset(() if PatVar in fits else {Var, Const, Defined, PatVar} - fits))
         object.__setattr__(self, "_extensions", {})
 
@@ -263,7 +258,8 @@ class RuleSet(Record):
 
     def _entry(self, key: object) -> tuple[tuple[Rule, ...], tuple[Rule, ...]]:
         """Build and keep the index entry of shape ``key``."""
-        rules = tuple(r for r in self.rules if lhs_fits(r.lhs, key))
+        fits = (key, None, App) if type(key) is tuple else (key, None)  # the rule keys that fit ``key``
+        rules = tuple(r for r in self.rules if r._key in fits)
         entry = self._index[key] = (rules, tuple(r for r in rules if r._reach is None))
         return entry
 
@@ -296,8 +292,18 @@ def core_rules(config: EngineConfig | None = None) -> RuleSet:
 
 
 def rule_match(rule: Rule, t: Term) -> Optional[Term]:
-    """The contractum of ``rule`` at the root of ``t``, or None when it does not match there."""
-    return rule._fire(t)
+    """The contractum of ``rule`` at the root of ``t``, or None when it does
+    not match there.  The rule is compiled, or found compiled, on first use."""
+    fire = rule._fire
+    if fire is None:
+        key = (_spelling(rule.lhs), _spelling(rule.rhs))
+        fire = _COMPILED.get(key)
+        if fire is None:
+            if len(_COMPILED) >= _COMPILED_MAX:
+                _COMPILED.clear()
+            fire = _COMPILED[key] = _compile(rule.lhs, rule.rhs)
+        object.__setattr__(rule, "_fire", fire)
+    return fire(t)
 
 
 class TraceStep(Record):

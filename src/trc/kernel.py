@@ -395,6 +395,7 @@ class _Checker:
         self.script = script
         self.registry = registry
         self.defs: dict[str, Term] = dict(defs or {})
+        self.unfolded: dict[str, Term] = {}  # each definition unfolded once, on first use, by ``expand``
         hyp_consts = set(script.hypothesis.constants) if script.hypothesis else set()
         declared = set(self.defs) | hyp_consts
         for name, body in script.lets:
@@ -421,7 +422,7 @@ class _Checker:
     # -- helpers
 
     def expand(self, t: Term) -> Term:
-        return expand_defined(t, self.defs)
+        return expand_defined(t, self.defs, memo=self.unfolded)
 
     def fixing(self, *sides: Term) -> set[str]:
         """The variables an assumption about ``sides`` fixes."""
@@ -432,15 +433,23 @@ class _Checker:
         variable not in ``fixed``, to the placeholder pattern variable ``$i``
         numbered by first occurrence.  Fixed variables stay variables, so no
         placeholder meets a name from the script.  Two equalities have one
-        canonical form exactly when they differ only by such a renaming."""
+        canonical form exactly when they differ only by such a renaming.
+        One ``rebuild`` per side does both, renaming each unfolded body it puts in."""
         mapping: dict[Term, Term] = {}
 
-        def leaf(a: Term) -> Term:  # called on the atoms in preorder, lhs first
+        def rename(a: Term) -> Term:  # called on the atoms in preorder, lhs first
             if type(a) is PatVar or type(a) is Var and a.name not in fixed:
-                return mapping.setdefault(a, PatVar(f"${len(mapping)}"))
+                if a not in mapping:
+                    mapping[a] = PatVar(f"${len(mapping)}")
+                return mapping[a]
             return a
 
-        return Equal(*(rebuild(self.expand(t), leaf) for t in (eq.lhs, eq.rhs)))
+        def leaf(a: Term) -> Term:
+            if type(a) is Defined and a.name in self.defs:
+                return rebuild(self.expand(a), rename)
+            return rename(a)
+
+        return Equal(rebuild(eq.lhs, leaf), rebuild(eq.rhs, leaf))
 
     def fact(self, scope: _Scope, label: str) -> Judgment:
         if label not in scope.facts:

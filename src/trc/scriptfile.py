@@ -27,8 +27,6 @@ Combinator definition files hold one definition per line::
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from .kernel import (
     ApplicationStep, Block, CasesStep, ChainStep, ContradictionStep, Equal,
     ExtStep, FALSUM, FalsumStep, HypEquation, Hypothesis, Judgment,
@@ -259,28 +257,42 @@ def parse_scripts(text: str, source: str = "<script>") -> list[ProofScript]:
     return scripts
 
 
+class _SpecLine(TokenStream):
+    """Line ``lineno`` of a spec file, whose definition ends just after its last token."""
+
+    def __init__(self, text: str, lineno: int) -> None:
+        self.lineno = lineno
+        super().__init__(text)
+
+    def token(self, i: int) -> Token:
+        if self._tokens is None:
+            *toks, _ = tokenize(self._text, self.lineno)
+            self._tokens = toks + [Token("EOF", "", self.lineno, toks[-1].col + len(toks[-1].text))]
+        return self._tokens[i]
+
+
 def parse_combinator_specs(text: str) -> list[CombinatorSpec]:
-    """One definition per line: ``NAME x1 ... xn = term``."""
+    """One definition per line: ``NAME x1 ... xn = term``.  Every line's
+    stream is made before any is parsed, so a bad character is reported first."""
     specs: list[CombinatorSpec] = []
-    for lineno, line in groupby(tokenize(text)[:-1], key=lambda tok: tok.line):
-        toks = list(line)
-        last = toks[-1]  # the definition ends just after its last token
-        ts = TokenStream.of_tokens(toks + [Token("EOF", "", lineno, last.col + len(last.text))])
+    for ts in [_SpecLine(line, lineno) for lineno, line in enumerate(text.split("\n"), 1)]:
+        if ts.peek() == "EOF":  # a blank or comment line
+            continue
         name = ts.expect("WORD")
         if any(name == spec.name for spec in specs):
             raise ts.error(f"{name} is defined twice", at=0)
         while ts.peek() == "WORD":
             ts.expect("WORD")
-        params = toks[1:ts.i]
+        params = ts.texts[1:ts.i]
         ts.expect("=")
         body = _term(ts)
         if ts.peek() != "EOF":
-            raise ts.error(f"trailing input in definition on line {lineno}")
-        for p in params:
-            if type(name_atom(p.text)) is not Var:
-                raise ParseError(f"parameter {p.text!r} must be a variable", p.line, p.col)
+            raise ts.error(f"trailing input in definition on line {ts.lineno}")
+        for i, p in enumerate(params, 1):
+            if type(name_atom(p)) is not Var:
+                raise ts.error(f"parameter {p!r} must be a variable", at=i)
         try:
-            specs.append(CombinatorSpec(name, tuple(p.text for p in params), body))
+            specs.append(CombinatorSpec(name, tuple(params), body))
         except ValueError as exc:
-            raise ParseError(str(exc), toks[0].line, toks[0].col) from None
+            raise ts.error(str(exc), at=0) from None
     return specs

@@ -435,18 +435,26 @@ def replace_defined(t: Term, mapping: Mapping[str, Term]) -> Term:
     return rebuild(t, lambda a: mapping.get(a.name, a) if type(a) is Defined else a)
 
 
-def expand_defined(t: Term, defs: Mapping[str, Term], _active: frozenset[str] = frozenset()) -> Term:
+def expand_defined(t: Term, defs: Mapping[str, Term], _active: frozenset[str] = frozenset(),
+                   memo: Optional[dict[str, Term]] = None) -> Term:
     """Recursively unfold every defined name bound in ``defs``.
 
     Only the unfolding of a definition body recurses, so the depth is bounded
-    by the number of definitions, not by the size of ``t``.
+    by the number of definitions, not by the size of ``t``.  Each name is
+    unfolded once per call, or once for as long as the caller keeps ``memo``
+    (a name's unfolding under ``defs``, by name).
     """
+    memo = {} if memo is None else memo
+
     def leaf(a: Term) -> Term:
         if type(a) is not Defined or a.name not in defs:
             return a
-        if a.name in _active:
-            raise TrcError(f"cyclic definition of {a.name}")
-        return expand_defined(defs[a.name], defs, _active | {a.name})
+        found = memo.get(a.name)
+        if found is None:
+            if a.name in _active:
+                raise TrcError(f"cyclic definition of {a.name}")
+            found = memo[a.name] = expand_defined(defs[a.name], defs, _active | {a.name}, memo)
+        return found
 
     return rebuild(t, leaf)
 
@@ -515,12 +523,13 @@ def _kind(text: str) -> str:
     return "BAD" if text else "EOF"
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text`` with their lines and columns, ending with EOF;
-    raises ParseError at the first bad character.  Parsing reads only the
-    token texts (see ``TokenStream``) and comes here to place an error."""
+def tokenize(text: str, line: int = 1) -> list[Token]:
+    """The tokens of ``text``, which starts on line ``line``, with their lines
+    and columns, ending with EOF; raises ParseError at the first bad
+    character.  Parsing reads only the token texts (see ``TokenStream``) and
+    comes here to place an error."""
     toks: list[Token] = []
-    line, base = 1, -1  # line number, and the offset just before that line starts
+    base = -1  # the offset just before the current line starts
     end = 0  # the end of the last token
     for m in _TOKEN_RE.finditer(text):
         start, value = m.start(1), m[1]
@@ -556,20 +565,10 @@ class TokenStream:
         if len(texts) > 1 and not texts[-2]:  # trailing blanks end in two empty texts
             texts.pop()
         self.kinds = {t: _kind(t) for t in set(texts)}
-        if "BAD" in self.kinds.values():
-            tokenize(text)  # raises at the first bad character
         self.texts, self.i = texts, 0
         self._text, self._tokens = text, None
-
-    @classmethod
-    def of_tokens(cls, tokens: list[Token]) -> "TokenStream":
-        """A stream over ``tokens``, which end with EOF; errors are placed at
-        their positions."""
-        ts = cls.__new__(cls)
-        ts.texts = [tok.text for tok in tokens]
-        ts.kinds = {text: tok.kind for text, tok in zip(ts.texts, tokens)}
-        ts.i, ts._tokens = 0, tokens
-        return ts
+        if "BAD" in self.kinds.values():
+            self.token(0)  # raises at the first bad character
 
     def token(self, i: int) -> Token:
         """Token ``i`` with its line and column."""
@@ -693,16 +692,6 @@ def parse(text: str, *, pattern: bool = False) -> Term:
 
 def parse_pattern(text: str) -> Term:
     return parse(text, pattern=True)
-
-
-def variable_name(text: str) -> Optional[str]:
-    """The name of the variable ``text`` parses to; None if it parses to any
-    other term, or does not parse."""
-    try:
-        t = parse(text)
-    except ParseError:
-        return None
-    return t.name if type(t) is Var else None
 
 
 def name_atom(word: str) -> Optional[Term]:

@@ -8,19 +8,20 @@ modules import oracles and strategies from here, and never from each other.
 from __future__ import annotations
 
 import re
+from itertools import groupby
 from unittest import mock
 
 from hypothesis import strategies as st
 
 from trc import scriptfile
-from trc.engine import NormalizeResult, Rule, TraceStep
+from trc.engine import NormalizeResult, Rule, TraceStep, root_shape
 from trc.kernel import Equal, map_terms
 from trc.stratify import IDENTITY, Constraint, NotAbstractable, StratifyResult, _conflict_cycle, term_constraints
 from trc.terms import (
     ABST, ARG, CONSTANTS, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
-    App, Const, Defined, KWrap, Pair, ParseError, PatVar, Token, TokenStream, TrcError, Var,
-    _descend, children, format_position, free_vars, match_pattern, nodes, rebuild, replace_at,
-    substitute, subterms,
+    App, CombinatorSpec, Const, Defined, KWrap, Pair, ParseError, PatVar, Token, TokenStream, TrcError, Var,
+    _descend, children, format_position, free_vars, match_pattern, name_atom, nodes, parse_term_tokens, rebuild,
+    replace_at, substitute, subterms, tokenize,
 )
 
 # ---------------------------------------------------------------------------
@@ -248,6 +249,16 @@ def oracle_parse(text, pattern=False):
     return t
 
 
+def stream_of_tokens(tokens):
+    """A ``TokenStream`` over ``tokens``, which end with EOF, placing errors at
+    their positions: a stream made from tokens already placed."""
+    ts = TokenStream.__new__(TokenStream)
+    ts.texts = [tok.text for tok in tokens]
+    ts.kinds = {text: tok.kind for text, tok in zip(ts.texts, tokens)}
+    ts.i, ts._tokens = 0, tokens
+    return ts
+
+
 class OracleScriptTerms:
     """The script parser's stream over the oracle's tokens, and the oracle
     term parser on its own stream over the same tokens, started where the
@@ -255,7 +266,7 @@ class OracleScriptTerms:
 
     def stream(self, text):
         self.tokens = oracle_tokenize(text)
-        return TokenStream.of_tokens(self.tokens)
+        return stream_of_tokens(self.tokens)
 
     def parse_term_tokens(self, ts, pattern=False, reserved=frozenset(), atoms=CONSTANTS):
         oracle_ts = OracleTokenStream(self.tokens)
@@ -288,6 +299,36 @@ def oracle_parse_scripts(text, source="<script>"):
             script = script.replace(statement=statement, lets=lets, body=body)
         out.append(script)
     return out
+
+
+def oracle_parse_combinator_specs(text):
+    """``parse_combinator_specs`` as it was before it read each line through
+    a ``TokenStream`` of its own: ``tokenize`` places every token of the file,
+    the tokens are grouped by line, and each definition is parsed from a
+    stream over its line's tokens and an EOF token just after the last one."""
+    specs = []
+    for lineno, line in groupby(tokenize(text)[:-1], key=lambda tok: tok.line):
+        toks = list(line)
+        last = toks[-1]
+        ts = stream_of_tokens(toks + [Token("EOF", "", lineno, last.col + len(last.text))])
+        name = ts.expect("WORD")
+        if any(name == spec.name for spec in specs):
+            raise ts.error(f"{name} is defined twice", at=0)
+        while ts.peek() == "WORD":
+            ts.expect("WORD")
+        params = toks[1:ts.i]
+        ts.expect("=")
+        body = parse_term_tokens(ts, False, scriptfile.SCRIPT_RESERVED)
+        if ts.peek() != "EOF":
+            raise ts.error(f"trailing input in definition on line {lineno}")
+        for p in params:
+            if type(name_atom(p.text)) is not Var:
+                raise ParseError(f"parameter {p.text!r} must be a variable", p.line, p.col)
+        try:
+            specs.append(CombinatorSpec(name, tuple(p.text for p in params), body))
+        except ValueError as exc:
+            raise ParseError(str(exc), toks[0].line, toks[0].col) from None
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +437,16 @@ def navigate(t, pos):
 # rewriting by interpretation, for compiled rules, the redex finder and links
 # ---------------------------------------------------------------------------
 
+def lhs_fits(lhs, key):
+    """Whether a left-hand side can match some term whose ``root_shape`` is
+    ``key``: the reference for the index keys of ``Rule`` and ``RuleSet``."""
+    if type(lhs) is PatVar:
+        return True
+    if type(lhs) is not App:
+        return key is type(lhs)
+    return type(key) is tuple and (type(lhs.fn) is PatVar or key == root_shape(lhs))
+
+
 def interpreted_match(rule, t):
     """The contractum of ``rule`` at the root of ``t`` by interpretation:
     ``match_pattern``, then ``substitute``."""
@@ -452,8 +503,9 @@ def reference_link(a, b, rules, defs=None, facts=()):
 
 def two_pass_canonical(checker, eq, fixed):
     """The definition ``_Checker.canonical`` computes in one pass per side:
-    number the renamed atoms over both expanded sides, then rename them."""
-    lhs, rhs = checker.expand(eq.lhs), checker.expand(eq.rhs)
+    unfold every definition of the checker, then number the renamed atoms
+    over both unfolded sides and rename them."""
+    lhs, rhs = (oracle_expand_defined(t, checker.defs) for t in (eq.lhs, eq.rhs))
     mapping = {}
     for t in (lhs, rhs):
         for sub in nodes(t):

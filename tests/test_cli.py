@@ -129,7 +129,8 @@ def test_abstract_rejects(capsys):
     assert "x-at-nonzero-level" in err
 
 
-@pytest.mark.parametrize("variable", ["", "x y", "P1", "I", "$x"])
+# one word, as a spec parameter: a bracketed or commented variable is not one
+@pytest.mark.parametrize("variable", ["", "x y", "P1", "I", "$x", "(x)", " x -- c", "k", "x-y"])
 def test_abstract_variable_must_parse_as_a_variable(capsys, variable):
     code, out, err = run(capsys, "abstract", variable, "x")
     assert code == 2 and not out

@@ -11,7 +11,7 @@ from trc import engine
 from trc.corpus import BASE_DEFINITIONS, standard_context
 from trc.engine import (
     EngineConfig, NormalizeResult, Rule, RuleError, RuleSet,
-    core_rules, ext_equal, lhs_fits, normalize, root_shape, rule_match,
+    core_rules, ext_equal, normalize, root_shape, rule_match,
 )
 from trc.terms import (
     ABST, EQ, P1, P2, App, Defined, KWrap, Pair, PatVar, Var, app, format_position, free_vars,
@@ -19,7 +19,7 @@ from trc.terms import (
 )
 
 from oracles import (
-    closed_terms, interpreted_match, interpreted_rewrite_at, redex_rich_terms, reference_normalize,
+    closed_terms, interpreted_match, interpreted_rewrite_at, lhs_fits, redex_rich_terms, reference_normalize,
     reference_step, term_trees, terms,
 )
 
@@ -381,7 +381,7 @@ def test_compiled_rule_cache_is_cleared_when_full():
         rules = [k_rule(i) for i in range(full + 1)]
         sizes = []
         for rule in rules:
-            assert rule._fire is not None
+            assert rule_match(rule, P1) is None  # compiles the rule, which fails on P1
             sizes.append(len(engine._COMPILED))
         assert sizes == list(range(1, full + 1)) + [1]
         # compiled before the clear: the rule keeps its function, and a new
@@ -395,10 +395,10 @@ def test_compiled_rule_cache_is_cleared_when_full():
 
 
 def test_lazy_slots_answer_for_their_own_names_only(core):
-    # ``Rule`` and ``TraceStep`` fill a slot on first read through
-    # ``__getattr__``; any other missing name, such as the ``__deepcopy__``
-    # that ``copy`` looks up, must stay missing, as on a ``RuleSet``, which
-    # fills its slots when built
+    # ``TraceStep`` fills a slot on first read through ``__getattr__``; any
+    # other missing name, such as the ``__deepcopy__`` that ``copy`` looks up,
+    # must stay missing, as on a ``Rule``, which compiles on its first
+    # ``rule_match``, and a ``RuleSet``, which fills its slots when built
     rule = hyp_rule("h", "P1 $x", "<$x, $x>")
     step = normalize(parse("Abst Abst x y z"), core).trace[0]
     for record in (rule, step, core_rules()):
@@ -434,6 +434,7 @@ def test_deep_rule_code_grows_linearly_with_its_depth():
     # each child is loaded into a local once; spelling out its path from the root at every use grows quadratically
     def code_size(depth):
         rule = Rule("deep", _nest(depth, PatVar("$x")), _nest(depth, App(P1, PatVar("$x"))))
+        rule_match(rule, P1)  # compiles it
         return len(rule._fire.__code__.co_code)
 
     assert code_size(400) <= 2.5 * code_size(200)
@@ -540,6 +541,29 @@ def test_candidates_keep_rule_order_and_wildcards(core):
     assert names("<a,b>") == ["surjective-pairing", "any"]
     assert names("a b") == ["any", "any-app"]
     assert names("k(a)") == ["any"]
+
+
+# left-hand sides of every key class: wildcards, atoms, and applications headed by each kind of node
+EXTRA_LHS = ["$w", "$f $x", "M $x", "M", "y", "P1", "Zed", "I $x", "P1 $x", "<$x, $y>", "k($x)",
+             "k($x) $y", "<$x, $y> $z", "Abst $x", "Eq <$a, $a>", "$f $x $y", "(M $x) $y"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=st.builds(EngineConfig, surjective_pairing=st.booleans(), eq_reflexivity=st.booleans()),
+       steps=st.lists(st.tuples(st.booleans(), st.lists(st.sampled_from(EXTRA_LHS), max_size=3)), max_size=4),
+       queries=st.lists(st.tuples(st.integers(0, 4), terms), min_size=1, max_size=12))
+def test_candidates_are_the_rules_whose_left_hand_side_fits(config, steps, queries):
+    # every rule set of a chain of extensions, queried in any order: the rules whose keys fit
+    # are the ones ``lhs_fits`` lets through, in rule-set order
+    chain = [core_rules(config)]
+    for i, (once, lhss) in enumerate(steps):
+        more = [Rule(f"r{i}.{j}", parse_pattern(lhs), parse_pattern("P2")) for j, lhs in enumerate(lhss)]
+        chain.append(chain[-1].extended_once(i, lambda: more) if once else chain[-1].extended(more))
+    for which, t in queries:
+        rs = chain[which % len(chain)]
+        want = tuple(r for r in rs.rules if lhs_fits(r.lhs, root_shape(t)))
+        assert rs.candidates(t) == want
+        assert rs._index[root_shape(t)][1] == tuple(r for r in want if r._reach is None)
 
 
 # ---------------------------------------------------------------------------

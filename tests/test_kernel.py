@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trc import kernel, terms
 from trc.corpus import BASE_DEFINITIONS
 from trc.engine import Rule, RuleError, core_rules, normalize
 from trc.kernel import (
@@ -930,19 +931,52 @@ def test_map_terms_maps_every_term_of_every_step_kind_and_keeps_the_rest():
     assert map_terms((before, lets), KWrap) == (after, (("t", k(a)), ("u", k(d))))
 
 
-# placeholder-named pattern variables, and definitions that hold variables
-canonical_terms = term_trees(
-    st.builds(Var, st.sampled_from(["x", "y", "z"])), st.builds(PatVar, st.sampled_from(["$x", "$0", "$1"])),
-    st.sampled_from([P1, Defined("I"), Defined("t")]),
-    max_leaves=12,
-)
+# placeholder-named pattern variables, and definitions that hold variables:
+# the caller's I and t, and the lets u and v, each over the names before it
+def canonical_terms(*names, max_leaves=12):
+    return term_trees(
+        st.builds(Var, st.sampled_from(["x", "y", "z"])), st.builds(PatVar, st.sampled_from(["$x", "$0", "$1"])),
+        st.sampled_from([P1, *map(Defined, names)]),
+        max_leaves=max_leaves,
+    )
+
+
 CANONICAL_DEFS = {**BASE_DEFINITIONS, "t": Pair(Var("y"), App(Defined("I"), Var("x")))}
 
 
 @settings(max_examples=200, deadline=None)
-@given(canonical_terms, canonical_terms, st.frozensets(st.sampled_from(["x", "y", "z"])))
-def test_canonical_agrees_with_its_two_pass_definition(lhs, rhs, fixed):
-    script = ProofScript("c", "", None, Equal(P1, P1), (), ())
+@given(canonical_terms("I", "t", "u", "v"), canonical_terms("I", "t", "u", "v"),
+       st.frozensets(st.sampled_from(["x", "y", "z"])),
+       canonical_terms("I", "t", max_leaves=4), canonical_terms("I", "t", "u", max_leaves=4))
+def test_canonical_agrees_with_its_two_pass_definition(lhs, rhs, fixed, u, v):
+    script = ProofScript("c", "", None, Equal(P1, P1), (("u", u), ("v", v)), ())
     checker = _Checker(script, Registry(), core_rules(), CANONICAL_DEFS)
     eq = Equal(lhs, rhs)
     assert checker.canonical(eq, fixed) == two_pass_canonical(checker, eq, fixed)
+
+
+# ---------------------------------------------------------------------------
+# work bounded by the script: each definition is unfolded once
+# ---------------------------------------------------------------------------
+
+def doubling_script(n):
+    """``a0 := x`` and ``ai := a(i-1) a(i-1)``: ``an`` unfolds to 2^n leaves."""
+    lets = "".join(f"  let a{i} := a{i - 1} a{i - 1}\n" for i in range(1, n + 1))
+    (script,) = parse_scripts(f'theorem d "doubling" {{\n  prove a{n} = a{n}\n  let a0 := x\n{lets}'
+                              f'  have e : a{n} = a{n} by normalize\n  qed by e\n}}\n')
+    return script
+
+
+def test_definitions_are_unfolded_once_per_check(monkeypatch):
+    # every unfolding of a definition body is one ``rebuild`` of it, wherever it is called from
+    original, calls = terms.rebuild, []
+    for module in (terms, kernel):
+        monkeypatch.setattr(module, "rebuild", lambda t, leaf: calls.append(1) or original(t, leaf))
+
+    def unfoldings(n):
+        calls.clear()
+        assert check_script(doubling_script(n), Registry(), core_rules(), BASE_DEFINITIONS).ok
+        return len(calls)
+
+    small, large = unfoldings(8), unfoldings(12)
+    assert large <= 2 * small, (small, large)  # linear in n; unfolding at each occurrence reads 16x

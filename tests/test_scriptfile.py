@@ -10,7 +10,9 @@ returns.  Regenerate the golden with::
 A theorem's ``let`` names, which the parser reads ahead of its statement,
 must give the records that the old reclassification after the parse gave
 (``oracle_parse_scripts``), on every corpus file and on generated scripts.
-The errors of the spec-file parser are pinned by a table at the end.
+The spec-file parser must read generated spec files as the reader that
+placed every token first did (``oracle_parse_combinator_specs``), and its
+errors are pinned by a table at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from trc.scriptfile import parse_combinator_specs, parse_scripts
 from trc.terms import CombinatorSpec, ParseError, TrcError, Var, tokenize
 
-from oracles import oracle_parse_scripts
+from oracles import oracle_parse_combinator_specs, oracle_parse_scripts
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "trc" / "corpus"
 GOLDEN = Path(__file__).parent / "data" / "script_token_deletions.txt"
@@ -150,6 +152,36 @@ def script_texts(draw) -> str:
 @given(script_texts())
 def test_let_names_are_read_ahead_as_the_reference_reclassifies_them(text):
     assert parsed(parse_scripts, text) == parsed(oracle_parse_scripts, text)
+
+
+# spec files: definitions, blank and comment lines, and lines of loose tokens
+spec_bodies = st.one_of(
+    *2 * [st.sampled_from(["x", "x y", "y (x y z)", "<x, y>", "k(x) y", "I x", "P1 x", "Foo x", "x y z", "z"])],
+    st.lists(st.sampled_from(["x", "y", "I", "P1", "k(", "(", ")", "<", ",", ">", '"q"', "$x", "?", "="]),
+             max_size=5).map(" ".join),
+)
+spec_definitions = st.builds(
+    "{} {}{}= {}".format, st.sampled_from(["S", "T", "b", "x", "P1", "2"]),
+    st.lists(st.sampled_from(["x", "y", "z", "X", "_x", "x-y", "k", "Eq"]), max_size=3).map(
+        lambda ps: "".join(p + " " for p in ps)),
+    st.sampled_from(["", " ", "  "]), spec_bodies)
+spec_lines = st.builds(
+    "{}{}".format,
+    st.one_of(*3 * [spec_definitions], spec_bodies, st.sampled_from(["", "\t", "-- note"])),
+    st.sampled_from(["", " ", "  -- c", "--c", "\r"]))
+
+
+@settings(max_examples=300)
+@given(st.lists(spec_lines, max_size=5).map("\n".join))
+def test_spec_files_read_as_the_tokenizing_reference_reads_them(text):
+    # the same definitions, or the same error at the same line and column
+    def read(parse):
+        try:
+            return parse(text)
+        except ParseError as exc:
+            return str(exc), exc.line, exc.col
+
+    assert read(parse_combinator_specs) == read(oracle_parse_combinator_specs)
 
 
 _NO_TERM = "(expected one of: identifier, k(, <, ()"

@@ -15,7 +15,7 @@ from trc.terms import (
     App, Defined, KWrap, Pair, ParseError, PatVar, PositionError, TokenStream, TrcError, Var,
     app, expand_defined, free_vars, fresh_var, match_pattern, name_atom, nodes,
     parse, parse_pattern, parse_term_tokens, rebuild, render, replace_at, replace_defined,
-    substitute, subterms, term_size, to_pattern, tokenize, variable_name,
+    substitute, subterms, term_size, to_pattern, tokenize,
 )
 
 from oracles import (
@@ -211,8 +211,6 @@ def test_name_atom_reads_a_word_as_the_term_parser_does(word):
     assert TokenStream(word).texts == [word, ""]  # one WORD
     got = outcome(parse, word)
     assert name_atom(word) == (got if type(got) in (Var, Defined) else None)
-    # so a spec parameter is what abstract takes as a variable
-    assert (word if type(name_atom(word)) is Var else None) == variable_name(word)
 
 
 def test_reserved_words_end_only_the_outermost_term():
