@@ -57,7 +57,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional
 from .terms import (
     ABST, ARG, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
     App, Const, Defined, KWrap, Pair, PatVar, Record, Term, TrcError, Var,
-    expand_defined, format_position, free_vars, fresh_var, nodes, pattern_vars,
+    expand_defined, format_position, free_vars, fresh_vars, nodes, pattern_vars,
     render, replace_at, with_child, Position,
 )
 # Not called here: the reference path that compiled rules reproduce, and a
@@ -508,7 +508,7 @@ def ext_equal(s: Term, t: Term, rs: RuleSet, defs: Mapping[str, Term] | None = N
         if ln.result == rn.result:
             return ExtEvidence(True, tuple(levels))
         avoid = free_vars(ln.result) | free_vars(rn.result) | used
-        fresh = fresh_var(avoid)
+        fresh = next(fresh_vars(avoid))
         used.add(fresh)
         left = App(ln.result, Var(fresh))
         right = App(rn.result, Var(fresh))

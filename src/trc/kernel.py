@@ -16,10 +16,7 @@ is not fixed (see ``_Checker.canonical``).
 Each proof step is a ``Step`` record: the ``label`` that names what it
 proves and its ``goal`` judgment, followed by the fields of its kind.  A step
 proves exactly its stated goal: a check raises or returns nothing, and a step
-that passes adds its goal to the scope under its label.
-``map_terms`` applies a function to every term in a judgment, a step or a
-tuple of these by rebuilding each record from its field values, so it names
-no step kind; instantiation uses it.  Step repertoire:
+that passes adds its goal to the scope under its label.  Step repertoire:
 
 * ``chain``: adjacent terms must be related by one rule instance (core rule,
   registered derived rule, hypothesis equation, definition, or an in-scope
@@ -30,7 +27,8 @@ no step kind; instantiation uses it.  Step repertoire:
   offers for it.  A definition is looked up by the name at the site; an
   in-scope equality, which is ground, justifies exactly the site it states.
 * ``normalize``: both sides reach one normal form within fuel (``fuel N``, N >= 1).
-* ``ext K``: both sides applied to K fresh variables reach one normal form.
+* ``ext K``: both sides applied to K fresh variables reach one normal form
+  (1 <= K <= 100000).
 * ``cases Eq <a,b>``: classical dichotomy; branch one assumes a = b and
   ``Eq <a,b> = P1``, branch two assumes a != b and ``Eq <a,b> = P2``; both
   branches must prove the goal, and both fix the variables of a and b.  With
@@ -54,16 +52,15 @@ before it is checked.
 
 from __future__ import annotations
 
-import sys
 import time
-from itertools import count, islice
-from typing import Callable, Iterator, Mapping, Optional, Union, get_args
+from itertools import islice
+from typing import Iterator, Mapping, Optional, Union
 
 from .engine import NormalizeResult, Rule, RuleSet, RuleError, normalize, rule_match
 from .terms import (
     EQ, P1, P2,
     App, Defined, KWrap, Pair, PatVar, Record, Term, TrcError, Var,
-    app, children, defined_names, expand_defined, free_vars, nodes,
+    app, children, defined_names, expand_defined, free_vars, fresh_vars, nodes,
     pattern_vars, rebuild, render, replace_defined, substitute, to_pattern,
 )
 
@@ -208,23 +205,6 @@ class RefStep(Step):
 Block = tuple[Step, ...]
 
 
-_TERM_CLASSES = get_args(Term)
-
-
-def map_terms(value: object, fn: Callable[[Term], Term]) -> object:
-    """``value`` with ``fn`` applied to every term in it.  ``value`` is a
-    term, a record (a judgment or a step) or a tuple of these; a record or
-    tuple is rebuilt from its mapped field values, and any other value (a
-    label, an id, a number, None) is kept."""
-    if isinstance(value, _TERM_CLASSES):
-        return fn(value)
-    if isinstance(value, tuple):
-        return tuple(map_terms(v, fn) for v in value)
-    if isinstance(value, Record):
-        return type(value)(*map_terms(value._values(value), fn))
-    return value
-
-
 class ProofScript(Record):
     theorem_id: str
     title: str
@@ -316,7 +296,10 @@ class Registry:
         stray = set(subst) - judgment_vars(record.statement)
         if stray:
             raise RegistryError(f"substitution binds variables {sorted(stray)} not free in {theorem_id}")
-        return map_terms(record.statement, lambda t: substitute(t, subst))
+        statement = record.statement
+        if isinstance(statement, Falsum):  # a library may register one
+            return statement
+        return type(statement)(substitute(statement.lhs, subst), substitute(statement.rhs, subst))
 
     def derived_rule(self, rs: RuleSet, theorem_id: str) -> RuleSet:
         """``rs`` extended by the registered equality ``theorem_id``, oriented
@@ -380,6 +363,12 @@ def _link_sites(a: Term, b: Term) -> list[tuple[Term, Term]]:
         a, b = differing[0]
         sites.append((a, b))
     return sites
+
+
+# An ``ext`` step names its arguments before anything is compared, so its
+# arity is bounded first.  Term equality already gives up (exit 2) on spines
+# a few hundred arguments long, so the bound refuses no passing step.
+MAX_EXT_ARITY = 100_000
 
 
 class _StepFailure(Exception):
@@ -568,13 +557,10 @@ class _Checker:
             raise _StepFailure("ext proves equalities only")
         if step.arity < 1:
             raise _StepFailure("ext arity must be >= 1")
-        if step.arity > sys.maxsize:  # more names than ``islice`` can count
-            raise _StepFailure(f"ext arity must be <= {sys.maxsize}")
+        if step.arity > MAX_EXT_ARITY:
+            raise _StepFailure(f"ext arity must be <= {MAX_EXT_ARITY}")
         lhs, rhs = self.expand(goal.lhs), self.expand(goal.rhs)
-        avoid = free_vars(lhs) | free_vars(rhs)
-        # the first names of v0, v1, ... not free in either side, in one pass
-        unused = (name for name in (f"v{i}" for i in count()) if name not in avoid)
-        fresh = [Var(name) for name in islice(unused, step.arity)]
+        fresh = [Var(name) for name in islice(fresh_vars(free_vars(lhs) | free_vars(rhs)), step.arity)]
         self._same_normal_form(step.label, app(lhs, *fresh), app(rhs, *fresh), None, "applied normal forms")
 
     def _theorem(self, step: TheoremStep, scope: _Scope) -> None:

@@ -19,17 +19,18 @@ declared names.  In rule and hypothesis syntax, ``$name`` is a pattern
 variable, lexically distinct from object variables.  ``--`` starts a comment
 running to the end of the line.
 
-Term traversal goes through ``subterms`` (preorder, with positions),
-``nodes`` (preorder, without positions) and ``rebuild`` (a bottom-up copy
-mapping each atom); substitution, definition unfolding, pattern conversion
-and the size and variable queries are built on them.  These three,
-``render`` and the parser keep their own stacks, so they handle terms of any
-depth.  The front end reads a text's tokens with one ``findall`` of one
-regular expression, whose only group is the token after any blanks, newlines
-and comments; each distinct token text is classified once, by its first
-character.  Lines and columns are worked out, by ``tokenize``, only when an
-error is reported.  The term parser reads the list of token texts directly,
-without a method call per token.
+Term traversal goes through ``nodes`` (preorder) and ``rebuild`` (a
+bottom-up copy mapping each atom); substitution, definition unfolding,
+pattern conversion and the size and variable queries are built on them.
+These two, ``render`` and the parser keep their own stacks, so they handle
+terms of any depth.  The front end reads a text's tokens with one
+``findall`` of one regular expression, whose only group is the token after
+any blanks, newlines and comments; each distinct token text is classified
+once, by its first character.  Lines and columns are worked out, by
+``tokenize``, only when an error is reported.  The term parser reads the
+list of token texts directly, without a method call per token.
+``fresh_vars`` is the one fresh-name scheme, v0, v1, ..., of ``ext`` steps
+and ``ext_equal``.
 Terms, like the package's other value classes, are ``Record``s: read-only
 ``__slots__`` objects whose methods are written out, not generated at import
 as a dataclass's are.  Term ``==`` and ``hash`` recurse.
@@ -38,6 +39,7 @@ as a dataclass's are.  Term ``==`` and ``hash`` recurse.
 from __future__ import annotations
 
 import re
+from itertools import count
 from operator import attrgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -249,16 +251,6 @@ def children(t: Term) -> tuple[tuple[str, Term], ...]:
     return ()
 
 
-def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
-    """All (position, subterm) pairs in leftmost-outermost (preorder) order."""
-    stack: list[tuple[Position, Term]] = [((), t)]
-    while stack:
-        pos, sub = stack.pop()
-        yield pos, sub
-        for sel, child in reversed(children(sub)):
-            stack.append((pos + (sel,), child))
-
-
 # selector -> the constructor it applies to and the child field it names
 _SELECTED = {FN: (App, "fn"), ARG: (App, "arg"), KBODY: (KWrap, "body"),
              LEFT: (Pair, "left"), RIGHT: (Pair, "right")}
@@ -373,12 +365,9 @@ def defined_names(t: Term) -> set[str]:
     return {sub.name for sub in nodes(t) if type(sub) is Defined}
 
 
-def fresh_var(avoid: set[str]) -> str:
-    """First name of the fixed scheme v0, v1, ... not in ``avoid``."""
-    i = 0
-    while f"v{i}" in avoid:
-        i += 1
-    return f"v{i}"
+def fresh_vars(avoid: set[str]) -> Iterator[str]:
+    """The names of the fixed scheme v0, v1, ... not in ``avoid``, in order."""
+    return (name for name in (f"v{i}" for i in count()) if name not in avoid)
 
 
 def substitute(t: Term, subst: Subst) -> Term:

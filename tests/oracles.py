@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import re
 from itertools import groupby
+from typing import get_args
 from unittest import mock
 
 from hypothesis import strategies as st
 
 from trc import scriptfile
 from trc.engine import NormalizeResult, Rule, TraceStep, root_shape
-from trc.kernel import Equal, map_terms
+from trc.kernel import Equal
 from trc.stratify import IDENTITY, Constraint, NotAbstractable, StratifyResult, _conflict_cycle, term_constraints
 from trc.terms import (
     ABST, ARG, CONSTANTS, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
-    App, CombinatorSpec, Const, Defined, KWrap, Pair, ParseError, PatVar, Token, TokenStream, TrcError, Var,
-    _descend, children, format_position, free_vars, match_pattern, name_atom, nodes, parse_term_tokens, rebuild,
-    replace_at, substitute, subterms, tokenize,
+    App, CombinatorSpec, Const, Defined, KWrap, Pair, ParseError, PatVar, Record, Term, Token, TokenStream, TrcError,
+    Var, _descend, children, format_position, free_vars, match_pattern, name_atom, nodes, parse_term_tokens, rebuild,
+    replace_at, substitute, tokenize,
 )
 
 # ---------------------------------------------------------------------------
@@ -431,6 +432,31 @@ def oracle_swap_projection(t, index):
 def navigate(t, pos):
     """Subterm of ``t`` at ``pos``; raises PositionError on the first bad selector."""
     return _descend(t, pos)[-1]
+
+
+def subterms(t):
+    """All (position, subterm) pairs in leftmost-outermost (preorder) order."""
+    stack = [((), t)]
+    while stack:
+        pos, sub = stack.pop()
+        yield pos, sub
+        for sel, child in reversed(children(sub)):
+            stack.append((pos + (sel,), child))
+
+
+def map_terms(value, fn):
+    """``value`` with ``fn`` applied to every term in it: the reference for
+    ``Registry.instantiate``, and the way the tests rebuild whole scripts.
+    ``value`` is a term, a record (a judgment or a step) or a tuple of these;
+    a record or tuple is rebuilt from its mapped field values, and any other
+    value (a label, an id, a number, None) is kept."""
+    if isinstance(value, get_args(Term)):
+        return fn(value)
+    if isinstance(value, tuple):
+        return tuple(map_terms(v, fn) for v in value)
+    if isinstance(value, Record):
+        return type(value)(*map_terms(value._values(value), fn))
+    return value
 
 
 # ---------------------------------------------------------------------------

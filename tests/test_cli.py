@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from trc.cli import build_config, main, make_parser
 from trc.engine import EngineConfig
 
+from golden_runs import GOLDEN_RUNS, with_config
+
 REPO = Path(__file__).resolve().parent.parent
 SPECS = REPO / "src" / "trc" / "corpus" / "specs.trc"
 
@@ -266,38 +268,16 @@ def test_corpus_trace_deterministic(capsys):
     assert out1 == out2
 
 
-# Each pinned invocation: its arguments from the repository root, a config
-# line given with --config (or None), its exit code and the file in
-# tests/data that holds its stdout, byte for byte.
-GOLDEN_RUNS = [
-    (["corpus", "--trace"], None, 0, "corpus_trace.txt"),
-    # Eq-refl fires nowhere in the corpus, so dropping it changes no byte
-    (["corpus", "--no-eq-refl", "--trace"], None, 0, "corpus_trace.txt"),
-    # the misprint regression: which entries fail, at which step and why
-    (["corpus", "--printed-axioms", "--trace"], None, 1, "corpus_printed_trace.txt"),
-    # the entries that need surjective pairing fail, and those after them are blocked
-    (["corpus", "--no-surjective-pairing", "--trace"], None, 1, "corpus_no_surjective_pairing_trace.txt"),
-    (["corpus", "--trace"], "printed-axioms = yes", 1, "corpus_printed_trace.txt"),
-    (["corpus", "--trace"], "surjective-pairing = off", 1, "corpus_no_surjective_pairing_trace.txt"),
-    (["corpus", "--trace"], "eq-reflexivity = no", 0, "corpus_trace.txt"),
-    # most specs are not stratified, so each compile run exits 1; under the
-    # printed axioms the stratified ones fail their self-test instead
-    (["compile", "src/trc/corpus/specs.trc"], None, 1, "compile_specs.txt"),
-    (["compile", "src/trc/corpus/specs.trc", "--optimize"], None, 1, "compile_specs_optimized.txt"),
-    (["compile", "src/trc/corpus/specs.trc", "--printed-axioms"], None, 1, "compile_specs_printed.txt"),
-]
-
-
 @pytest.mark.parametrize("argv, config_line, code, golden", GOLDEN_RUNS,
                          ids=[" ".join(Path(a).name for a in argv) + (f" with {line}" if line else "")
                               for argv, line, *_ in GOLDEN_RUNS])
 def test_golden_output(tmp_path, monkeypatch, capsys, argv, config_line, code, golden):
+    conf = None
     if config_line is not None:
         conf = tmp_path / "engine.conf"
         conf.write_text(config_line + "\n")
-        argv = [argv[0], "--config", str(conf), *argv[1:]]
     monkeypatch.chdir(REPO)
-    assert main(argv) == code
+    assert main(with_config(argv, conf)) == code
     assert capsys.readouterr().out.encode("utf-8") == (REPO / "tests" / "data" / golden).read_bytes()
 
 
@@ -531,6 +511,16 @@ def test_a_wide_ext_step_names_its_arguments_in_linear_time(tmp_path):
     done = subprocess.run([sys.executable, "-m", "trc", "check", str(f)],
                           capture_output=True, text=True, env=_child_env(), timeout=15)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: input is nested too deeply\n")
+
+
+def test_an_ext_arity_over_the_bound_fails_before_any_name_is_made(tmp_path):
+    # a billion fresh names would exhaust memory; the bound refuses the step first
+    f = tmp_path / "ext.trc"
+    f.write_text('theorem e "huge ext" { prove k(x) = k(x) qed by ext 1000000000 }')
+    done = subprocess.run([sys.executable, "-m", "trc", "check", str(f)],
+                          capture_output=True, text=True, env=_child_env(), timeout=15)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "THEOREM e FAIL 1 step 1 (_qed1): ext arity must be <= 100000\n", "")
 
 
 def test_deeply_nested_proof_blocks_are_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -13,16 +14,16 @@ from trc.mutate import _count_projections, _swap_projection
 from trc.terms import (
     ABST, EQ, P1, P2,
     App, Defined, KWrap, Pair, ParseError, PatVar, PositionError, TokenStream, TrcError, Var,
-    app, expand_defined, free_vars, fresh_var, match_pattern, name_atom, nodes,
+    app, expand_defined, free_vars, fresh_vars, match_pattern, name_atom, nodes,
     parse, parse_pattern, parse_term_tokens, rebuild, render, replace_at, replace_defined,
-    substitute, subterms, term_size, to_pattern, tokenize,
+    substitute, term_size, to_pattern, tokenize,
 )
 
 from oracles import (
     OracleScriptTerms, OracleTokenStream, closed_terms, navigate, oracle_count_projections,
     oracle_expand_defined, oracle_free_vars, oracle_parse, oracle_parse_term_tokens, oracle_render,
     oracle_replace_defined, oracle_substitute, oracle_swap_projection, oracle_term_size,
-    oracle_to_pattern, oracle_tokenize, term_trees, terms,
+    oracle_to_pattern, oracle_tokenize, subterms, term_trees, terms,
 )
 
 # ---------------------------------------------------------------------------
@@ -360,8 +361,9 @@ def test_free_vars_collects_occurrences():
 
 
 def test_fresh_var_scheme():
-    assert fresh_var({"z"}) == "v0"
-    assert fresh_var({"v0", "v1"}) == "v2"
+    assert next(fresh_vars({"z"})) == "v0"
+    assert next(fresh_vars({"v0", "v1"})) == "v2"
+    assert list(islice(fresh_vars({"v1", "v3", "x"}), 4)) == ["v0", "v2", "v4", "v5"]
 
 
 def test_expand_defined_recurses():
