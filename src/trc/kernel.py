@@ -11,7 +11,7 @@ each branch of ``cases``, fixes the variables of its assumption's sides,
 counted after ``let`` expansion, for as long as it is open.  The one place
 facts are generalized is the discharge of a cited refutation's hypothesis
 equations, which compares them with facts up to renaming every variable that
-is not fixed (see ``_Checker.canonical``).
+is not fixed (see ``_Checker._variant``).
 
 Each proof step is a ``Step`` record: the ``label`` that names what it
 proves and its ``goal`` judgment, followed by the fields of its kind.  A step
@@ -60,8 +60,8 @@ from .engine import NormalizeResult, Rule, RuleSet, RuleError, normalize, rule_m
 from .terms import (
     EQ, P1, P2,
     App, Defined, KWrap, Pair, PatVar, Record, Term, TrcError, Var,
-    app, children, defined_names, expand_defined, free_vars, fresh_vars, nodes,
-    pattern_vars, rebuild, render, replace_defined, substitute, to_pattern,
+    app, defined_names, expand_defined, free_vars, fresh_vars, nodes,
+    pattern_vars, render, replace_defined, substitute, to_pattern,
 )
 
 
@@ -351,16 +351,26 @@ def _link_sites(a: Term, b: Term) -> list[tuple[Term, Term]]:
     must sit on the root path down to the lowest position covering every
     difference between ``a`` and ``b``; there the rewritten subterm of ``a``
     has to equal that of ``b``.  When ``a`` and ``b`` are equal, every
-    position qualifies.
+    position qualifies.  Below the root, ``a`` and ``b`` differ, so at a
+    node with two children, when one child pair is equal the other is not.
     """
     if a == b:
         return [(sub, sub) for sub in nodes(a)]
     sites = [(a, b)]
     while type(a) is type(b):
-        differing = [(s, t) for (_, s), (_, t) in zip(children(a), children(b)) if s != t]
-        if len(differing) != 1:
+        cls = type(a)
+        if cls is KWrap:
+            a, b = a.body, b.body
+        elif cls is App or cls is Pair:
+            s, t, u, v = (a.fn, b.fn, a.arg, b.arg) if cls is App else (a.left, b.left, a.right, b.right)
+            if s == t:
+                a, b = u, v
+            elif u == v:
+                a, b = s, t
+            else:
+                break
+        else:
             break
-        a, b = differing[0]
         sites.append((a, b))
     return sites
 
@@ -404,9 +414,11 @@ class _Checker:
         self.normalizations: list[tuple[str, NormalizeResult, NormalizeResult]] = []
 
     def check_declared(self, t: Term) -> None:
-        loose = defined_names(t) - self.declared
-        if loose:
-            raise ScriptError(f"{self.script.theorem_id}: undeclared names {sorted(loose)}")
+        declared = self.declared
+        for sub in nodes(t):  # the set of names is built only for the error
+            if type(sub) is Defined and sub.name not in declared:
+                loose = sorted(defined_names(t) - declared)
+                raise ScriptError(f"{self.script.theorem_id}: undeclared names {loose}")
 
     # -- helpers
 
@@ -414,31 +426,49 @@ class _Checker:
         return expand_defined(t, self.defs, memo=self.unfolded)
 
     def fixing(self, *sides: Term) -> set[str]:
-        """The variables an assumption about ``sides`` fixes."""
-        return set().union(*(free_vars(self.expand(t)) for t in sides))
+        """The variables an assumption about ``sides`` fixes: those of the
+        sides with definitions unfolded, read from each unfolding in place."""
+        found: set[str] = set()
+        for t in sides:
+            for sub in nodes(t):
+                if type(sub) is Var:
+                    found.add(sub.name)
+                elif type(sub) is Defined and sub.name in self.defs:
+                    found |= free_vars(self.expand(sub))
+        return found
 
-    def canonical(self, eq: Equal, fixed: frozenset[str]) -> Equal:
-        """Expand definitions and rename every pattern variable, and every
-        variable not in ``fixed``, to the placeholder pattern variable ``$i``
-        numbered by first occurrence.  Fixed variables stay variables, so no
-        placeholder meets a name from the script.  Two equalities have one
-        canonical form exactly when they differ only by such a renaming.
-        One ``rebuild`` per side does both, renaming each unfolded body it puts in."""
-        mapping: dict[Term, Term] = {}
-
-        def rename(a: Term) -> Term:  # called on the atoms in preorder, lhs first
-            if type(a) is PatVar or type(a) is Var and a.name not in fixed:
-                if a not in mapping:
-                    mapping[a] = PatVar(f"${len(mapping)}")
-                return mapping[a]
-            return a
-
-        def leaf(a: Term) -> Term:
-            if type(a) is Defined and a.name in self.defs:
-                return rebuild(self.expand(a), rename)
-            return rename(a)
-
-        return Equal(rebuild(eq.lhs, leaf), rebuild(eq.rhs, leaf))
+    def _variant(self, lhs: Term, rhs: Term, fixed: frozenset[str], want: Equal) -> bool:
+        """Whether the fact ``lhs = rhs``, whose variables in ``fixed`` stay
+        as they are, states ``want`` up to renaming.  Both are walked side by
+        side, lhs first, with definitions unfolded: each pattern variable or
+        unfixed variable of the fact must meet a pattern variable or variable
+        of ``want``, the i-th distinct one always the i-th distinct one (their
+        first occurrences numbered alike), and any other atom its equal."""
+        defs, seen, met = self.defs, {}, {}
+        todo = [(rhs, want.rhs), (lhs, want.lhs)]
+        while todo:
+            a, b = todo.pop()
+            if type(a) is Defined and a.name in defs:
+                a = self.expand(a)
+            if type(b) is Defined and b.name in defs:
+                b = self.expand(b)
+            cls = type(a)
+            if cls is PatVar or cls is Var and a.name not in fixed:
+                if type(b) is not PatVar and type(b) is not Var:
+                    return False
+                if seen.setdefault(a, len(seen)) != met.setdefault(b, len(met)):
+                    return False
+            elif cls is not type(b) or cls is Var:  # a fixed variable never meets a renamed one
+                return False
+            elif cls is App:
+                todo += ((a.arg, b.arg), (a.fn, b.fn))
+            elif cls is Pair:
+                todo += ((a.right, b.right), (a.left, b.left))
+            elif cls is KWrap:
+                todo.append((a.body, b.body))
+            elif a.name != b.name:
+                return False
+        return True
 
     def fact(self, scope: _Scope, label: str) -> Judgment:
         if label not in scope.facts:
@@ -460,8 +490,7 @@ class _Checker:
                 return True
         return False
 
-    def justify_link(self, a: Term, b: Term, scope: _Scope) -> None:
-        facts = [fact for fact, _ in scope.equalities()]
+    def justify_link(self, a: Term, b: Term, facts: list[Equal]) -> None:
         sites = _link_sites(a, b)
         if not (self._one_step(sites, facts)
                 or self._one_step([(t, s) for s, t in sites], facts)):
@@ -528,8 +557,9 @@ class _Checker:
             raise _StepFailure("chain endpoints do not match the stated equality")
         for t in terms[1:-1]:
             self.check_declared(t)
+        facts = [fact for fact, _ in scope.equalities()]
         for i in range(len(terms) - 1):
-            self.justify_link(terms[i], terms[i + 1], scope)
+            self.justify_link(terms[i], terms[i + 1], facts)
 
     def _same_normal_form(self, label: str, lhs: Term, rhs: Term, fuel: Optional[int], what: str) -> None:
         """Normalize both sides and record the results; fail unless both
@@ -597,11 +627,9 @@ class _Checker:
     def _discharged(self, want: Equal, scope: _Scope) -> bool:
         """Whether the script's hypothesis or a fact in scope states ``want``
         for all values of every variable: up to renaming, with none fixed."""
-        want_c = self.canonical(want, frozenset())
         hyp = self.script.hypothesis.equations if self.script.hypothesis else ()
-        if any(self.canonical(Equal(eq.lhs, eq.rhs), frozenset()) == want_c for eq in hyp):
-            return True
-        return any(self.canonical(fact, fixed) == want_c for fact, fixed in scope.equalities())
+        return (any(self._variant(eq.lhs, eq.rhs, frozenset(), want) for eq in hyp)
+                or any(self._variant(fact.lhs, fact.rhs, fixed, want) for fact, fixed in scope.equalities()))
 
     def _contradiction(self, step: ContradictionStep, scope: _Scope) -> None:
         goal = step.goal

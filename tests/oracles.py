@@ -527,10 +527,27 @@ def reference_link(a, b, rules, defs=None, facts=()):
     )
 
 
+def children_link_sites(a, b):
+    """The definition of ``_link_sites``: descend while exactly one pair of
+    children differs, comparing every pair at each level."""
+    if a == b:
+        return [(sub, sub) for sub in nodes(a)]
+    sites = [(a, b)]
+    while type(a) is type(b):
+        differing = [(s, t) for (_, s), (_, t) in zip(children(a), children(b)) if s != t]
+        if len(differing) != 1:
+            break
+        a, b = differing[0]
+        sites.append((a, b))
+    return sites
+
+
 def two_pass_canonical(checker, eq, fixed):
-    """The definition ``_Checker.canonical`` computes in one pass per side:
-    unfold every definition of the checker, then number the renamed atoms
-    over both unfolded sides and rename them."""
+    """A fact's canonical form: unfold every definition of the checker, then
+    rename each pattern variable, and each variable not in ``fixed``, to the
+    placeholder ``$i`` numbered by first occurrence over both unfolded sides.
+    ``_Checker._variant(fact.lhs, fact.rhs, fixed, want)`` must decide exactly
+    ``two_pass_canonical(fact, fixed) == two_pass_canonical(want, {})``."""
     lhs, rhs = (oracle_expand_defined(t, checker.defs) for t in (eq.lhs, eq.rhs))
     mapping = {}
     for t in (lhs, rhs):

@@ -9,7 +9,6 @@ CRITERION line on success.
 from __future__ import annotations
 
 import random
-from pathlib import Path
 
 from trc.cli import main
 from trc.corpus import (
@@ -17,18 +16,16 @@ from trc.corpus import (
 )
 from trc.engine import EngineConfig, core_rules, ext_equal, normalize
 from trc.kernel import (
-    Equal, NotEqual, ProofScript, ScriptError, TheoremStep, check_script,
+    Equal, NotEqual, ProofScript, TheoremStep, check_script,
 )
-from trc.mutate import enumerate_mutations
 from trc.stratify import (
     CombinatorSpec, CompileError, NotAbstractable, abstract,
     abstraction_levels, compile_combinator,
 )
 from trc.terms import EQ, P2, App, KWrap, Pair, Var, app, free_vars, parse, render, substitute
 
+from golden_runs import MUTANT_REPORTS, mutant_reports
 from oracles import random_term
-
-MUTANT_REPORTS = Path(__file__).parent / "data" / "mutant_reports.txt"
 
 
 def test_ext_equality_runs_within_the_criteria_bounds(full_rules):
@@ -142,23 +139,6 @@ def test_criterion_5_compiler_refuter_consistency(corpus, corpus_report, full_ru
             assert refutation.ok, f"refutation missing for {spec.name}"
     assert failures == 30 and successes == 3
     print("\nCRITERION 5 PASS (30 rejected table specs, 3 compiled stratified specs)")
-
-
-def mutant_reports(corpus, corpus_report):
-    """Whether the kernel accepts each single-fault corruption of each corpus
-    script, with the line ``<theorem> <mutation> | <report line>``."""
-    for entry in corpus.entries:
-        if entry.source.startswith("spec:"):
-            continue
-        registry, ruleset = corpus_report.contexts[entry.ident]
-        for script in corpus.scripts[entry.ident]:
-            for desc, mutant in enumerate_mutations(script):
-                try:
-                    report = check_script(mutant, registry, ruleset, BASE_DEFINITIONS)
-                    ok, line = report.ok, report.line()
-                except ScriptError as exc:
-                    ok, line = False, f"ScriptError {exc}"
-                yield ok, f"{script.theorem_id} {desc} | {line}"
 
 
 def test_criterion_6_mutation_robustness(corpus, corpus_report):

@@ -7,24 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trc import kernel, terms
+from trc import terms
 from trc.corpus import BASE_DEFINITIONS
 from trc.engine import Rule, RuleError, core_rules, normalize
 from trc.kernel import (
     FALSUM, ApplicationStep, CasesStep, ChainStep, CheckReport, ContradictionStep,
     Equal, ExtStep, FalsumStep, HypEquation, Hypothesis, KInjectStep, NormalizeStep, NotEqual,
     ProofScript, RefStep, Registry, RegistryError, ScriptError, Step, TheoremRecord, TheoremStep,
-    _Checker, check_script, judgment_vars, record_for,
+    _Checker, _link_sites, _Scope, check_script, judgment_vars, record_for,
 )
 from trc.scriptfile import parse_scripts
 from trc.terms import (
     ABST, EQ, P1, P2, App, Defined, KWrap, Pair, ParseError, PatVar, Var,
-    free_vars, parse, parse_pattern, render, substitute,
+    free_vars, nodes, parse, parse_pattern, render, replace_at, substitute,
 )
 
 from oracles import (
-    interpreted_rewrite_at, justifications, map_terms, oracle_substitute, redex_rich, reference_link, subterms,
-    term_trees, two_pass_canonical,
+    children_link_sites, interpreted_rewrite_at, justifications, map_terms, oracle_expand_defined, oracle_free_vars,
+    oracle_substitute, redex_rich, reference_link, subterms, term_trees, two_pass_canonical,
 )
 
 
@@ -919,7 +919,7 @@ def test_renaming_variables_never_changes_a_verdict(corpus, corpus_report, regis
 
 
 # ---------------------------------------------------------------------------
-# map_terms, and the one-pass canonical form against its two-pass definition
+# map_terms, and the checker's comparisons against their definitions
 # ---------------------------------------------------------------------------
 
 def test_map_terms_maps_every_term_of_every_step_kind_and_keeps_the_rest():
@@ -950,28 +950,86 @@ def test_map_terms_maps_every_term_of_every_step_kind_and_keeps_the_rest():
     assert map_terms((before, lets), KWrap) == (after, (("t", k(a)), ("u", k(d))))
 
 
-# placeholder-named pattern variables, and definitions that hold variables:
-# the caller's I and t, and the lets u and v, each over the names before it
+# placeholder-named pattern variables, the hypothesis constant F, and
+# definitions that hold variables: the caller's I and t, and the lets u and v,
+# each over the names before it
 def canonical_terms(*names, max_leaves=12):
     return term_trees(
         st.builds(Var, st.sampled_from(["x", "y", "z"])), st.builds(PatVar, st.sampled_from(["$x", "$0", "$1"])),
-        st.sampled_from([P1, *map(Defined, names)]),
+        st.sampled_from([P1, Defined("F"), *map(Defined, names)]),
         max_leaves=max_leaves,
     )
 
 
 CANONICAL_DEFS = {**BASE_DEFINITIONS, "t": Pair(Var("y"), App(Defined("I"), Var("x")))}
+fact_terms = canonical_terms("I", "t", "u", "v")
+let_bodies = (canonical_terms("I", "t", max_leaves=4), canonical_terms("I", "t", "u", max_leaves=4))
+renamed_atoms = st.one_of(st.builds(Var, st.sampled_from(["x", "y", "z", "w"])),
+                          st.builds(PatVar, st.sampled_from(["$0", "$1", "$2", "$w"])))
+
+
+def checker_with_lets(u, v):
+    hypothesis = Hypothesis(("F",), (HypEquation("F", parse_pattern("F $x"), parse_pattern("$x")),))
+    script = ProofScript("c", "", hypothesis, FALSUM, (("u", u), ("v", v)), ())
+    return _Checker(script, Registry(), core_rules(), CANONICAL_DEFS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), fact_terms, fact_terms, st.frozensets(st.sampled_from(["x", "y", "z"])), *let_bodies)
+def test_variant_agrees_with_its_two_pass_definition(data, lhs, rhs, fixed, u, v):
+    checker = checker_with_lets(u, v)
+    fact = Equal(lhs, rhs)
+    if data.draw(st.integers(0, 3)):
+        # the fact, as written or unfolded, with its variables and pattern
+        # variables renamed one-to-one: a variant unless a variable of the
+        # unfolded fact is fixed or a definition holds a renamed variable
+        if data.draw(st.booleans()):
+            fixed -= oracle_free_vars(oracle_expand_defined(fact.lhs, checker.defs))
+            fixed -= oracle_free_vars(oracle_expand_defined(fact.rhs, checker.defs))
+        unfold = data.draw(st.booleans())
+        sides = [oracle_expand_defined(t, checker.defs) if unfold else t for t in (lhs, rhs)]
+        atoms = sorted({sub.name for t in sides for sub in nodes(t) if type(sub) in (Var, PatVar)})
+        images = data.draw(st.lists(renamed_atoms, min_size=len(atoms), max_size=len(atoms), unique=True))
+        want = Equal(*(oracle_substitute(t, dict(zip(atoms, images))) for t in sides))
+    else:
+        want = Equal(data.draw(fact_terms), data.draw(fact_terms))
+    same = two_pass_canonical(checker, fact, fixed) == two_pass_canonical(checker, want, frozenset())
+    assert checker._variant(fact.lhs, fact.rhs, fixed, want) == same
 
 
 @settings(max_examples=200, deadline=None)
-@given(canonical_terms("I", "t", "u", "v"), canonical_terms("I", "t", "u", "v"),
-       st.frozensets(st.sampled_from(["x", "y", "z"])),
-       canonical_terms("I", "t", max_leaves=4), canonical_terms("I", "t", "u", max_leaves=4))
-def test_canonical_agrees_with_its_two_pass_definition(lhs, rhs, fixed, u, v):
-    script = ProofScript("c", "", None, Equal(P1, P1), (("u", u), ("v", v)), ())
-    checker = _Checker(script, Registry(), core_rules(), CANONICAL_DEFS)
-    eq = Equal(lhs, rhs)
-    assert checker.canonical(eq, fixed) == two_pass_canonical(checker, eq, fixed)
+@given(fact_terms, fact_terms, *let_bodies)
+def test_fixing_is_the_variables_of_the_unfolded_sides(a, b, u, v):
+    checker = checker_with_lets(u, v)
+    assert checker.fixing(a, b) == set().union(*(oracle_free_vars(oracle_expand_defined(t, checker.defs))
+                                                 for t in (a, b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.one_of(link_terms, redex_rich))
+def test_link_sites_agree_with_their_definition(data, a):
+    # mostly one edit at one position, so that the descent is long
+    pos, _ = data.draw(st.sampled_from(list(subterms(a))))
+    b = data.draw(st.one_of(link_terms.map(lambda sub: replace_at(a, pos, sub)), link_terms, st.just(a)))
+    got, want = _link_sites(a, b), children_link_sites(a, b)
+    assert len(got) == len(want)
+    assert all(s is s2 and t is t2 for (s, t), (s2, t2) in zip(got, want))
+
+
+def test_a_failing_discharge_builds_no_term(monkeypatch):
+    script = ProofScript("c", "", LINK_HYPOTHESIS, FALSUM, (("t", parse("<y, I x>")),), ())
+    checker = _Checker(script, Registry(), core_rules(), BASE_DEFINITIONS)
+    scope = _Scope(fixed=frozenset({"y"}))
+    for label, text in [("a", "I x = x"), ("b", "t = <y, x>"), ("c", "M y = y (y y)"), ("d", "M x = x (x z)")]:
+        scope.add(label, Equal(*map(parse, text.split(" = "))))
+    scope = scope.child({"z"})
+    want = Equal(parse("M w"), parse("w (w w)"))
+    assert not checker._discharged(want, scope)  # unfolds I and t, once per checker
+    built = []
+    for cls in (App, Pair, KWrap, PatVar):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=cls.__init__: built.append(self) or init(self, *a))
+    assert not checker._discharged(want, scope)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -987,10 +1045,9 @@ def doubling_script(n):
 
 
 def test_definitions_are_unfolded_once_per_check(monkeypatch):
-    # every unfolding of a definition body is one ``rebuild`` of it, wherever it is called from
+    # every unfolding of a definition body is one ``rebuild`` of it, in ``expand_defined``
     original, calls = terms.rebuild, []
-    for module in (terms, kernel):
-        monkeypatch.setattr(module, "rebuild", lambda t, leaf: calls.append(1) or original(t, leaf))
+    monkeypatch.setattr(terms, "rebuild", lambda t, leaf: calls.append(1) or original(t, leaf))
 
     def unfoldings(n):
         calls.clear()
