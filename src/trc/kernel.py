@@ -594,9 +594,10 @@ class _Checker:
         self._same_normal_form(step.label, app(lhs, *fresh), app(rhs, *fresh), None, "applied normal forms")
 
     def _theorem(self, step: TheoremStep, scope: _Scope) -> None:
-        if step.theorem_id not in self.registry:
-            raise _StepFailure(f"unknown theorem {step.theorem_id!r}")
-        record = self.registry.get(step.theorem_id)
+        try:
+            record = self.registry.get(step.theorem_id)
+        except RegistryError as exc:
+            raise _StepFailure(str(exc)) from None
         subst = dict(step.subst)
         for t in subst.values():
             self.check_declared(t)

@@ -34,8 +34,7 @@ from .kernel import (
     TheoremStep,
 )
 from .terms import (
-    CONSTANTS, CombinatorSpec, Defined, ParseError, Term, Token, TokenStream, Var, name_atom, parse_term_tokens,
-    tokenize,
+    CONSTANTS, CombinatorSpec, Defined, ParseError, Term, TokenStream, Var, name_atom, parse_term_tokens,
 )
 
 # Words with structural meaning in script files; they terminate embedded
@@ -258,17 +257,18 @@ def parse_scripts(text: str, source: str = "<script>") -> list[ProofScript]:
 
 
 class _SpecLine(TokenStream):
-    """Line ``lineno`` of a spec file, whose definition ends just after its last token."""
+    """Line ``lineno`` of a spec file: its tokens are placed on that line, and
+    its definition ends just after its last token."""
 
     def __init__(self, text: str, lineno: int) -> None:
         self.lineno = lineno
         super().__init__(text)
 
-    def token(self, i: int) -> Token:
-        if self._tokens is None:
-            *toks, _ = tokenize(self._text, self.lineno)
-            self._tokens = toks + [Token("EOF", "", self.lineno, toks[-1].col + len(toks[-1].text))]
-        return self._tokens[i]
+    def place(self, i: int) -> tuple[int, int]:
+        last = len(self.texts) - 2  # the last token before EOF
+        if i > last:
+            return self.lineno, super().place(last)[1] + len(self.texts[last])
+        return self.lineno, super().place(i)[1]
 
 
 def parse_combinator_specs(text: str) -> list[CombinatorSpec]:

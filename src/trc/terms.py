@@ -27,7 +27,8 @@ terms of any depth.  The front end reads a text's tokens with one
 ``findall`` of one regular expression, whose only group is the token after
 any blanks, newlines and comments; each distinct token text is classified
 once, by its first character.  Lines and columns are worked out, by
-``tokenize``, only when an error is reported.  The term parser reads the
+``TokenStream.place`` from where the regular expression matched a token,
+only when an error is reported.  The term parser reads the
 list of token texts directly, without a method call per token.
 ``fresh_vars`` is the one fresh-name scheme, v0, v1, ..., of ``ext`` steps
 and ``ext_equal``.
@@ -39,9 +40,9 @@ as a dataclass's are.  Term ``==`` and ``hash`` recurse.
 from __future__ import annotations
 
 import re
-from itertools import count
+from itertools import count, islice
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 class TrcError(Exception):
@@ -478,13 +479,6 @@ def render(t: Term) -> str:
 # Lexer (shared by the term grammar and the proof-script grammar)
 # ---------------------------------------------------------------------------
 
-class Token(NamedTuple):
-    kind: str  # WORD, PATVAR, STRING, EOF, or the punctuation text itself
-    text: str  # as written, a string with its quotes
-    line: int
-    col: int
-
-
 # Blanks, newlines and comments, then one token's text, the only group: a
 # word, a pattern variable, a string with its quotes, a punctuation mark, any
 # other character (a bad one), or the empty text at the end of the input.
@@ -512,32 +506,6 @@ def _kind(text: str) -> str:
     return "BAD" if text else "EOF"
 
 
-def tokenize(text: str, line: int = 1) -> list[Token]:
-    """The tokens of ``text``, which starts on line ``line``, with their lines
-    and columns, ending with EOF; raises ParseError at the first bad
-    character.  Parsing reads only the token texts (see ``TokenStream``) and
-    comes here to place an error."""
-    toks: list[Token] = []
-    base = -1  # the offset just before the current line starts
-    end = 0  # the end of the last token
-    for m in _TOKEN_RE.finditer(text):
-        start, value = m.start(1), m[1]
-        newlines = text.count("\n", end, start)
-        if newlines:
-            line += newlines
-            base = text.rindex("\n", end, start)
-        kind = _kind(value)
-        if kind == "BAD":
-            raise ParseError(_BAD_CHARACTERS.get(value, f"unexpected character {value!r}"), line, start - base)
-        if kind == "EOF":  # a comment on the last line does not move the end position
-            comment = text.find("--", max(end, base + 1))
-            toks.append(Token(kind, "", line, (start if comment < 0 else comment) - base))
-            break
-        toks.append(Token(kind, value, line, start - base))
-        end = m.end()
-    return toks
-
-
 class TokenStream:
     """The tokens of one text, read by index.
 
@@ -545,7 +513,7 @@ class TokenStream:
     ending with the empty text of EOF, and ``kinds`` maps each distinct text
     to its kind: one ``findall`` and one classification per distinct text
     make both.  ``i`` is the index of the next token.  Lines and columns are
-    worked out, by ``tokenize``, only when an error is reported.  A bad
+    worked out, by ``place``, only when an error is reported.  A bad
     character is reported when the stream is made, before any parse error.
     """
 
@@ -555,22 +523,29 @@ class TokenStream:
             texts.pop()
         self.kinds = {t: _kind(t) for t in set(texts)}
         self.texts, self.i = texts, 0
-        self._text, self._tokens = text, None
-        if "BAD" in self.kinds.values():
-            self.token(0)  # raises at the first bad character
+        self._text = text
+        if "BAD" in self.kinds.values():  # raise at the first bad character
+            bad = next(t for t in texts if self.kinds[t] == "BAD")
+            raise self.error(_BAD_CHARACTERS.get(bad, f"unexpected character {bad!r}"), at=texts.index(bad))
 
-    def token(self, i: int) -> Token:
-        """Token ``i`` with its line and column."""
-        if self._tokens is None:
-            self._tokens = tokenize(self._text)
-        return self._tokens[i]
+    def place(self, i: int) -> tuple[int, int]:
+        """The line and column of token ``i``, from where ``_TOKEN_RE``
+        matched it; EOF is placed at a comment after the last token on the
+        last line, if there is one."""
+        text = self._text
+        m = next(islice(_TOKEN_RE.finditer(text), i, None))
+        start = m.start(1)
+        base = text.rfind("\n", 0, start)  # the offset just before its line starts
+        if not m[1]:  # EOF, whose match starts at the end of the last token
+            comment = text.find("--", max(m.start(), base + 1))
+            start = start if comment < 0 else comment
+        return text.count("\n", 0, start) + 1, start - base
 
     def error(self, message: str = "", expected: tuple[str, ...] = (), at: Optional[int] = None) -> ParseError:
         """A ParseError at token ``at``, by default the next one; without a
         message it names that token as written."""
         at = self.i if at is None else at
-        tok = self.token(at)
-        return ParseError(message or f"got {self.texts[at] or 'EOF'!r}", tok.line, tok.col, expected)
+        return ParseError(message or f"got {self.texts[at] or 'EOF'!r}", *self.place(at), expected)
 
     def peek(self) -> str:
         """The next token's kind."""

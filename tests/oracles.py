@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from itertools import groupby
-from typing import get_args
+from typing import NamedTuple, get_args
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -20,9 +20,9 @@ from trc.kernel import Equal
 from trc.stratify import IDENTITY, Constraint, NotAbstractable, StratifyResult, _conflict_cycle, term_constraints
 from trc.terms import (
     ABST, ARG, CONSTANTS, EQ, FN, KBODY, LEFT, P1, P2, RIGHT,
-    App, CombinatorSpec, Const, Defined, KWrap, Pair, ParseError, PatVar, Record, Term, Token, TokenStream, TrcError,
-    Var, _descend, children, format_position, free_vars, match_pattern, name_atom, nodes, parse_term_tokens, rebuild,
-    replace_at, substitute, tokenize,
+    App, CombinatorSpec, Const, Defined, KWrap, Pair, ParseError, PatVar, Record, Term, TokenStream, TrcError,
+    Var, _descend, children, format_position, free_vars, match_pattern, nodes, rebuild, replace_at,
+    substitute,
 )
 
 # ---------------------------------------------------------------------------
@@ -88,6 +88,13 @@ def random_term(rng, depth, names=("x", "y", "z")):
 # ---------------------------------------------------------------------------
 # The front end the regex tokenizer and the explicit-stack parser replaced,
 # with the token stream it read.
+
+class Token(NamedTuple):
+    kind: str  # WORD, PATVAR, STRING, EOF, or the punctuation text itself
+    text: str  # as written, a string with its quotes
+    line: int
+    col: int
+
 
 _ORACLE_PUNCT2 = (":=", "!=", "=>")
 _ORACLE_PUNCT1 = "()<>,[]{}:;=|"
@@ -250,14 +257,17 @@ def oracle_parse(text, pattern=False):
     return t
 
 
-def stream_of_tokens(tokens):
+class PlacedTokenStream(TokenStream):
     """A ``TokenStream`` over ``tokens``, which end with EOF, placing errors at
     their positions: a stream made from tokens already placed."""
-    ts = TokenStream.__new__(TokenStream)
-    ts.texts = [tok.text for tok in tokens]
-    ts.kinds = {text: tok.kind for text, tok in zip(ts.texts, tokens)}
-    ts.i, ts._tokens = 0, tokens
-    return ts
+
+    def __init__(self, tokens):
+        self.texts = [tok.text for tok in tokens]
+        self.kinds = {text: tok.kind for text, tok in zip(self.texts, tokens)}
+        self.i, self.tokens = 0, tokens
+
+    def place(self, i):
+        return self.tokens[i].line, self.tokens[i].col
 
 
 class OracleScriptTerms:
@@ -267,7 +277,7 @@ class OracleScriptTerms:
 
     def stream(self, text):
         self.tokens = oracle_tokenize(text)
-        return stream_of_tokens(self.tokens)
+        return PlacedTokenStream(self.tokens)
 
     def parse_term_tokens(self, ts, pattern=False, reserved=frozenset(), atoms=CONSTANTS):
         oracle_ts = OracleTokenStream(self.tokens)
@@ -304,31 +314,37 @@ def oracle_parse_scripts(text, source="<script>"):
 
 def oracle_parse_combinator_specs(text):
     """``parse_combinator_specs`` as it was before it read each line through
-    a ``TokenStream`` of its own: ``tokenize`` places every token of the file,
-    the tokens are grouped by line, and each definition is parsed from a
-    stream over its line's tokens and an EOF token just after the last one."""
+    a ``TokenStream`` of its own: the character lexer places every token of
+    the file, the tokens are grouped by line, and the recursive parser reads
+    each definition from its line's tokens and an EOF token just after the
+    last one."""
     specs = []
-    for lineno, line in groupby(tokenize(text)[:-1], key=lambda tok: tok.line):
+    for lineno, line in groupby(oracle_tokenize(text)[:-1], key=lambda tok: tok.line):
         toks = list(line)
         last = toks[-1]
-        ts = stream_of_tokens(toks + [Token("EOF", "", lineno, last.col + len(last.text))])
+        ts = OracleTokenStream(toks + [Token("EOF", "", lineno, last.col + len(last.text))])
         name = ts.expect("WORD")
-        if any(name == spec.name for spec in specs):
-            raise ts.error(f"{name} is defined twice", at=0)
-        while ts.peek() == "WORD":
-            ts.expect("WORD")
-        params = toks[1:ts.i]
+        if any(name.text == spec.name for spec in specs):
+            raise ParseError(f"{name.text} is defined twice", name.line, name.col)
+        params = []
+        while ts.peek().kind == "WORD":
+            params.append(ts.next())
         ts.expect("=")
-        body = parse_term_tokens(ts, False, scriptfile.SCRIPT_RESERVED)
-        if ts.peek() != "EOF":
-            raise ts.error(f"trailing input in definition on line {lineno}")
-        for p in params:
-            if type(name_atom(p.text)) is not Var:
+        body = oracle_parse_term_tokens(ts, False, scriptfile.SCRIPT_RESERVED)
+        tok = ts.peek()
+        if tok.kind != "EOF":
+            raise ParseError(f"trailing input in definition on line {lineno}", tok.line, tok.col)
+        for p in params:  # a variable, as the recursive parser reads the word alone
+            try:
+                variable = type(oracle_parse(p.text)) is Var
+            except ParseError:
+                variable = False
+            if not variable:
                 raise ParseError(f"parameter {p.text!r} must be a variable", p.line, p.col)
         try:
-            specs.append(CombinatorSpec(name, tuple(p.text for p in params), body))
+            specs.append(CombinatorSpec(name.text, tuple(p.text for p in params), body))
         except ValueError as exc:
-            raise ParseError(str(exc), toks[0].line, toks[0].col) from None
+            raise ParseError(str(exc), name.line, name.col) from None
     return specs
 
 

@@ -3,9 +3,10 @@
 Each case blanks out one token of a script (spaces of the token's width,
 so every other token keeps its line and column) and records what
 ``parse_scripts`` does: the error it raises, or a digest of the scripts it
-returns.  Regenerate the golden with::
+returns.  ``tests/golden_runs.py`` makes the cases, so it checks them with the
+standard library alone too.  Regenerate the golden with::
 
-    PYTHONPATH=src python tests/test_scriptfile.py > tests/data/script_token_deletions.txt
+    PYTHONPATH=src python tests/test_scriptfile.py
 
 A theorem's ``let`` names, which the parser reads ahead of its statement,
 must give the records that the old reclassification after the parse gave
@@ -17,8 +18,6 @@ errors are pinned by a table at the end.
 
 from __future__ import annotations
 
-import hashlib
-import sys
 from pathlib import Path
 
 import pytest
@@ -26,73 +25,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trc.scriptfile import parse_combinator_specs, parse_scripts
-from trc.terms import CombinatorSpec, ParseError, TrcError, Var, tokenize
+from trc.terms import CombinatorSpec, ParseError, TokenStream, Var
 
+from golden_runs import TOKEN_DELETIONS, blanked, deletion_outcomes
 from oracles import oracle_parse_combinator_specs, oracle_parse_scripts
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "trc" / "corpus"
-GOLDEN = Path(__file__).parent / "data" / "script_token_deletions.txt"
-
-# the method forms no corpus script uses: normalize with fuel, application,
-# and a qed citing a label
-HAND_WRITTEN = """\
-theorem syntax-1 "normalize with fuel, application" {
-  prove k(y) != I
-  have a : k(y) x = y by normalize fuel 1
-  have b : I x = x by chain [I x, x]
-  have n : y != x by theorem 2.4a with x := y
-  qed by application [x] (a, b, n)
-}
-theorem syntax-2 "qed by a label" {
-  prove x = x
-  have h : x = x by chain [x]
-  qed by h
-}
-"""
-
-INPUTS = [(name, (CORPUS / name).read_text())
-          for name in ("14-2.4b.trc", "17-2.6.trc", "21-2.9a.trc", "02-2.1a.trc")]
-INPUTS.append(("hand-written", HAND_WRITTEN))
-
-# a STRING token that holds a keyword is never taken as the keyword
-STRING_KEYWORD = 'theorem s "t" {\n  prove x = x\n  qed by normalize "fuel" 3\n}\n'
-
-
-def outcome(text: str) -> str:
-    try:
-        scripts = parse_scripts(text, "<golden>")
-    except TrcError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return "parsed " + hashlib.sha256(repr(scripts).encode("utf-8")).hexdigest()[:16]
-
-
-def blanked(text: str, line: int, col: int, width: int) -> str:
-    """``text`` with ``width`` characters from ``line``:``col`` (1-based) made blanks."""
-    lines = text.split("\n")
-    row = lines[line - 1]
-    lines[line - 1] = row[:col - 1] + " " * width + row[col - 1 + width:]
-    return "\n".join(lines)
-
-
-def deletion_outcomes() -> list[str]:
-    out: list[str] = []
-    for name, text in INPUTS:
-        out.append(f"{name} intact: {outcome(text)}")
-        for tok in tokenize(text)[:-1]:
-            out.append(f"{name} {tok.line}:{tok.col} {tok.text}: "
-                       f"{outcome(blanked(text, tok.line, tok.col, len(tok.text)))}")
-    out.append(f"string keyword intact: {outcome(STRING_KEYWORD)}")
-    return out
 
 
 def test_blanking_keeps_the_other_positions():
     text = "ab cd\nef"
     assert blanked(text, 1, 4, 2) == "ab   \nef"
-    assert [tok[1:] for tok in tokenize(blanked(text, 1, 1, 2))][:-1] == [("cd", 1, 4), ("ef", 2, 1)]
+    ts = TokenStream(blanked(text, 1, 1, 2))
+    assert [(t, *ts.place(i)) for i, t in enumerate(ts.texts)][:-1] == [("cd", 1, 4), ("ef", 2, 1)]
 
 
 def test_token_deletions_match_golden():
-    assert "\n".join(deletion_outcomes()) + "\n" == GOLDEN.read_text(encoding="utf-8")
+    assert "".join(line + "\n" for line in deletion_outcomes()) == TOKEN_DELETIONS.read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +153,10 @@ _NO_TERM = "(expected one of: identifier, k(, <, ()"
     ("S x-y = P1\n", "1:3: parameter 'x-y' must be a variable"),
     # the compiler knows no definition but I
     ("S = I\nT x = Foo x\n", "2:1: T: body uses undeclared names ['Foo']"),
+    # placed on the file's line: a bad character before an earlier error, and
+    # a missing body just past the '=', not at the comment after it
+    ("S x = \n\nT x = x ?\n", "3:9: unexpected character '?'"),
+    ("S x = x\n\nT x = -- no body\n", f"3:6: got 'EOF' {_NO_TERM}"),
 ])
 def test_spec_file_errors_are_pinned(text, expected):
     # what ``trc compile`` prints after "error: ", or the definitions parsed
@@ -215,4 +168,4 @@ def test_spec_file_errors_are_pinned(text, expected):
 
 
 if __name__ == "__main__":
-    sys.stdout.write("\n".join(deletion_outcomes()) + "\n")
+    TOKEN_DELETIONS.write_text("".join(line + "\n" for line in deletion_outcomes()), encoding="utf-8")

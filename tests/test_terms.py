@@ -16,7 +16,7 @@ from trc.terms import (
     App, Defined, KWrap, Pair, ParseError, PatVar, PositionError, TokenStream, TrcError, Var,
     app, expand_defined, free_vars, fresh_vars, match_pattern, name_atom, nodes,
     parse, parse_pattern, parse_term_tokens, rebuild, render, replace_at, replace_defined,
-    substitute, term_size, to_pattern, tokenize,
+    substitute, term_size, to_pattern,
 )
 
 from oracles import (
@@ -132,15 +132,20 @@ def edge_examples(test):
 @settings(max_examples=300)
 @given(st.one_of(token_text, st.text(alphabet=' \t\r\n"$-<>(),:=!|[]{};ab_Z09.\'@é', max_size=30)))
 def test_tokenize_matches_the_character_lexer(text):
-    assert outcome(tokenize, text) == outcome(oracle_tokenize, text)
-    # the parser's texts and kinds, from findall, name the same tokens
-    assert outcome(stream_tokens, text) == outcome(lambda t: [tok[:2] for tok in oracle_tokenize(t)], text)
+    # the parser's texts and kinds, from findall, and the places of the
+    # tokens, from the regex's match offsets, name the same tokens
+    assert outcome(placed_tokens, text) == outcome(oracle_tokenize, text)
 
 
-def stream_tokens(text):
-    """(kind, text) of each token of a TokenStream."""
+def placed(ts, i):
+    """(kind, text, line, column) of token ``i`` of a TokenStream."""
+    return (ts.kinds[ts.texts[i]], ts.texts[i], *ts.place(i))
+
+
+def placed_tokens(text):
+    """(kind, text, line, column) of each token of a TokenStream."""
     ts = TokenStream(text)
-    return [(ts.kinds[t], t) for t in ts.texts]
+    return [placed(ts, i) for i in range(len(ts.texts))]
 
 
 @edge_examples
@@ -183,7 +188,7 @@ def test_token_columns_match_the_character_lexer(token):
         for blanks in _BLANK_RUNS:
             for ending in _ENDINGS:
                 text = first + blanks + token + ending
-                assert outcome(tokenize, text) == outcome(oracle_tokenize, text), repr(text)
+                assert outcome(placed_tokens, text) == outcome(oracle_tokenize, text), repr(text)
 
 
 @settings(max_examples=300)
@@ -198,7 +203,7 @@ def test_term_parser_leaves_the_stream_where_the_recursive_parser_does(text, sta
     ts.i = oracle_ts.i = min(start, len(tokens) - 1)
     got = outcome(parse_term_tokens, ts, pattern, scriptfile.SCRIPT_RESERVED)
     want = outcome(oracle_parse_term_tokens, oracle_ts, pattern, scriptfile.SCRIPT_RESERVED)
-    assert (got, ts.i, ts.token(ts.i)) == (want, oracle_ts.i, oracle_ts.peek())
+    assert (got, ts.i, placed(ts, ts.i)) == (want, oracle_ts.i, oracle_ts.peek())
 
 
 # single words: the constants, k, reserved script words, words that are no
@@ -240,7 +245,7 @@ def test_corpus_files_tokenize_as_before():
     assert len(files) > 50
     for f in files:
         text = f.read_text()
-        assert tokenize(text) == oracle_tokenize(text), f.name
+        assert placed_tokens(text) == oracle_tokenize(text), f.name
 
 
 # ---------------------------------------------------------------------------
